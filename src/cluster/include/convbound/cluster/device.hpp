@@ -32,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "convbound/machine/machine_spec.hpp"
 #include "convbound/serve/engine.hpp"
 #include "convbound/serve/model.hpp"
 #include "convbound/serve/queue.hpp"
@@ -41,24 +40,6 @@
 #include "convbound/util/thread_annotations.hpp"
 
 namespace convbound {
-
-struct DeviceConfig {
-  MachineSpec spec;
-  /// Display name; empty = "d<i>:<spec name>" assigned by the cluster.
-  std::string name;
-  /// Executor worker threads on this device.
-  int workers = 1;
-  /// Sessions per (model, bucket); 0 = one per worker.
-  int replicas = 0;
-  /// Per-device queue depth: groups in flight + queued before the Router
-  /// steals to another device; 0 = 2 * workers.
-  int max_pending_groups = 0;
-
-  int effective_replicas() const { return replicas > 0 ? replicas : workers; }
-  int effective_pending() const {
-    return max_pending_groups > 0 ? max_pending_groups : 2 * workers;
-  }
-};
 
 /// How a failed device comes back; see ClusterDevice::revive().
 enum class ReviveMode {
@@ -76,10 +57,12 @@ class ClusterDevice {
     std::function<void()> on_done;
   };
 
-  /// `models` is unowned and must outlive the device (the cluster owns one
-  /// map shared by the whole fleet).
+  /// `models` and `opts` are unowned and must outlive the device (the
+  /// cluster owns one model map and one options struct for the whole
+  /// fleet). `ordinal` is the device's fleet index, stamped on its engine's
+  /// trace events.
   ClusterDevice(const std::map<std::string, ServedModel>& models,
-                DeviceConfig config, const EngineOptions& engine_opts);
+                DeviceConfig config, const ServingOptions* opts, int ordinal);
   ~ClusterDevice();
 
   ClusterDevice(const ClusterDevice&) = delete;
@@ -150,7 +133,9 @@ class ClusterDevice {
 
   DeviceConfig config_;
   const std::map<std::string, ServedModel>* models_;
-  EngineOptions engine_opts_;
+  /// What a cold revive rebuilds the engine from.
+  const ServingOptions* opts_;
+  int ordinal_;
   ServerStats stats_;
   /// Behind a pointer so a cold revive can rebuild it. engine_mu_ guards
   /// the *pointer* (swap vs. concurrent stats() polls and worker reads);

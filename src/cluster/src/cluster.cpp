@@ -24,16 +24,14 @@ ClusterServer::ClusterServer(std::vector<ServedModel> models,
     stats_.exec_stripe().record_expired(
         n, cls < tenants_.size() ? tenants_.cls(cls).name : std::string());
   });
-  EngineOptions eopts = opts_.engine_options();
   for (std::size_t i = 0; i < opts_.devices.size(); ++i) {
     DeviceConfig cfg = opts_.devices[i];
     if (cfg.name.empty())
       cfg.name = "d" + std::to_string(i) + ":" + cfg.spec.name;
     // Each device engine stamps its fleet index on trace events, so a
     // trace separates the devices into their own process rows.
-    eopts.device_ordinal = static_cast<int>(i);
-    devices_.push_back(
-        std::make_unique<ClusterDevice>(models_, std::move(cfg), eopts));
+    devices_.push_back(std::make_unique<ClusterDevice>(
+        models_, std::move(cfg), &opts_, static_cast<int>(i)));
   }
 }
 
@@ -159,14 +157,14 @@ std::future<InferResponse> ClusterServer::submit(InferRequest request) {
   // a concurrent stop() resolves kShutdown instead of hanging.
   std::size_t depth_after = 0;
   switch (queue_.push(std::move(p), &depth_after)) {
-    case RequestQueue::Admit::kOk:
+    case ShardedRequestQueue::Admit::kOk:
       // depth_after came out of the push itself — the old code re-locked
       // the queue with queue_.depth() right after push released it.
       stripe.record_submitted(depth_after, cls);
       obs::instant(TraceStage::kAdmit, enqueued, trace_id, 0, -1,
                    static_cast<double>(depth_after));
       return fut;
-    case RequestQueue::Admit::kFull: {
+    case ShardedRequestQueue::Admit::kFull: {
       InferResponse r;
       r.status = ServeStatus::kRejected;
       stripe.record_rejected(cls);
@@ -175,7 +173,7 @@ std::future<InferResponse> ClusterServer::submit(InferRequest request) {
       p.promise.set_value(std::move(r));
       return fut;
     }
-    case RequestQueue::Admit::kQuota: {
+    case ShardedRequestQueue::Admit::kQuota: {
       InferResponse r;
       r.status = ServeStatus::kQuotaExceeded;
       stripe.record_quota_rejected(cls);
@@ -184,7 +182,7 @@ std::future<InferResponse> ClusterServer::submit(InferRequest request) {
       p.promise.set_value(std::move(r));
       return fut;
     }
-    case RequestQueue::Admit::kClosed: {
+    case ShardedRequestQueue::Admit::kClosed: {
       InferResponse r;
       r.status = ServeStatus::kShutdown;
       stripe.record_shutdown_rejected(cls);

@@ -4,26 +4,15 @@
 
 namespace convbound {
 
-namespace {
-
-EngineOptions device_engine_options(const EngineOptions& base,
-                                    const DeviceConfig& config) {
-  EngineOptions e = base;
-  e.machine = config.spec;
-  e.replicas = config.effective_replicas();
-  return e;
-}
-
-}  // namespace
-
 ClusterDevice::ClusterDevice(const std::map<std::string, ServedModel>& models,
-                             DeviceConfig config,
-                             const EngineOptions& engine_opts)
+                             DeviceConfig config, const ServingOptions* opts,
+                             int ordinal)
     : config_(std::move(config)),
       models_(&models),
-      engine_opts_(engine_opts),
-      engine_(std::make_unique<ServeEngine>(
-          models, device_engine_options(engine_opts, config_), &stats_)) {
+      opts_(opts),
+      ordinal_(ordinal),
+      engine_(std::make_unique<ServeEngine>(models, *opts_, config_, ordinal_,
+                                            &stats_)) {
   CB_CHECK_MSG(config_.workers >= 1, "device workers must be >= 1");
   if (config_.name.empty()) config_.name = config_.spec.name;
 }
@@ -160,8 +149,8 @@ void ClusterDevice::revive(ReviveMode mode) {
     // Rebuild + re-warm off to the side, then swap under the stats lock:
     // pollers never see a half-built engine, and the fleet keeps serving on
     // the other devices the whole time.
-    auto fresh = std::make_unique<ServeEngine>(
-        *models_, device_engine_options(engine_opts_, config_), &stats_);
+    auto fresh = std::make_unique<ServeEngine>(*models_, *opts_, config_,
+                                               ordinal_, &stats_);
     fresh->warm();
     MutexLock lock(engine_mu_);
     engine_ = std::move(fresh);

@@ -29,8 +29,8 @@ struct BatchPolicyOptions {
   /// batch alone fits the budget is still infeasible if the formation delay
   /// eats the headroom.
   double latency_budget_seconds = 20e-3;
-  /// The scheduler's group-formation window (its max_delay, seconds); the
-  /// server/cluster options plumb it in via engine_options().
+  /// The scheduler's group-formation window (its max_delay, seconds);
+  /// ServeEngine charges ServingOptions::max_delay into its own copy.
   double max_delay_seconds = 0;
   /// Pick the smallest bucket within this fraction of the best feasible
   /// per-request time.

@@ -36,23 +36,24 @@
 
 namespace convbound {
 
-struct EngineOptions {
-  MachineSpec machine = MachineSpec::v100();
+/// One simulated accelerator of a serving fleet: what differs per device.
+struct DeviceConfig {
+  MachineSpec spec;
+  /// Display name; empty = "d<i>:<spec name>" assigned by the cluster.
+  std::string name;
+  /// Executor worker threads on this device.
+  int workers = 1;
   /// Sessions per (model, bucket): how many batches of one model may be in
-  /// flight concurrently on this device.
-  int replicas = 1;
-  /// 0 = bound-guided bucket per model (choose_batch_bucket); otherwise a
-  /// fixed bucket for every model (1 = the unbatched baseline).
-  std::int64_t force_bucket = 0;
-  BatchPolicyOptions policy;
-  /// Planning mode for the warm sessions (kTuned autotunes through the
-  /// engine's thread-safe TuneCache).
-  PlanMode plan_mode = PlanMode::kMeasured;
-  int tune_budget = 16;
-  std::uint64_t seed = 42;
-  /// Fleet ordinal stamped on this engine's trace events (the cluster sets
-  /// each device's index).
-  int device_ordinal = 0;
+  /// flight concurrently on this device; 0 = one per worker.
+  int replicas = 0;
+  /// Per-device queue depth: groups in flight + queued before the Router
+  /// steals to another device; 0 = 2 * workers.
+  int max_pending_groups = 0;
+
+  int effective_replicas() const { return replicas > 0 ? replicas : workers; }
+  int effective_pending() const {
+    return max_pending_groups > 0 ? max_pending_groups : 2 * workers;
+  }
 };
 
 /// The options of a serving front door, shared by the fleet's
@@ -83,17 +84,17 @@ struct ServingOptions {
   /// Queue-fill fraction at which weighted-fair per-class shares start
   /// binding; below it admission is work-conserving.
   double admission_congestion = 0.5;
-
-  /// The execution-side subset; machine, replicas and device_ordinal are
-  /// set per device.
-  EngineOptions engine_options() const;
 };
 
 class ServeEngine {
  public:
-  /// `models` and `stats` are unowned and must outlive the engine.
+  /// Reads the execution-side fields of `opts` (bucket forcing, batch
+  /// policy, planning mode, tune budget, seed) and the device's spec and
+  /// replicas; `ordinal` is the fleet index stamped on this engine's trace
+  /// events. `models` and `stats` are unowned and must outlive the engine.
   ServeEngine(const std::map<std::string, ServedModel>& models,
-              EngineOptions opts, ServerStats* stats);
+              const ServingOptions& opts, const DeviceConfig& device,
+              int ordinal, ServerStats* stats);
 
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
@@ -139,7 +140,13 @@ class ServeEngine {
   std::size_t plans_memoised() const;
 
   const std::map<std::string, ServedModel>* models_;
-  EngineOptions opts_;
+  /// Copied at construction; batch_policy.max_delay_seconds is charged with
+  /// the scheduler's max_delay so bucket feasibility sees the formation
+  /// window.
+  ServingOptions opts_;
+  MachineSpec machine_;
+  int replicas_;
+  int ordinal_;
   ServerStats* stats_;
   /// The exact options warm() planned with; predicted_batch_seconds()
   /// replays them so its plan() calls are memo hits. Written only by

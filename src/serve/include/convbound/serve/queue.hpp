@@ -1,45 +1,29 @@
-// Thread-safe bounded request queue with EDF ordering and weighted-fair
-// admission.
+// One shard of the serving front door: an EDF-ordered request store.
 //
-// Many client threads push; one BatchScheduler thread inspects the most
-// urgent entry and collects same-model groups. Bounded capacity is the
-// server's backpressure mechanism: push fails instead of blocking, so
-// overload turns into explicit rejections rather than unbounded latency.
+// ShardedRequestQueue (convbound/serve/sharded_queue.hpp) owns N of these
+// and is the only admission authority: it runs global capacity and
+// weighted-fair quota on relaxed atomics, inserts what it admitted here,
+// and does all cross-shard waiting on its own eventcount. A shard therefore
+// never blocks and never rejects for capacity; it orders, expires, and
+// hands out entries.
 //
 // Ordering is earliest-deadline-first on the *effective* deadline — the
 // request's explicit deadline ANDed with its tenant class's latency budget
 // (ties broken by arrival time, then insertion order, so budget-free
 // traffic degrades to FIFO). Entries live in a map ordered by
-// (effective_deadline, enqueued, seq): push is a sorted insert (O(log n)),
-// the most urgent entry is begin() (O(1) — this used to be an O(n) scan
-// per wait_front/collect), expired entries are a *prefix* of the map so
-// expiry pops from the front instead of sweeping everything, and collect
-// walks in EDF order so groups come out most-urgent-first without a sort.
+// (effective_deadline, enqueued, seq): insert is a sorted insert
+// (O(log n)), the most urgent entry is begin() (O(1)), expired entries are
+// a *prefix* of the map so expiry pops from the front instead of sweeping
+// everything, and take() walks in EDF order so groups come out
+// most-urgent-first without a sort.
 //
-// Admission is two-tier. Below the congestion threshold the queue is
-// work-conserving: any class may use any free slot. At or above it, each
-// class is capped at its weighted-fair share of capacity
-// (weight_c / sum(weights) x capacity, min 1), so a flood of low-priority
-// traffic cannot starve a high-priority class of headroom; over-share
-// pushes fail with Admit::kQuota and the server answers kQuotaExceeded.
-//
-// The queue owns deadline expiry for whatever sits in it: wait_front() and
-// collect() first sweep out every entry whose effective deadline has
+// The shard owns deadline expiry for whatever sits in it: every peek,
+// count and take first sweeps out each entry whose effective deadline has
 // passed, completing its promise with kDeadlineExceeded immediately — a
-// dead request is answered promptly (instead of riding the full max-delay +
-// executor-slot wait to batch-collect time) and stops occupying queue
-// capacity the backpressure policy charges live traffic for. The engine's
-// own collect-time deadline check stays as the backstop for requests that
-// expire after leaving the queue.
-//
-// This class is also the *shard* type of ShardedRequestQueue
-// (convbound/serve/sharded_queue.hpp): the facade owns N of these, runs
-// global capacity/quota itself on relaxed atomics, and inserts through
-// readmit() (which bypasses the per-shard checks but respects close). The
-// facade-facing hooks are set_notifier() (wake the facade's cross-shard
-// waiters), peek_front()/peek_model() (non-blocking head inspection for
-// most-urgent-shard selection), count_model_live() (group formation
-// across shards), and sweep_expired().
+// dead request is answered promptly and stops occupying capacity the
+// facade charges live traffic for. The engine's own collect-time deadline
+// check stays as the backstop for requests that expire after leaving the
+// queue.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +35,6 @@
 #include <vector>
 
 #include "convbound/serve/request.hpp"
-#include "convbound/serve/tenancy.hpp"
 #include "convbound/util/mutex.hpp"
 #include "convbound/util/thread_annotations.hpp"
 
@@ -91,98 +74,60 @@ struct PendingRequest {
 
 class RequestQueue {
  public:
-  /// Push verdict. The caller completes the promise itself on non-kOk:
-  /// kFull -> kRejected, kQuota -> kQuotaExceeded, kClosed -> kShutdown.
-  /// Returning kClosed (instead of making the caller re-read its own
-  /// stopped flag) is what makes submit-vs-stop race-free: the queue's
-  /// mutex decides which side won.
-  enum class Admit { kOk, kFull, kQuota, kClosed };
-
-  explicit RequestQueue(std::size_t capacity) : capacity_(capacity) {}
+  RequestQueue() = default;
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;
 
-  /// Installs the tenant table quota admission consults. `table` must
-  /// outlive the queue and be called before any thread touches it; without
-  /// one, every entry is class 0 and quota never binds (single-tenant
-  /// behaviour). `congestion` in [0,1] is the fill fraction at which
-  /// per-class shares start binding.
-  void set_tenancy(const TenantTable* table, double congestion);
-
-  /// Called with (class index, count) for requests the queue just expired
+  /// Called with (class index, count) for requests the shard just expired
   /// (their promises are already completed with kDeadlineExceeded). Set
-  /// once, before any thread touches the queue; the owner uses it to keep
-  /// its `expired` counters in step with the resolved futures.
+  /// once, before any thread touches the shard; the facade uses it to keep
+  /// its global counters in step with the resolved futures.
   void set_on_expired(std::function<void(std::size_t, std::size_t)> fn) {
     on_expired_ = std::move(fn);
   }
 
-  /// Extra wakeup hook for a facade waiting across several queues: called
-  /// (outside the lock) whenever this queue's own cv is notified — after
-  /// push, readmit, and close. Set once, before any thread touches the
-  /// queue.
+  /// Wakeup hook for the facade's cross-shard waiters: called (outside the
+  /// lock) after insert and close. Set once, before any thread touches the
+  /// shard.
   void set_notifier(std::function<void()> fn) { notifier_ = std::move(fn); }
 
-  /// Admission-checked insert; see Admit. A full queue (or an over-quota
-  /// class) is swept for expired entries before the rejection stands —
-  /// dead occupants never cost live traffic a rejection. On kOk,
-  /// `depth_after` (when non-null) receives the post-insert depth, taken
-  /// under the same lock as the insert — the submit path's stats recording
-  /// must not re-lock the queue just to read the depth it already knew.
-  Admit push(PendingRequest&& p, std::size_t* depth_after = nullptr);
-
-  /// Re-inserts a request that already passed admission once (device-loss
-  /// requeue, or a ShardedRequestQueue insert that cleared the facade's
-  /// global admission). Bypasses capacity and quota — the request must not
-  /// be silently lost to backpressure it already cleared — but respects
-  /// close(): false means the queue is closed and the caller owns the
-  /// promise (shutdown path). On success, `depth_after` (when non-null)
+  /// Sorted insert of a request the facade already admitted. Respects
+  /// close(): false means the shard is closed and the caller owns the
+  /// promise (shutdown path) — the closed bit is what decides
+  /// submit-vs-stop races. On success, `depth_after` (when non-null)
   /// receives the post-insert depth, taken under the insert lock (the
-  /// sharded facade uses it for per-shard high-water marks).
-  bool readmit(PendingRequest&& p, std::size_t* depth_after = nullptr);
+  /// facade uses it for per-shard high-water marks).
+  bool insert(PendingRequest&& p, std::size_t* depth_after = nullptr);
 
-  /// Blocks until the queue holds a live (non-expired) entry or is closed.
-  /// Expired entries encountered while waiting are answered and dropped.
-  /// True with the most urgent live entry's model + arrival time (EDF
-  /// order); false when closed and drained.
-  bool wait_front(std::string* model, ServeTimePoint* enqueued);
-
-  /// Non-blocking wait_front: sweeps expiry, then reports the most urgent
-  /// live entry's model, arrival, and effective deadline. False when empty.
+  /// Sweeps expiry, then reports the most urgent live entry's model,
+  /// arrival, and effective deadline. False when empty.
   bool peek_front(std::string* model, ServeTimePoint* enqueued,
                   ServeTimePoint* effective_deadline);
 
   /// Sweeps expiry, then reports the effective deadline of the most urgent
-  /// live entry of `model`. False when the queue holds none.
+  /// live entry of `model`. False when the shard holds none.
   bool peek_model(const std::string& model,
                   ServeTimePoint* effective_deadline);
 
   /// Sweeps expiry, then counts live entries of `model`.
   std::size_t count_model_live(const std::string& model);
 
-  /// Answers and removes every expired entry (see on_expired).
+  /// Answers and removes every expired entry (see set_on_expired).
   void sweep_expired();
 
-  /// Waits until `max_n` live requests of `model` are queued, `deadline`
-  /// passes, or the queue closes; then removes and returns up to `max_n` of
-  /// them, most urgent first (possibly empty if another collector raced
-  /// them away). Expired entries of *any* model are answered and dropped
-  /// along the way rather than collected.
-  std::vector<PendingRequest> collect(const std::string& model,
-                                      std::size_t max_n,
-                                      ServeTimePoint deadline);
+  /// Sweeps expiry, then removes and returns up to `max_n` live entries of
+  /// `model`, most urgent first. Never waits.
+  std::vector<PendingRequest> take(const std::string& model,
+                                   std::size_t max_n);
 
-  /// Wakes all waiters; subsequent pushes fail. Queued entries remain for
-  /// wait_front/collect/drain.
+  /// Refuses later inserts and wakes the facade. Queued entries remain for
+  /// take/drain.
   void close();
 
   /// Removes everything (shutdown path).
   std::vector<PendingRequest> drain();
 
   std::size_t depth() const;
-  std::size_t capacity() const { return capacity_; }
-  /// Queued entries of class `i` (for tests and admission introspection).
-  std::size_t class_depth(std::size_t i) const;
 
  private:
   /// EDF position: effective deadline, then arrival, then insertion order
@@ -205,52 +150,32 @@ class RequestQueue {
   /// not a full sweep. Reports per-class counts through on_expired_.
   void expire_locked(ServeTimePoint now) CB_REQUIRES(mu_);
 
-  /// Weighted-fair share of `capacity_` for class `i` (>= 1). Reads only
-  /// immutable tenancy config, but keeps the caller-holds-mu_ contract
-  /// uniform across the `*_locked` helpers.
-  std::size_t class_share(std::size_t i) const CB_REQUIRES(mu_);
-
-  /// Admission predicates for push(); named helpers (not lambdas) so the
-  /// thread-safety analysis sees the held capability at every guarded read.
-  bool over_capacity_locked() const CB_REQUIRES(mu_);
-  bool over_quota_locked(std::size_t class_index) const CB_REQUIRES(mu_);
-
   /// Sorted insert.
   void insert_locked(PendingRequest&& p) CB_REQUIRES(mu_);
 
-  /// Removes the entry at `it`, maintaining the per-model and per-class
-  /// counts; returns the moved-out request.
+  /// Removes the entry at `it`, maintaining the per-model counts; returns
+  /// the moved-out request.
   PendingRequest remove_locked(std::map<UrgencyKey, PendingRequest>::iterator it)
       CB_REQUIRES(mu_);
 
-  void bump_class(std::size_t i, std::ptrdiff_t delta) CB_REQUIRES(mu_);
-
-  /// Wakes this queue's waiters and the facade notifier. Called after the
-  /// lock is released: the notifier re-enters facade state, so calling it
-  /// under mu_ would nest foreign locks below a shard lock.
+  /// Runs the facade notifier. Called after the lock is released: the
+  /// notifier re-enters facade state, so calling it under mu_ would nest
+  /// foreign locks below a shard lock.
   void notify_all() CB_EXCLUDES(mu_);
 
   mutable Mutex mu_;
-  CondVar cv_;
   /// EDF order: begin() is the most urgent entry.
   std::map<UrgencyKey, PendingRequest> items_ CB_GUARDED_BY(mu_);
   std::uint64_t next_seq_ CB_GUARDED_BY(mu_) = 0;
-  /// Live entries per model, so group-formation predicates are O(1)
-  /// instead of an O(n) scan per cv wakeup.
+  /// Live entries per model, so count_model_live is O(log models) instead
+  /// of an O(n) scan.
   std::map<std::string, std::size_t> model_counts_ CB_GUARDED_BY(mu_);
-  /// Immutable after construction; readable without the lock.
-  std::size_t capacity_;
   bool closed_ CB_GUARDED_BY(mu_) = false;
-  // on_expired_ / notifier_ / table_ / congestion_ / weight_sum_ are
-  // set-once-before-threads configuration (documented on their setters):
-  // no guard, by design — after setup they are only ever read.
+  // on_expired_ / notifier_ are set-once-before-threads configuration
+  // (documented on their setters): no guard, by design — after setup they
+  // are only ever read.
   std::function<void(std::size_t, std::size_t)> on_expired_;
   std::function<void()> notifier_;
-  const TenantTable* table_ = nullptr;
-  double congestion_ = 1.0;
-  double weight_sum_ = 1.0;
-  /// Per-class queued counts.
-  std::vector<std::size_t> class_depth_ CB_GUARDED_BY(mu_);
 };
 
 }  // namespace convbound

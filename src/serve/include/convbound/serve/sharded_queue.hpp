@@ -19,14 +19,12 @@
 // any shard, reservation-style: depth is fetch_add'd, checked against
 // global capacity, and undone on rejection (likewise the per-class counter
 // against its weighted-fair share when fill >= congestion x capacity).
-// The counters therefore never exceed their caps and strict global
-// capacity/quota semantics survive sharding — per-shard capacity never
-// binds (each shard is sized to the global capacity). A capacity rejection
-// sweeps all shards for expired entries once and retries, matching the
-// single-queue rule that dead occupants never cost live traffic a
-// rejection. The shard insert itself goes through RequestQueue::readmit,
-// which bypasses the shard's own capacity/quota but respects close — the
-// shard's closed bit decides submit-vs-stop races exactly as before.
+// The counters therefore never exceed their caps, and the facade is the
+// only capacity/quota authority: a shard has no capacity of its own. A
+// rejection sweeps all shards for expired entries once and retries, so
+// dead occupants never cost live traffic a rejection. The shard insert
+// (RequestQueue::insert) respects close — the shard's closed bit decides
+// submit-vs-stop races.
 //
 // Ordering is approximate-global-EDF: exact EDF within each shard;
 // wait_front scans the N shard heads and reports the globally most urgent
@@ -37,12 +35,12 @@
 // the true global minimum at scan time; see docs/serving.md and the
 // ApproximateGlobalEdf test).
 //
-// Expiry stays queue-owned per shard; the facade interposes on each
-// shard's on_expired to keep the global atomics in step before forwarding
-// to the owner's callback. Cross-shard blocking (wait_front, collect's
-// group wait) uses a facade-level condition variable with a version
-// counter: every shard notification bumps the version, so a waiter never
-// sleeps through a push to a shard it wasn't watching.
+// Expiry stays shard-owned; the facade interposes on each shard's
+// on_expired to keep the global atomics in step before forwarding to the
+// owner's callback. Shards never block: all waiting (wait_front, collect's
+// group wait) happens here, on a facade-level eventcount — every shard
+// notification bumps a version counter, so a waiter never sleeps through
+// a push to a shard it wasn't watching.
 #pragma once
 
 #include <atomic>
@@ -62,21 +60,31 @@ namespace convbound {
 
 class ShardedRequestQueue {
  public:
-  using Admit = RequestQueue::Admit;
+  /// Push verdict. The caller completes the promise itself on non-kOk:
+  /// kFull -> kRejected, kQuota -> kQuotaExceeded, kClosed -> kShutdown.
+  /// Returning kClosed (instead of making the caller re-read its own
+  /// stopped flag) is what makes submit-vs-stop race-free: the shard's
+  /// closed bit decides which side won.
+  enum class Admit { kOk, kFull, kQuota, kClosed };
 
-  /// `capacity` is the *global* bound; `shards` >= 1 (clamped).
+  /// `capacity` is the *global* bound; `shards` >= 1 (clamped). One shard
+  /// is the single-queue, exact-EDF configuration.
   ShardedRequestQueue(std::size_t capacity, std::size_t shards);
   ShardedRequestQueue(const ShardedRequestQueue&) = delete;
   ShardedRequestQueue& operator=(const ShardedRequestQueue&) = delete;
 
-  /// Same contract as RequestQueue::set_tenancy; call before any thread
-  /// touches the queue. Quota is enforced on the facade's cross-shard
-  /// class totals, not per shard.
+  /// Installs the tenant table quota admission consults. `table` must
+  /// outlive the queue; call before any thread touches it. Without one,
+  /// every entry is class 0 and quota never binds (single-tenant
+  /// behaviour). `congestion` in [0,1] is the fill fraction at which
+  /// per-class weighted-fair shares (weight_c / sum(weights) x capacity,
+  /// min 1) start binding; below it admission is work-conserving.
   void set_tenancy(const TenantTable* table, double congestion);
 
-  /// Same contract as RequestQueue::set_on_expired: (class index, count)
-  /// for queue-expired requests, called after the global counters already
-  /// reflect the removal.
+  /// Called with (class index, count) for queue-expired requests (their
+  /// promises already completed with kDeadlineExceeded), after the global
+  /// counters reflect the removal. Set once, before any thread touches the
+  /// queue.
   void set_on_expired(std::function<void(std::size_t, std::size_t)> fn) {
     on_expired_ = std::move(fn);
   }
@@ -88,23 +96,29 @@ class ShardedRequestQueue {
     return (std::hash<std::string>{}(model) + class_index) % shards_.size();
   }
 
-  /// Facade-level admission (strict global capacity + weighted-fair
-  /// quota), then sharded insert. On kOk, `depth_after` receives the
-  /// global depth right after this insert's reservation.
+  /// Admission (strict global capacity + weighted-fair quota), then
+  /// sharded insert. A full queue (or an over-quota class) is swept for
+  /// expired entries before the rejection stands. On kOk, `depth_after`
+  /// receives the global depth right after this insert's reservation.
   Admit push(PendingRequest&& p, std::size_t* depth_after = nullptr);
 
-  /// Bypasses capacity and quota (requeue path); false when closed.
+  /// Re-inserts a request that already passed admission once (device-loss
+  /// requeue). Bypasses capacity and quota — the request must not be
+  /// silently lost to backpressure it already cleared — but respects
+  /// close: false means the caller owns the promise (shutdown path).
   bool readmit(PendingRequest&& p);
 
   /// Blocks until some shard holds a live entry or the queue is closed
-  /// and empty. Reports the most urgent shard head (approximate-global-
-  /// EDF; exact at scan time).
+  /// and empty. Expired entries met on the way are answered and dropped.
+  /// Reports the most urgent shard head (approximate-global-EDF; exact at
+  /// scan time); false when closed and drained.
   bool wait_front(std::string* model, ServeTimePoint* enqueued);
 
   /// Waits until `max_n` live requests of `model` are queued across the
   /// shards the model can land on, `deadline` passes, or the queue
   /// closes; then gathers up to `max_n`, visiting candidate shards most-
-  /// urgent-head-first (each shard's chunk is exact-EDF).
+  /// urgent-head-first (each shard's chunk is exact-EDF). Expired entries
+  /// of *any* model are answered and dropped rather than collected.
   std::vector<PendingRequest> collect(const std::string& model,
                                       std::size_t max_n,
                                       ServeTimePoint deadline);
@@ -159,11 +173,15 @@ class ShardedRequestQueue {
   /// Weighted-fair share of global capacity for class `i` (>= 1).
   std::size_t class_share(std::size_t i) const;
 
-  /// Undoes a push reservation (rejection/closed paths).
-  void unreserve(std::size_t class_index, bool reserved_quota);
+  /// Inserts `p`, whose depth/class slots the caller already reserved,
+  /// into its shard; on a closed shard undoes the reservation and returns
+  /// false (the caller still owns the promise).
+  bool insert_reserved(PendingRequest&& p);
 
   /// Subtracts `n` removed entries of class `cls` from the global
-  /// counters (collect/drain/expiry paths).
+  /// counters and wakes waiters — one blocked on "closed and empty" must
+  /// see the drop (collect/drain/expiry paths, and undoing a reservation
+  /// the closed shard refused).
   void note_removed(std::size_t cls, std::size_t n);
 
   /// Live entries of `model` across its candidate shards.
@@ -185,7 +203,7 @@ class ShardedRequestQueue {
   // shard released it inside notify_all).
   std::vector<std::unique_ptr<RequestQueue>> shards_;
   /// Per-shard insert-time depth maxima (see shard_max_depth). Lock-free
-  /// by design: monotone relaxed CAS raise; exact because readmit hands
+  /// by design: monotone relaxed CAS raise; exact because insert hands
   /// out the post-insert depth it computed under the shard lock.
   std::vector<std::unique_ptr<std::atomic<std::size_t>>> shard_hwm_;
   const std::size_t capacity_;

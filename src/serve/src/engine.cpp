@@ -8,20 +8,6 @@
 
 namespace convbound {
 
-EngineOptions ServingOptions::engine_options() const {
-  EngineOptions e;
-  e.force_bucket = force_bucket;
-  e.policy = batch_policy;
-  // Bucket feasibility must account for the scheduler's group-formation
-  // window, which lives here, not in the policy options the caller set.
-  e.policy.max_delay_seconds =
-      std::chrono::duration<double>(max_delay).count();
-  e.plan_mode = plan_mode;
-  e.tune_budget = tune_budget;
-  e.seed = seed;
-  return e;
-}
-
 namespace {
 
 double seconds_between(ServeTimePoint from, ServeTimePoint to) {
@@ -31,11 +17,23 @@ double seconds_between(ServeTimePoint from, ServeTimePoint to) {
 }  // namespace
 
 ServeEngine::ServeEngine(const std::map<std::string, ServedModel>& models,
-                         EngineOptions opts, ServerStats* stats)
-    : models_(&models), opts_(std::move(opts)), stats_(stats) {
+                         const ServingOptions& opts,
+                         const DeviceConfig& device, int ordinal,
+                         ServerStats* stats)
+    : models_(&models),
+      opts_(opts),
+      machine_(device.spec),
+      replicas_(device.effective_replicas()),
+      ordinal_(ordinal),
+      stats_(stats) {
   CB_CHECK_MSG(!models.empty(), "engine needs at least one model");
-  CB_CHECK_MSG(opts_.replicas >= 1, "replicas must be >= 1");
+  CB_CHECK_MSG(replicas_ >= 1, "replicas must be >= 1");
   CB_CHECK_MSG(stats_ != nullptr, "engine needs a stats sink");
+  // Bucket feasibility must account for the scheduler's group-formation
+  // window, which lives in the serving options, not in the batch policy
+  // the caller set.
+  opts_.batch_policy.max_delay_seconds =
+      std::chrono::duration<double>(opts_.max_delay).count();
 }
 
 void ServeEngine::warm() {
@@ -59,7 +57,7 @@ void ServeEngine::warm() {
     // Bound-guided bucket choice; the full candidate scoring is kept for
     // reporting even when the bucket is forced.
     BucketChoice choice =
-        choose_batch_bucket(model, opts_.machine, opts_.policy);
+        choose_batch_bucket(model, machine_, opts_.batch_policy);
     if (opts_.force_bucket > 0) {
       choice.bucket = opts_.force_bucket;
       bool scored = false;
@@ -68,9 +66,9 @@ void ServeEngine::warm() {
       // An off-ladder forced bucket (e.g. 3) gets a real analytic score so
       // reporting still shows what was chosen and what it costs.
       if (!scored)
-        choice.scores.push_back(score_batch_bucket(model, opts_.machine,
+        choice.scores.push_back(score_batch_bucket(model, machine_,
                                                    choice.bucket,
-                                                   opts_.policy));
+                                                   opts_.batch_policy));
       for (auto& s : choice.scores) s.chosen = s.bucket == choice.bucket;
     }
     buckets_.emplace(name, std::move(choice));
@@ -94,9 +92,9 @@ void ServeEngine::warm() {
                      .first->second;  // map nodes are stable after unlock
     }
     for (std::int64_t b : ladder)
-      for (int r = 0; r < opts_.replicas; ++r)
+      for (int r = 0; r < replicas_; ++r)
         fresh.push_back(std::make_unique<ServeSession>(
-            model, b, opts_.machine, *planner, popts));
+            model, b, machine_, *planner, popts));
   }
   ThreadPool::global().parallel_for(
       0, fresh.size(), [&](std::size_t i) { fresh[i]->warm(); });
@@ -138,7 +136,7 @@ void ServeEngine::execute_batch(std::vector<PendingRequest> group,
         r.status = ServeStatus::kDeadlineExceeded;
         r.latency_seconds = seconds_between(p.enqueued, now);
         obs::instant(TraceStage::kExpire, now, p.trace_id, p.batch_id,
-                     opts_.device_ordinal, r.latency_seconds);
+                     ordinal_, r.latency_seconds);
         // Record before completing: a client that sees its future resolve
         // must also see the stats reflect it.
         stats_->record_expired(1, p.tenant_class);
@@ -220,10 +218,10 @@ void ServeEngine::execute_batch(std::vector<PendingRequest> group,
       stages.push_back(st);
       if (tracing) {
         obs::span(TraceStage::kQueueWait, live[i].enqueued, collected,
-                  live[i].trace_id, live[i].batch_id, opts_.device_ordinal,
+                  live[i].trace_id, live[i].batch_id, ordinal_,
                   static_cast<double>(live[i].shard));
         obs::instant(TraceStage::kComplete, done, live[i].trace_id,
-                     live[i].batch_id, opts_.device_ordinal,
+                     live[i].batch_id, ordinal_,
                      r.latency_seconds);
       }
       responses.push_back(std::move(r));
@@ -231,7 +229,7 @@ void ServeEngine::execute_batch(std::vector<PendingRequest> group,
     // The execute span carries the modelled batch time as its value, so a
     // trace shows modelled vs. wall per batch (dur vs. args.value).
     obs::span(TraceStage::kExecute, now, done, 0, live.front().batch_id,
-              opts_.device_ordinal, res.stats.sim_time);
+              ordinal_, res.stats.sim_time);
     // Record before completing any promise: a client that sees its future
     // resolve must also see the stats reflect the whole batch.
     stats_->record_batch(live.size(), res.stats.sim_time, latencies, classes,
@@ -259,7 +257,7 @@ double ServeEngine::predicted_batch_seconds(const std::string& name) {
   // Matches the sessions' SimGpu setup, although nothing executes: every
   // shape below was planned during warm() with the same options, so each
   // plan() is a memo hit.
-  SimGpu gpu(opts_.machine, &ThreadPool::global(), ExecMode::kSerial);
+  SimGpu gpu(machine_, &ThreadPool::global(), ExecMode::kSerial);
   double seconds = 0;
   for (const auto& layer : m.layers)
     seconds += planner

@@ -1,44 +1,12 @@
 #include "convbound/serve/queue.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "convbound/obs/trace.hpp"
 
 namespace convbound {
 
-void RequestQueue::set_tenancy(const TenantTable* table, double congestion) {
-  // Setup-time call (before any concurrent user), but class_depth_ is
-  // lock-guarded state: taking mu_ keeps the write visibly consistent with
-  // the annotation instead of carving out an exemption for one line.
-  MutexLock lock(mu_);
-  table_ = table;
-  congestion_ = std::clamp(congestion, 0.0, 1.0);
-  weight_sum_ = 0;
-  if (table_) {
-    for (const TenantClass& c : table_->classes()) weight_sum_ += c.quota_weight;
-    class_depth_.assign(table_->size(), 0);
-  }
-  if (weight_sum_ <= 0) weight_sum_ = 1.0;
-}
-
-void RequestQueue::bump_class(std::size_t i, std::ptrdiff_t delta) {
-  if (class_depth_.size() <= i) class_depth_.resize(i + 1, 0);
-  class_depth_[i] = static_cast<std::size_t>(
-      static_cast<std::ptrdiff_t>(class_depth_[i]) + delta);
-}
-
-std::size_t RequestQueue::class_share(std::size_t i) const {
-  if (!table_ || i >= table_->size()) return capacity_;
-  const double frac = table_->cls(i).quota_weight / weight_sum_;
-  const auto share = static_cast<std::size_t>(
-      std::floor(frac * static_cast<double>(capacity_)));
-  return std::max<std::size_t>(1, share);
-}
-
 void RequestQueue::insert_locked(PendingRequest&& p) {
-  bump_class(p.class_index, +1);
   ++model_counts_[p.request.model];
   UrgencyKey key{p.effective_deadline(), p.enqueued, next_seq_++};
   items_.emplace_hint(items_.end(), key, std::move(p));
@@ -47,7 +15,6 @@ void RequestQueue::insert_locked(PendingRequest&& p) {
 PendingRequest RequestQueue::remove_locked(
     std::map<UrgencyKey, PendingRequest>::iterator it) {
   PendingRequest p = std::move(it->second);
-  bump_class(p.class_index, -1);
   auto mit = model_counts_.find(p.request.model);
   if (mit != model_counts_.end() && --mit->second == 0)
     model_counts_.erase(mit);
@@ -81,42 +48,7 @@ void RequestQueue::expire_locked(ServeTimePoint now) {
   }
 }
 
-bool RequestQueue::over_capacity_locked() const {
-  return items_.size() >= capacity_;
-}
-
-bool RequestQueue::over_quota_locked(std::size_t class_index) const {
-  if (!table_) return false;
-  // Work-conserving below the congestion threshold: any class may use
-  // any free slot while the queue is mostly empty.
-  const auto threshold = static_cast<std::size_t>(
-      congestion_ * static_cast<double>(capacity_));
-  if (items_.size() < threshold) return false;
-  const std::size_t depth =
-      class_index < class_depth_.size() ? class_depth_[class_index] : 0;
-  return depth >= class_share(class_index);
-}
-
-RequestQueue::Admit RequestQueue::push(PendingRequest&& p,
-                                       std::size_t* depth_after) {
-  {
-    MutexLock lock(mu_);
-    if (closed_) return Admit::kClosed;
-    // Only sweep when an admission check is about to bite (keeps the happy
-    // path O(1)): dead occupants must not cost live traffic a rejection.
-    if (over_capacity_locked() || over_quota_locked(p.class_index)) {
-      expire_locked(ServeClock::now());
-      if (over_capacity_locked()) return Admit::kFull;
-      if (over_quota_locked(p.class_index)) return Admit::kQuota;
-    }
-    insert_locked(std::move(p));
-    if (depth_after) *depth_after = items_.size();
-  }
-  notify_all();
-  return Admit::kOk;
-}
-
-bool RequestQueue::readmit(PendingRequest&& p, std::size_t* depth_after) {
+bool RequestQueue::insert(PendingRequest&& p, std::size_t* depth_after) {
   {
     MutexLock lock(mu_);
     if (closed_) return false;
@@ -125,21 +57,6 @@ bool RequestQueue::readmit(PendingRequest&& p, std::size_t* depth_after) {
   }
   notify_all();
   return true;
-}
-
-bool RequestQueue::wait_front(std::string* model, ServeTimePoint* enqueued) {
-  UniqueLock lock(mu_);
-  for (;;) {
-    expire_locked(ServeClock::now());
-    if (!items_.empty()) {
-      const auto& front = items_.begin()->second;
-      *model = front.request.model;
-      *enqueued = front.enqueued;
-      return true;
-    }
-    if (closed_) return false;
-    cv_.wait(lock);
-  }
 }
 
 bool RequestQueue::peek_front(std::string* model, ServeTimePoint* enqueued,
@@ -180,23 +97,10 @@ void RequestQueue::sweep_expired() {
   expire_locked(ServeClock::now());
 }
 
-std::vector<PendingRequest> RequestQueue::collect(const std::string& model,
-                                                  std::size_t max_n,
-                                                  ServeTimePoint deadline) {
-  UniqueLock lock(mu_);
-  // Explicit wait loop (not the predicate-lambda overload: the analysis
-  // checks lambda bodies as separate functions without the held lock).
-  // Sweeping on every wakeup keeps dead requests from counting toward (or
-  // blocking) group formation.
-  for (;;) {
-    expire_locked(ServeClock::now());
-    if (closed_) break;
-    auto it = model_counts_.find(model);
-    if (it != model_counts_.end() && it->second >= max_n) break;
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
-  }
+std::vector<PendingRequest> RequestQueue::take(const std::string& model,
+                                               std::size_t max_n) {
+  MutexLock lock(mu_);
   expire_locked(ServeClock::now());
-
   // The map is already EDF-ordered, so a front-to-back walk yields this
   // model's entries most-urgent-first; no sort needed.
   std::vector<PendingRequest> out;
@@ -226,23 +130,16 @@ std::vector<PendingRequest> RequestQueue::drain() {
   for (auto& [key, p] : items_) out.push_back(std::move(p));
   items_.clear();
   model_counts_.clear();
-  std::fill(class_depth_.begin(), class_depth_.end(), 0);
   return out;
 }
 
 void RequestQueue::notify_all() {
-  cv_.notify_all();
   if (notifier_) notifier_();
 }
 
 std::size_t RequestQueue::depth() const {
   MutexLock lock(mu_);
   return items_.size();
-}
-
-std::size_t RequestQueue::class_depth(std::size_t i) const {
-  MutexLock lock(mu_);
-  return i < class_depth_.size() ? class_depth_[i] : 0;
 }
 
 }  // namespace convbound

@@ -12,10 +12,7 @@ ShardedRequestQueue::ShardedRequestQueue(std::size_t capacity,
   const std::size_t n = std::max<std::size_t>(1, shards);
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    // Each shard is sized to the *global* capacity so per-shard capacity
-    // never binds; the facade's reservation counters are the only
-    // capacity/quota authority.
-    auto q = std::make_unique<RequestQueue>(capacity);
+    auto q = std::make_unique<RequestQueue>();
     q->set_notifier([this] { notify(); });
     q->set_on_expired([this](std::size_t cls, std::size_t cnt) {
       note_removed(cls, cnt);
@@ -75,15 +72,6 @@ void ShardedRequestQueue::wait_version(std::uint64_t seen,
   waiters_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
-void ShardedRequestQueue::unreserve(std::size_t class_index,
-                                    bool reserved_quota) {
-  if (reserved_quota)
-    cls_counter(class_index).fetch_sub(1, std::memory_order_relaxed);
-  depth_.fetch_sub(1, std::memory_order_relaxed);
-  // A waiter blocked on "closed and empty" must see the counter drop.
-  notify();
-}
-
 void ShardedRequestQueue::raise_shard_hwm(std::size_t s, std::size_t depth) {
   std::atomic<std::size_t>& hwm = *shard_hwm_[s];
   std::size_t cur = hwm.load(std::memory_order_relaxed);
@@ -141,30 +129,25 @@ ShardedRequestQueue::Admit ShardedRequestQueue::push(PendingRequest&& p,
     reserved_depth = cur + 1;
     break;
   }
-  const std::size_t s = shard_of(p.request.model, cls);
-  p.shard = static_cast<std::uint32_t>(s);
-  // readmit bypasses the shard's own capacity/quota (the facade already
-  // admitted this request) but respects close: the shard's closed bit is
-  // the submit-vs-stop authority, exactly as in the single-queue design.
-  std::size_t shard_depth_after = 0;
-  if (!shards_[s]->readmit(std::move(p), &shard_depth_after)) {
-    unreserve(cls, /*reserved_quota=*/true);
-    return Admit::kClosed;
-  }
-  raise_shard_hwm(s, shard_depth_after);
+  if (!insert_reserved(std::move(p))) return Admit::kClosed;
   if (depth_after) *depth_after = reserved_depth;
   return Admit::kOk;
 }
 
 bool ShardedRequestQueue::readmit(PendingRequest&& p) {
-  const std::size_t cls = p.class_index;
   depth_.fetch_add(1, std::memory_order_relaxed);
-  cls_counter(cls).fetch_add(1, std::memory_order_relaxed);
+  cls_counter(p.class_index).fetch_add(1, std::memory_order_relaxed);
+  return insert_reserved(std::move(p));
+}
+
+bool ShardedRequestQueue::insert_reserved(PendingRequest&& p) {
+  const std::size_t cls = p.class_index;
   const std::size_t s = shard_of(p.request.model, cls);
   p.shard = static_cast<std::uint32_t>(s);
+  // The shard's closed bit is the submit-vs-stop authority.
   std::size_t shard_depth_after = 0;
-  if (!shards_[s]->readmit(std::move(p), &shard_depth_after)) {
-    unreserve(cls, /*reserved_quota=*/true);
+  if (!shards_[s]->insert(std::move(p), &shard_depth_after)) {
+    note_removed(cls, 1);  // undo the reservation
     return false;
   }
   raise_shard_hwm(s, shard_depth_after);
@@ -255,10 +238,8 @@ std::vector<PendingRequest> ShardedRequestQueue::collect(
   std::vector<PendingRequest> out;
   for (const auto& [dl, s] : order) {
     if (out.size() >= max_n) break;
-    // Past deadline => the shard's collect gathers what it has right now
-    // without waiting again.
     std::vector<PendingRequest> chunk =
-        shards_[s]->collect(model, max_n - out.size(), ServeTimePoint::min());
+        shards_[s]->take(model, max_n - out.size());
     for (PendingRequest& p : chunk) {
       note_removed(p.class_index, 1);
       out.push_back(std::move(p));

@@ -21,10 +21,6 @@
 namespace convbound {
 
 struct BnbOptions {
-  /// Measurement chunk size per step (surfaced configurations are
-  /// re-checked against the incumbent at every pop, so a tighter incumbent
-  /// still cuts off configs whose leaf bound it now covers).
-  int batch = 16;
   /// Configurations measured before the search starts (template-manager
   /// knowledge, e.g. the analytic default): a strong initial incumbent is
   /// what makes early pruning bite.
@@ -51,6 +47,11 @@ double subtree_lower_seconds(const SearchDomain& domain, const DomainBox& box);
 
 class BranchAndBoundTuner : public Tuner {
  public:
+  /// Measurement chunk size per step (surfaced configurations are
+  /// re-checked against the incumbent at every pop, so a tighter incumbent
+  /// still cuts off configs whose leaf bound it now covers).
+  static constexpr int kBatch = 16;
+
   explicit BranchAndBoundTuner(const BnbOptions& opts = {}) : opts_(opts) {}
   std::string name() const override { return "branch-and-bound(bounds)"; }
   std::string id() const override { return "bnb"; }

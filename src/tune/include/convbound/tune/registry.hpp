@@ -17,7 +17,8 @@
 namespace convbound {
 
 /// One options struct covering every registered tuner; each strategy reads
-/// the fields it understands and ignores the rest.
+/// the fields it understands and ignores the rest. The random, sa, ga and
+/// bnb batch/schedule parameters are constants of their tuner classes.
 struct TunerOptions {
   std::uint64_t seed = 1;
   /// Configurations measured first (template-manager knowledge, e.g. the
@@ -25,17 +26,7 @@ struct TunerOptions {
   /// bnb) and appended to their per-strategy seed lists.
   std::vector<ConvConfig> seeds;
 
-  int random_batch = 16;
-
-  double sa_t0 = 1.0;
-  double sa_cooling = 0.98;
-  int sa_chains = 4;
-
-  int ga_population = 16;
-  double ga_mutation_rate = 0.3;
-
   AteTuner::Params ate;
-  BnbOptions bnb;
 };
 
 /// Canonical tuner ids, in presentation order: bnb, ate, sa, ga, random.

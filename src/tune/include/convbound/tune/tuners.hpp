@@ -137,8 +137,10 @@ class Tuner {
 /// samples are independent draws from one RNG stream.
 class RandomTuner : public Tuner {
  public:
-  explicit RandomTuner(std::uint64_t seed = 1, int batch = 16)
-      : seed_(seed), rng_(seed), batch_(batch) {}
+  /// Samples proposed per batch.
+  static constexpr int kBatch = 16;
+
+  explicit RandomTuner(std::uint64_t seed = 1) : seed_(seed), rng_(seed) {}
   std::string name() const override { return "random"; }
   std::string id() const override { return "random"; }
   std::vector<ConvConfig> propose_batch(int max_batch) override;
@@ -153,7 +155,6 @@ class RandomTuner : public Tuner {
  private:
   std::uint64_t seed_;
   Rng rng_;
-  int batch_;
 };
 
 /// Metropolis walk over lattice neighbours with geometric cooling (TVM
@@ -162,9 +163,14 @@ class RandomTuner : public Tuner {
 /// is measured together and each chain then applies its own accept rule.
 class SimulatedAnnealingTuner : public Tuner {
  public:
-  explicit SimulatedAnnealingTuner(std::uint64_t seed = 1, double t0 = 1.0,
-                                   double cooling = 0.98, int chains = 4)
-      : seed_(seed), rng_(seed), t0_(t0), cooling_(cooling), chains_(chains) {}
+  /// Initial temperature, geometric cooling factor per round, and restart
+  /// chains (= measurement batch) per round.
+  static constexpr double kT0 = 1.0;
+  static constexpr double kCooling = 0.98;
+  static constexpr int kChains = 4;
+
+  explicit SimulatedAnnealingTuner(std::uint64_t seed = 1)
+      : seed_(seed), rng_(seed) {}
   std::string name() const override { return "simulated-annealing"; }
   std::string id() const override { return "sa"; }
   std::vector<ConvConfig> propose_batch(int max_batch) override;
@@ -186,8 +192,6 @@ class SimulatedAnnealingTuner : public Tuner {
 
   std::uint64_t seed_;
   Rng rng_;
-  double t0_, cooling_;
-  int chains_;
 
   std::vector<Chain> state_;
   double temp_ = 1.0;
@@ -200,10 +204,12 @@ class SimulatedAnnealingTuner : public Tuner {
 /// forms the next pool.
 class GeneticTuner : public Tuner {
  public:
-  explicit GeneticTuner(std::uint64_t seed = 1, int population = 16,
-                        double mutation_rate = 0.3)
-      : seed_(seed), rng_(seed), population_(population),
-        mutation_rate_(mutation_rate) {}
+  /// Children bred per generation (= measurement batch) and the per-child
+  /// mutation probability.
+  static constexpr int kPopulation = 16;
+  static constexpr double kMutationRate = 0.3;
+
+  explicit GeneticTuner(std::uint64_t seed = 1) : seed_(seed), rng_(seed) {}
   std::string name() const override { return "genetic"; }
   std::string id() const override { return "ga"; }
   std::vector<ConvConfig> propose_batch(int max_batch) override;
@@ -223,8 +229,6 @@ class GeneticTuner : public Tuner {
 
   std::uint64_t seed_;
   Rng rng_;
-  int population_;
-  double mutation_rate_;
 
   std::vector<Individual> pop_;
   bool init_done_ = false;

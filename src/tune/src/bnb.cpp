@@ -288,7 +288,7 @@ void BranchAndBoundTuner::expand_once(const double incumbent) {
 std::vector<ConvConfig> BranchAndBoundTuner::propose_batch(int max_batch) {
   const double incumbent = result().best_seconds;
   const std::size_t want =
-      std::min(static_cast<std::size_t>(std::max(1, opts_.batch)),
+      std::min(static_cast<std::size_t>(kBatch),
                static_cast<std::size_t>(max_batch));
   std::vector<ConvConfig> out;
   while (out.size() < want) {

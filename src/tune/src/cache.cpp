@@ -1,8 +1,10 @@
 #include "convbound/tune/cache.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
+#include "convbound/tune/search_state.hpp"
 #include "convbound/util/check.hpp"
 
 namespace convbound {
@@ -77,14 +79,14 @@ TuneCache TuneCache::deserialize(const std::string& text) {
     const std::string key = line.substr(0, p1);
     std::istringstream cfg_is(line.substr(p1 + 1, p2 - p1 - 1));
     Entry e;
-    int layout = 0;
-    cfg_is >> e.config.x >> e.config.y >> e.config.z >> e.config.nxt >>
-        e.config.nyt >> e.config.nzt >> layout >> e.config.smem_budget;
-    CB_CHECK_MSG(!cfg_is.fail(), "malformed config on cache line " << lineno);
-    CB_CHECK_MSG(layout >= 0 && layout <= 2,
-                 "bad layout on cache line " << lineno);
-    e.config.layout = static_cast<Layout>(layout);
-    e.gflops = std::stod(line.substr(p2 + 1));
+    e.config = tunestate::read_config(cfg_is);
+    std::string extra;
+    CB_CHECK_MSG(!(cfg_is >> extra),
+                 "extra token '" << extra << "' in config on cache line "
+                                 << lineno);
+    e.gflops = tunestate::parse_f64(line.substr(p2 + 1));
+    CB_CHECK_MSG(std::isfinite(e.gflops),
+                 "non-finite gflops on cache line " << lineno);
     cache.put(key, e, /*force=*/true);
   }
   return cache;

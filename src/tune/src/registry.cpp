@@ -32,21 +32,19 @@ std::unique_ptr<Tuner> make_tuner(const std::string& name,
                                   const TunerOptions& opts) {
   const std::string id = canonical_id(name);
   if (id == "random")
-    return std::make_unique<RandomTuner>(opts.seed, opts.random_batch);
+    return std::make_unique<RandomTuner>(opts.seed);
   if (id == "sa")
-    return std::make_unique<SimulatedAnnealingTuner>(
-        opts.seed, opts.sa_t0, opts.sa_cooling, opts.sa_chains);
+    return std::make_unique<SimulatedAnnealingTuner>(opts.seed);
   if (id == "ga")
-    return std::make_unique<GeneticTuner>(opts.seed, opts.ga_population,
-                                          opts.ga_mutation_rate);
+    return std::make_unique<GeneticTuner>(opts.seed);
   if (id == "ate") {
     AteTuner::Params params = opts.ate;
     params.seeds.insert(params.seeds.end(), opts.seeds.begin(),
                         opts.seeds.end());
     return std::make_unique<AteTuner>(opts.seed, params);
   }
-  BnbOptions bnb = opts.bnb;
-  bnb.seeds.insert(bnb.seeds.end(), opts.seeds.begin(), opts.seeds.end());
+  BnbOptions bnb;
+  bnb.seeds = opts.seeds;
   return std::make_unique<BranchAndBoundTuner>(bnb);
 }
 

@@ -142,7 +142,7 @@ void Tuner::load_state(const SearchDomain& domain, const std::string& text) {
 // ------------------------------------------------------------ RandomTuner --
 
 std::vector<ConvConfig> RandomTuner::propose_batch(int max_batch) {
-  const int n = std::min(std::max(1, batch_), max_batch);
+  const int n = std::min(kBatch, max_batch);
   std::vector<ConvConfig> batch;
   batch.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) batch.push_back(domain().sample(rng_));
@@ -165,7 +165,7 @@ void RandomTuner::load_extra(tunestate::Reader& r) {
 void SimulatedAnnealingTuner::on_reset() {
   rng_ = Rng(seed_);
   state_.clear();
-  temp_ = t0_;
+  temp_ = kT0;
   round0_done_ = false;
 }
 
@@ -175,7 +175,7 @@ std::vector<ConvConfig> SimulatedAnnealingTuner::propose_batch(int max_batch) {
     // Round 0: independent per-chain RNG streams derived deterministically
     // from the tuner seed; chain count never depends on the measurer's
     // worker count. (max_batch == the full budget on the first round.)
-    const int nchains = std::max(1, std::min(chains_, max_batch));
+    const int nchains = std::max(1, std::min(kChains, max_batch));
     state_.reserve(static_cast<std::size_t>(nchains));
     for (int c = 0; c < nchains; ++c) {
       Chain ch;
@@ -223,7 +223,7 @@ void SimulatedAnnealingTuner::on_observe(const std::vector<ConvConfig>& cfgs,
       ch.cur_valid = nm.valid;
     }
   }
-  temp_ *= cooling_;
+  temp_ *= kCooling;
 }
 
 void SimulatedAnnealingTuner::save_extra(std::ostream& os) const {
@@ -289,7 +289,7 @@ std::vector<ConvConfig> GeneticTuner::propose_batch(int max_batch) {
     // (population 0); the historical loop stopped there too.
     if (init_done_) return {};
     // Initial generation (max_batch == the full budget on the first round).
-    const int init = std::min(population_, max_batch);
+    const int init = std::min(kPopulation, max_batch);
     props.reserve(static_cast<std::size_t>(init));
     for (int i = 0; i < init; ++i) props.push_back(domain().sample(rng_));
     return props;
@@ -310,11 +310,11 @@ std::vector<ConvConfig> GeneticTuner::propose_batch(int max_batch) {
     return c;
   };
 
-  const int n = std::min(population_, max_batch);
+  const int n = std::min(kPopulation, max_batch);
   props.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     ConvConfig child = crossover(tournament().cfg, tournament().cfg);
-    if (rng_.uniform() < mutation_rate_) {
+    if (rng_.uniform() < kMutationRate) {
       const auto moves = domain().neighbors(child);
       if (!moves.empty()) child = moves[rng_.below(moves.size())];
     }
@@ -342,8 +342,8 @@ void GeneticTuner::on_observe(const std::vector<ConvConfig>& cfgs,
                    [](const Individual& a, const Individual& b) {
                      return a.fitness > b.fitness;
                    });
-  if (static_cast<int>(pop_.size()) > population_)
-    pop_.resize(static_cast<std::size_t>(population_));
+  if (static_cast<int>(pop_.size()) > kPopulation)
+    pop_.resize(static_cast<std::size_t>(kPopulation));
 }
 
 void GeneticTuner::save_extra(std::ostream& os) const {

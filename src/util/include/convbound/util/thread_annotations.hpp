@@ -48,11 +48,12 @@
 // Functions the caller must invoke with the capability already held
 // (the `*_locked` private-helper convention).
 //
-// The negative compile test (tests/annotations_negative.cpp, driven by a
-// CMake try_compile pair) predefines CONVBOUND_TSA_STRIP_REQUIRES and
-// recompiles the RequestQueue implementation: with CB_REQUIRES erased, the
-// guarded-member accesses inside the `*_locked` helpers MUST fail the build
-// under -Werror=thread-safety — proving the wall cannot silently rot.
+// The negative compile test (tests/static_analysis/annotations_negative_tu.cpp,
+// driven by a CMake try_compile pair) predefines CONVBOUND_TSA_STRIP_REQUIRES
+// and recompiles the RequestQueue shard implementation: with CB_REQUIRES
+// erased, the guarded-member accesses inside its `*_locked` helpers
+// (expire_locked, insert_locked, remove_locked) MUST fail the build under
+// -Werror=thread-safety — proving the wall cannot silently rot.
 #if defined(CONVBOUND_TSA_STRIP_REQUIRES)
 #define CB_REQUIRES(...)  // deliberately erased by the negative compile test
 #else

@@ -576,8 +576,7 @@ TEST(Cluster, DeadDeviceRefusalLeavesTheGroupWithTheCaller) {
   std::map<std::string, ServedModel> by_name;
   for (const ServedModel& m : models) by_name.emplace(m.name, m);
   ClusterOptions opts = hetero_options();
-  ClusterDevice dev(by_name, device_of(MachineSpec::v100()),
-                    opts.engine_options());
+  ClusterDevice dev(by_name, device_of(MachineSpec::v100()), &opts, 0);
   dev.start();
   dev.fail();
 

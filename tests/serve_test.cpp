@@ -7,7 +7,7 @@
 
 #include "convbound/serve/batch_policy.hpp"
 #include "convbound/serve/model.hpp"
-#include "convbound/serve/queue.hpp"
+#include "convbound/serve/sharded_queue.hpp"
 #include "convbound/serve/server.hpp"
 #include "convbound/util/rng.hpp"
 
@@ -58,17 +58,17 @@ ServerOptions tiny_options() {
 // ------------------------------------------------------ request queue ----
 
 TEST(RequestQueue, BoundedPushAndGroupCollect) {
-  RequestQueue q(2);
+  ShardedRequestQueue q(2, 1);
   auto pending = [](const std::string& model) {
     PendingRequest p;
     p.request.model = model;
     p.enqueued = ServeClock::now();
     return p;
   };
-  EXPECT_EQ(q.push(pending("a")), RequestQueue::Admit::kOk);
-  EXPECT_EQ(q.push(pending("b")), RequestQueue::Admit::kOk);
+  EXPECT_EQ(q.push(pending("a")), ShardedRequestQueue::Admit::kOk);
+  EXPECT_EQ(q.push(pending("b")), ShardedRequestQueue::Admit::kOk);
   EXPECT_EQ(q.push(pending("a")),
-            RequestQueue::Admit::kFull);  // full -> backpressure
+            ShardedRequestQueue::Admit::kFull);  // full -> backpressure
   EXPECT_EQ(q.depth(), 2u);
 
   std::string model;
@@ -84,7 +84,7 @@ TEST(RequestQueue, BoundedPushAndGroupCollect) {
   EXPECT_EQ(q.depth(), 1u);
 
   q.close();
-  EXPECT_EQ(q.push(pending("c")), RequestQueue::Admit::kClosed);
+  EXPECT_EQ(q.push(pending("c")), ShardedRequestQueue::Admit::kClosed);
   auto rest = q.collect("b", 4, ServeTimePoint::max());  // closed: no wait
   ASSERT_EQ(rest.size(), 1u);
   ASSERT_FALSE(q.wait_front(&model, &enq));  // closed + drained
@@ -94,7 +94,7 @@ TEST(RequestQueue, ExpiredEntriesAreAnsweredAndFreeCapacity) {
   // Regression: expired requests used to sit in the queue (consuming
   // backpressure budget) until batch-collect time. The queue now answers
   // them in wait_front/collect sweeps.
-  RequestQueue q(2);
+  ShardedRequestQueue q(2, 1);
   std::size_t expired_reported = 0;
   q.set_on_expired(
       [&](std::size_t, std::size_t n) { expired_reported += n; });
@@ -108,14 +108,14 @@ TEST(RequestQueue, ExpiredEntriesAreAnsweredAndFreeCapacity) {
 
   PendingRequest dead = pending("a", ServeClock::now() - std::chrono::seconds(1));
   std::future<InferResponse> dead_fut = dead.promise.get_future();
-  ASSERT_EQ(q.push(std::move(dead)), RequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(std::move(dead)), ShardedRequestQueue::Admit::kOk);
   ASSERT_EQ(q.push(pending("b", ServeTimePoint::max())),
-            RequestQueue::Admit::kOk);
+            ShardedRequestQueue::Admit::kOk);
 
   // A push at capacity sweeps dead occupants instead of charging live
   // traffic a rejection: the dead entry is answered and "c" takes its slot.
   EXPECT_EQ(q.push(pending("c", ServeTimePoint::max())),
-            RequestQueue::Admit::kOk);
+            ShardedRequestQueue::Admit::kOk);
   ASSERT_EQ(dead_fut.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   const InferResponse r = dead_fut.get();
@@ -125,7 +125,7 @@ TEST(RequestQueue, ExpiredEntriesAreAnsweredAndFreeCapacity) {
   EXPECT_EQ(q.depth(), 2u);
   // Genuinely full of live requests: backpressure stands.
   EXPECT_EQ(q.push(pending("d", ServeTimePoint::max())),
-            RequestQueue::Admit::kFull);
+            ShardedRequestQueue::Admit::kFull);
 
   // wait_front reports the *live* front (the dead "a" is long gone).
   std::string model;
@@ -138,9 +138,9 @@ TEST(RequestQueue, ExpiredEntriesAreAnsweredAndFreeCapacity) {
       pending("b", ServeClock::now() - std::chrono::seconds(1));
   std::future<InferResponse> dead_b_fut = dead_b.promise.get_future();
   q.drain();
-  ASSERT_EQ(q.push(std::move(dead_b)), RequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(std::move(dead_b)), ShardedRequestQueue::Admit::kOk);
   ASSERT_EQ(q.push(pending("b", ServeTimePoint::max())),
-            RequestQueue::Admit::kOk);
+            ShardedRequestQueue::Admit::kOk);
   const auto group = q.collect("b", 4, ServeClock::now());
   ASSERT_EQ(group.size(), 1u);
   EXPECT_EQ(group[0].request.deadline, ServeTimePoint::max());
@@ -410,7 +410,7 @@ TEST(Serve, TunedPlanningSharesTheThreadSafeCache) {
 // ------------------------------------------------- tenancy & admission ----
 
 TEST(RequestQueue, EdfOrdersByEffectiveDeadline) {
-  RequestQueue q(8);
+  ShardedRequestQueue q(8, 1);
   const auto now = ServeClock::now();
   const auto at = [&](int ms) { return now + std::chrono::milliseconds(ms); };
   const auto pending = [&](const std::string& model, ServeTimePoint deadline,
@@ -427,10 +427,10 @@ TEST(RequestQueue, EdfOrdersByEffectiveDeadline) {
   // class budget makes it more urgent — wait_front must surface it.
   ASSERT_EQ(q.push(pending("far", ServeTimePoint::max(),
                            ServeTimePoint::max(), 0)),
-            RequestQueue::Admit::kOk);
+            ShardedRequestQueue::Admit::kOk);
   ASSERT_EQ(q.push(pending("tight", ServeTimePoint::max(),
                            at(60'000), 1)),
-            RequestQueue::Admit::kOk);
+            ShardedRequestQueue::Admit::kOk);
   std::string model;
   ServeTimePoint enq;
   ASSERT_TRUE(q.wait_front(&model, &enq));
@@ -439,11 +439,11 @@ TEST(RequestQueue, EdfOrdersByEffectiveDeadline) {
   // Within one model, collect returns most-urgent-first on the effective
   // deadline (min of explicit deadline and class budget), not FIFO.
   ASSERT_EQ(q.push(pending("x", at(90'000), ServeTimePoint::max(), 2)),
-            RequestQueue::Admit::kOk);
+            ShardedRequestQueue::Admit::kOk);
   ASSERT_EQ(q.push(pending("x", ServeTimePoint::max(), at(30'000), 3)),
-            RequestQueue::Admit::kOk);
+            ShardedRequestQueue::Admit::kOk);
   ASSERT_EQ(q.push(pending("x", at(70'000), at(50'000), 4)),
-            RequestQueue::Admit::kOk);
+            ShardedRequestQueue::Admit::kOk);
   const auto group = q.collect("x", 2, ServeClock::now());
   ASSERT_EQ(group.size(), 2u);
   EXPECT_EQ(group[0].effective_deadline(), at(30'000));
@@ -457,7 +457,7 @@ TEST(RequestQueue, EdfFifoTieOrderSurvivesOrderedMapStore) {
   // seq)): identical effective deadlines fall back to arrival order, and
   // identical arrivals fall back to insertion order — plain FIFO for
   // deadline-free traffic.
-  RequestQueue q(16);
+  ShardedRequestQueue q(16, 1);
   const auto now = ServeClock::now();
   const auto at = [&](int ms) { return now + std::chrono::milliseconds(ms); };
   const auto pending = [&](ServeTimePoint deadline, ServeTimePoint enqueued,
@@ -471,15 +471,18 @@ TEST(RequestQueue, EdfFifoTieOrderSurvivesOrderedMapStore) {
   };
 
   // Same deadline, different arrivals (pushed out of arrival order).
-  ASSERT_EQ(q.push(pending(at(60'000), at(2), 1)), RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending(at(60'000), at(1), 0)), RequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(pending(at(60'000), at(2), 1)),
+            ShardedRequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(pending(at(60'000), at(1), 0)),
+            ShardedRequestQueue::Admit::kOk);
   // No deadline at all, identical arrival timestamps: insertion order.
   ASSERT_EQ(q.push(pending(ServeTimePoint::max(), at(3), 2)),
-            RequestQueue::Admit::kOk);
+            ShardedRequestQueue::Admit::kOk);
   ASSERT_EQ(q.push(pending(ServeTimePoint::max(), at(3), 3)),
-            RequestQueue::Admit::kOk);
+            ShardedRequestQueue::Admit::kOk);
   // A later-pushed but more urgent deadline still jumps the whole line.
-  ASSERT_EQ(q.push(pending(at(30'000), at(4), 4)), RequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(pending(at(30'000), at(4), 4)),
+            ShardedRequestQueue::Admit::kOk);
 
   const auto group = q.collect("m", 5, ServeClock::now());
   ASSERT_EQ(group.size(), 5u);
@@ -493,13 +496,14 @@ TEST(RequestQueue, EdfFifoTieOrderSurvivesOrderedMapStore) {
 TEST(RequestQueue, PushReportsPostInsertDepth) {
   // Satellite fix for the submit double-lock: the depth the stats need
   // comes out of push under the same lock as the insert.
-  RequestQueue q(4);
+  ShardedRequestQueue q(4, 1);
   std::size_t depth_after = 0;
   for (std::size_t i = 0; i < 3; ++i) {
     PendingRequest p;
     p.request.model = "m";
     p.enqueued = ServeClock::now();
-    ASSERT_EQ(q.push(std::move(p), &depth_after), RequestQueue::Admit::kOk);
+    ASSERT_EQ(q.push(std::move(p), &depth_after),
+              ShardedRequestQueue::Admit::kOk);
     EXPECT_EQ(depth_after, i + 1);
     EXPECT_EQ(q.depth(), depth_after);
   }
@@ -510,7 +514,7 @@ TEST(RequestQueue, WeightedFairQuotaBindsOnlyAboveCongestion) {
   // -> quotas bind once 4 entries are queued.
   const TenantTable table({TenantClass{"paid", 0, 3.0},
                            TenantClass{"free", 0, 1.0}});
-  RequestQueue q(8);
+  ShardedRequestQueue q(8, 1);
   q.set_tenancy(&table, 0.5);
   const auto pending = [&](const std::string& cls) {
     PendingRequest p;
@@ -523,16 +527,16 @@ TEST(RequestQueue, WeightedFairQuotaBindsOnlyAboveCongestion) {
 
   // Work-conserving below the threshold: free fills past its share of 2.
   for (int i = 0; i < 4; ++i)
-    ASSERT_EQ(q.push(pending("free")), RequestQueue::Admit::kOk) << i;
+    ASSERT_EQ(q.push(pending("free")), ShardedRequestQueue::Admit::kOk) << i;
   // At the threshold the over-share class is cut off...
-  EXPECT_EQ(q.push(pending("free")), RequestQueue::Admit::kQuota);
+  EXPECT_EQ(q.push(pending("free")), ShardedRequestQueue::Admit::kQuota);
   EXPECT_EQ(q.class_depth(table.resolve("free")), 4u);
   // ...while the under-share class still has protected headroom.
   for (int i = 0; i < 4; ++i)
-    ASSERT_EQ(q.push(pending("paid")), RequestQueue::Admit::kOk) << i;
+    ASSERT_EQ(q.push(pending("paid")), ShardedRequestQueue::Admit::kOk) << i;
   // Genuinely full now: capacity, not quota, rejects either class.
-  EXPECT_EQ(q.push(pending("paid")), RequestQueue::Admit::kFull);
-  EXPECT_EQ(q.push(pending("free")), RequestQueue::Admit::kFull);
+  EXPECT_EQ(q.push(pending("paid")), ShardedRequestQueue::Admit::kFull);
+  EXPECT_EQ(q.push(pending("free")), ShardedRequestQueue::Admit::kFull);
 
   q.close();
   for (auto& p : q.drain()) p.promise.set_value(InferResponse{});
@@ -670,7 +674,7 @@ TEST(RequestQueue, ExpiryCloseInterleavingStressCompletesEveryRequestOnce) {
   constexpr int kProducers = 8;
   constexpr int kPerProducer = 200;
   constexpr std::size_t kCapacity = 64;
-  RequestQueue q(kCapacity);
+  ShardedRequestQueue q(kCapacity, 1);
   std::atomic<std::size_t> expired_reported{0};
   q.set_on_expired([&](std::size_t, std::size_t n) { expired_reported += n; });
 
@@ -713,12 +717,12 @@ TEST(RequestQueue, ExpiryCloseInterleavingStressCompletesEveryRequestOnce) {
             static_cast<std::size_t>(t * kPerProducer + i);
         futs[slot] = p.promise.get_future();
         switch (q.push(std::move(p))) {
-          case RequestQueue::Admit::kOk:
+          case ShardedRequestQueue::Admit::kOk:
             ++accepted;
             break;
-          case RequestQueue::Admit::kFull:
-          case RequestQueue::Admit::kQuota:
-          case RequestQueue::Admit::kClosed: {
+          case ShardedRequestQueue::Admit::kFull:
+          case ShardedRequestQueue::Admit::kQuota:
+          case ShardedRequestQueue::Admit::kClosed: {
             InferResponse r;
             r.status = ServeStatus::kRejected;
             p.promise.set_value(std::move(r));

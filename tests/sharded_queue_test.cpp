@@ -49,12 +49,12 @@ TEST(ShardedQueue, PreservesAdmitContractWithGlobalCapacity) {
   std::size_t depth_after = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     ASSERT_EQ(q.push(pending("m" + std::to_string(i)), &depth_after),
-              RequestQueue::Admit::kOk);
+              ShardedRequestQueue::Admit::kOk);
     // Satellite fix: the post-insert depth comes out of push itself (the
     // old submit path re-locked the queue via depth()).
     EXPECT_EQ(depth_after, i + 1);
   }
-  EXPECT_EQ(q.push(pending("m0")), RequestQueue::Admit::kFull);
+  EXPECT_EQ(q.push(pending("m0")), ShardedRequestQueue::Admit::kFull);
   EXPECT_EQ(q.depth(), 4u);
 
   // Collect each model back; the facade routes to the candidate shards.
@@ -65,7 +65,7 @@ TEST(ShardedQueue, PreservesAdmitContractWithGlobalCapacity) {
   EXPECT_EQ(q.depth(), 0u);
 
   q.close();
-  EXPECT_EQ(q.push(pending("m0")), RequestQueue::Admit::kClosed);
+  EXPECT_EQ(q.push(pending("m0")), ShardedRequestQueue::Admit::kClosed);
   std::string model;
   ServeTimePoint enq;
   EXPECT_FALSE(q.wait_front(&model, &enq));  // closed + drained
@@ -87,20 +87,20 @@ TEST(ShardedQueue, WeightedFairQuotaSumsAcrossShards) {
   for (int i = 0; i < 4; ++i)
     ASSERT_EQ(q.push(pending("m" + std::to_string(i), ServeTimePoint::max(),
                              free_cls)),
-              RequestQueue::Admit::kOk)
+              ShardedRequestQueue::Admit::kOk)
         << i;
   EXPECT_EQ(q.push(pending("m4", ServeTimePoint::max(), free_cls)),
-            RequestQueue::Admit::kQuota);
+            ShardedRequestQueue::Admit::kQuota);
   EXPECT_EQ(q.class_depth(free_cls), 4u);
   for (int i = 0; i < 4; ++i)
     ASSERT_EQ(q.push(pending("m" + std::to_string(i), ServeTimePoint::max(),
                              paid)),
-              RequestQueue::Admit::kOk)
+              ShardedRequestQueue::Admit::kOk)
         << i;
   EXPECT_EQ(q.push(pending("m0", ServeTimePoint::max(), paid)),
-            RequestQueue::Admit::kFull);
+            ShardedRequestQueue::Admit::kFull);
   EXPECT_EQ(q.push(pending("m0", ServeTimePoint::max(), free_cls)),
-            RequestQueue::Admit::kFull);
+            ShardedRequestQueue::Admit::kFull);
   EXPECT_EQ(q.class_depth(paid), 4u);
 
   q.close();
@@ -118,8 +118,8 @@ TEST(ShardedQueue, ApproximateGlobalEdfPinsTheBound) {
   const auto at = [&](int ms) { return now + std::chrono::milliseconds(ms); };
 
   // A less urgent entry on a's shard, a more urgent one on b's shard.
-  ASSERT_EQ(q.push(pending(a, at(100'000))), RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending(b, at(10'000))), RequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(pending(a, at(100'000))), ShardedRequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(pending(b, at(10'000))), ShardedRequestQueue::Admit::kOk);
 
   // Exact half of the guarantee: wait_front reports the true global
   // minimum at scan time — the cross-shard head scan found b.
@@ -139,8 +139,8 @@ TEST(ShardedQueue, ApproximateGlobalEdfPinsTheBound) {
 
   // Within a shard EDF stays exact, with FIFO tie-break on arrival: three
   // same-model entries come back deadline-ordered regardless of push order.
-  ASSERT_EQ(q.push(pending(b, at(90'000))), RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending(b, at(30'000))), RequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(pending(b, at(90'000))), ShardedRequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(pending(b, at(30'000))), ShardedRequestQueue::Admit::kOk);
   auto group = q.collect(b, 3, ServeClock::now());
   ASSERT_EQ(group.size(), 3u);
   EXPECT_EQ(group[0].effective_deadline(), at(10'000));
@@ -150,8 +150,10 @@ TEST(ShardedQueue, ApproximateGlobalEdfPinsTheBound) {
   // shards = 1 degenerates to the exact single-queue global EDF: the
   // facade's head scan has one head, so no inversion is possible.
   ShardedRequestQueue single(16, 1);
-  ASSERT_EQ(single.push(pending(a, at(100'000))), RequestQueue::Admit::kOk);
-  ASSERT_EQ(single.push(pending(b, at(10'000))), RequestQueue::Admit::kOk);
+  ASSERT_EQ(single.push(pending(a, at(100'000))),
+            ShardedRequestQueue::Admit::kOk);
+  ASSERT_EQ(single.push(pending(b, at(10'000))),
+            ShardedRequestQueue::Admit::kOk);
   ASSERT_TRUE(single.wait_front(&model, &enq));
   EXPECT_EQ(model, b);
   for (auto& p : single.drain()) p.promise.set_value(InferResponse{});
@@ -165,17 +167,17 @@ TEST(ShardedQueue, QueueOwnedExpiryFreesGlobalCapacity) {
   PendingRequest dead =
       pending("a", ServeClock::now() - std::chrono::seconds(1));
   std::future<InferResponse> dead_fut = dead.promise.get_future();
-  ASSERT_EQ(q.push(std::move(dead)), RequestQueue::Admit::kOk);
-  ASSERT_EQ(q.push(pending("b")), RequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(std::move(dead)), ShardedRequestQueue::Admit::kOk);
+  ASSERT_EQ(q.push(pending("b")), ShardedRequestQueue::Admit::kOk);
   // At capacity with a dead occupant: the facade sweeps every shard before
   // letting the rejection stand, so "c" takes the dead entry's slot.
-  EXPECT_EQ(q.push(pending("c")), RequestQueue::Admit::kOk);
+  EXPECT_EQ(q.push(pending("c")), ShardedRequestQueue::Admit::kOk);
   ASSERT_EQ(dead_fut.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   EXPECT_EQ(dead_fut.get().status, ServeStatus::kDeadlineExceeded);
   EXPECT_EQ(expired_reported.load(), 1u);
   EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.push(pending("d")), RequestQueue::Admit::kFull);
+  EXPECT_EQ(q.push(pending("d")), ShardedRequestQueue::Admit::kFull);
 
   q.close();
   for (auto& p : q.drain()) p.promise.set_value(InferResponse{});
@@ -241,12 +243,12 @@ TEST(ShardedQueue, MultiProducerMultiCollectorStressConservesEveryFuture) {
             static_cast<std::size_t>(t * kPerProducer + i);
         futs[slot] = p.promise.get_future();
         switch (q.push(std::move(p))) {
-          case RequestQueue::Admit::kOk:
+          case ShardedRequestQueue::Admit::kOk:
             ++accepted;
             break;
-          case RequestQueue::Admit::kFull:
-          case RequestQueue::Admit::kQuota:
-          case RequestQueue::Admit::kClosed: {
+          case ShardedRequestQueue::Admit::kFull:
+          case ShardedRequestQueue::Admit::kQuota:
+          case ShardedRequestQueue::Admit::kClosed: {
             InferResponse r;
             r.status = ServeStatus::kRejected;
             p.promise.set_value(std::move(r));

@@ -62,6 +62,14 @@ TEST(TuneCache, RejectsMalformedInput) {
   EXPECT_THROW(TuneCache::deserialize("no separators here"), Error);
   EXPECT_THROW(TuneCache::deserialize("key|1 2 3|x only one sep... |"),
                Error);
+  // Malformed gflops fields: empty, non-numeric, trailing junk, overflow.
+  for (const char* gflops : {"", "abc", "12abc", "1e999"})
+    EXPECT_THROW(TuneCache::deserialize(
+                     std::string("k|1 2 3 4 5 6 0 1024|") + gflops),
+                 Error)
+        << "gflops '" << gflops << "'";
+  // A config field with more than the 8 ConvConfig fields.
+  EXPECT_THROW(TuneCache::deserialize("k|1 2 3 4 5 6 0 1024 9|12"), Error);
   TuneCache cache;
   EXPECT_THROW(cache.put("bad|key", entry(1, 1)), Error);
 }

@@ -76,7 +76,10 @@
 // Algorithms: tiled (default), naive, im2col, cudnn, winograd, phased, fft.
 #include <atomic>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -93,18 +96,44 @@ namespace {
 
 using namespace convbound;
 
+/// Whole-token number parsers: anything strtoll/strtod cannot consume
+/// entirely (empty, "abc", "12abc", out of range) throws convbound::Error
+/// naming the flag, so main() reports it instead of aborting.
+std::int64_t parse_int(const std::string& flag, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  CB_CHECK_MSG(!text.empty() && end == text.c_str() + text.size() &&
+                   errno == 0,
+               "--" << flag << " expects an integer, got '" << text << "'");
+  return v;
+}
+
+double parse_double(const std::string& flag, const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  CB_CHECK_MSG(!text.empty() && end == text.c_str() + text.size() &&
+                   std::isfinite(v),
+               "--" << flag << " expects a number, got '" << text << "'");
+  return v;
+}
+
 struct Args {
   std::map<std::string, std::string> kv;
 
   std::int64_t geti(const std::string& key, std::int64_t def) const {
     const auto it = kv.find(key);
-    return it == kv.end() ? def : std::stoll(it->second);
+    return it == kv.end() ? def : parse_int(key, it->second);
   }
   std::string gets(const std::string& key, const std::string& def) const {
     const auto it = kv.find(key);
     return it == kv.end() ? def : it->second;
   }
 };
+
+bool cache_file_exists(const std::string& path) {
+  return !path.empty() && std::ifstream(path).good();
+}
 
 Args parse(int argc, char** argv, int start) {
   Args a;
@@ -219,18 +248,16 @@ int cmd_tune(const Args& a) {
   const std::string key =
       TuneCache::make_key(gpu.spec(), s, opts.winograd, opts.e);
   TuneCache cache;
-  if (!cache_path.empty()) {
-    try {
-      cache = TuneCache::load(cache_path);
-      // A resume continues its checkpoint even when the cache already has
-      // an answer (the search may still improve on the cached one).
-      if (const auto hit = cache.get(key); hit && !opts.resume) {
-        std::printf("cache hit: %s -> %.0f GFlops (%s)\n", key.c_str(),
-                    hit->gflops, hit->config.to_string().c_str());
-        return 0;
-      }
-    } catch (const Error&) {
-      // no cache file yet — will create one below
+  // No cache file yet: one is created below. A malformed one is an error,
+  // not an empty cache to overwrite.
+  if (cache_file_exists(cache_path)) {
+    cache = TuneCache::load(cache_path);
+    // A resume continues its checkpoint even when the cache already has
+    // an answer (the search may still improve on the cached one).
+    if (const auto hit = cache.get(key); hit && !opts.resume) {
+      std::printf("cache hit: %s -> %.0f GFlops (%s)\n", key.c_str(),
+                  hit->gflops, hit->config.to_string().c_str());
+      return 0;
     }
   }
 
@@ -309,13 +336,8 @@ int cmd_plan(const Args& a) {
 
   const std::string cache_path = a.gets("cache", "");
   TuneCache cache;
-  if (!cache_path.empty()) {
-    try {
-      cache = TuneCache::load(cache_path);
-    } catch (const Error&) {
-      // no cache file yet — tuned planning will create one below
-    }
-  }
+  // No cache file yet: tuned planning creates one below.
+  if (cache_file_exists(cache_path)) cache = TuneCache::load(cache_path);
   Planner planner(&cache);
 
   auto mb = [](double elems) { return elems * 4e-6; };
@@ -424,9 +446,11 @@ std::vector<TenantClass> classes_from(const std::string& csv) {
     if (colon1 != std::string::npos) {
       const std::size_t colon2 = spec.find(':', colon1 + 1);
       c.latency_budget_seconds =
-          std::stod(spec.substr(colon1 + 1, colon2 - colon1 - 1)) / 1e3;
+          parse_double("classes",
+                       spec.substr(colon1 + 1, colon2 - colon1 - 1)) /
+          1e3;
       if (colon2 != std::string::npos)
-        c.quota_weight = std::stod(spec.substr(colon2 + 1));
+        c.quota_weight = parse_double("classes", spec.substr(colon2 + 1));
     }
     classes.push_back(std::move(c));
   }
