@@ -79,21 +79,27 @@ LaunchStats direct_tiled_sim(SimGpu& gpu, const Tensor4<float>& input,
         ctx.load(weights.data() + weights.index(oc0 + dz, dc, 0, 0),
                  wbuf.data() + dz * kker, static_cast<std::size_t>(kker));
       }
-      // Partial update of the resident output sub-block.
+      // Partial update of the resident output sub-block, one weight at a
+      // time over contiguous output columns, so the stride-1 row update is
+      // a vectorisable axpy.
       for (std::int64_t dz = 0; dz < ez; ++dz) {
         const float* wk = wbuf.data() + dz * kker;
-        for (std::int64_t dx = 0; dx < ex; ++dx) {
-          for (std::int64_t dy = 0; dy < ey; ++dy) {
-            float sum = 0.0f;
-            const float* base =
-                tile.data() + dx * s.stride * cols_eff + dy * s.stride;
-            for (std::int64_t fh = 0; fh < s.kh; ++fh) {
-              const float* trow = base + fh * cols_eff;
-              const float* wrow = wk + fh * s.kw;
-              for (std::int64_t fw = 0; fw < s.kw; ++fw)
-                sum += trow[fw] * wrow[fw];
+        float* az = acc.data() + dz * x * y;
+        for (std::int64_t fh = 0; fh < s.kh; ++fh) {
+          for (std::int64_t fw = 0; fw < s.kw; ++fw) {
+            const float wv = wk[fh * s.kw + fw];
+            for (std::int64_t dx = 0; dx < ex; ++dx) {
+              float* arow = az + dx * y;
+              const float* trow =
+                  tile.data() + (dx * s.stride + fh) * cols_eff + fw;
+              if (s.stride == 1) {
+                for (std::int64_t dy = 0; dy < ey; ++dy)
+                  arow[dy] += wv * trow[dy];
+              } else {
+                for (std::int64_t dy = 0; dy < ey; ++dy)
+                  arow[dy] += wv * trow[dy * s.stride];
+              }
             }
-            acc[static_cast<std::size_t>((dz * x + dx) * y + dy)] += sum;
           }
         }
       }

@@ -1,9 +1,10 @@
 // Executable model of a two-level-memory accelerator.
 //
-// Kernels run real floating-point arithmetic on host threads (one pool
-// worker drains blocks like an SM drains a grid), but may only touch global
-// buffers through the BlockContext load/store helpers, which (a) enforce the
-// per-block shared-memory capacity S_b and (b) count every off-chip byte.
+// Kernels run real floating-point arithmetic on host threads (each thread
+// drains contiguous block chunks like an SM drains a grid), but may only
+// touch global buffers through the BlockContext load/store helpers, which
+// (a) enforce the per-block shared-memory capacity S_b and (b) count every
+// off-chip byte.
 // The counted traffic is exactly the Q of the red-blue pebble game, which is
 // what the paper's bounds and dataflow designs reason about.
 #pragma once
@@ -160,8 +161,10 @@ class BlockContext {
 /// traffic and the modelled time are identical in both modes — the knob only
 /// decides which host threads do the arithmetic.
 enum class ExecMode {
-  /// Blocks striped across the thread pool (one worker per SM). Default;
-  /// right for measuring a single kernel as fast as possible.
+  /// Blocks cut into contiguous chunks (about four per pool thread) that
+  /// the pool workers and the calling thread claim dynamically, so a launch
+  /// from inside a pool task is safe. Default; right for running a single
+  /// kernel as fast as possible.
   kStriped,
   /// All blocks drained on the calling thread. Used by the batched tuning
   /// pipeline, where parallelism lives at the candidate level and a striped
@@ -169,8 +172,9 @@ enum class ExecMode {
   kSerial,
 };
 
-/// Grid launcher: executes `kernel` once per block, in parallel across the
-/// pool, and aggregates counters + modelled time into LaunchStats.
+/// Grid launcher: executes `kernel` once per block, on the calling thread
+/// (kSerial) or in chunks across the pool and the caller (kStriped), and
+/// aggregates counters + modelled time into LaunchStats.
 class SimGpu {
  public:
   explicit SimGpu(MachineSpec spec, ThreadPool* pool = nullptr,

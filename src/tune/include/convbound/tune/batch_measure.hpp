@@ -1,6 +1,6 @@
 // Batch-oriented, thread-pool-parallel measurement engine.
 //
-// The serial ConvMeasurer stripes each kernel's blocks across the pool, so
+// The serial ConvMeasurer spreads each kernel's block chunks over the pool, so
 // tuning wall-clock scales linearly with the trial budget no matter how many
 // cores the host has. BatchMeasurer flips the parallelism axis: tuners hand
 // over a whole proposal batch, and candidates are evaluated concurrently by

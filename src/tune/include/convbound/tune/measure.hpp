@@ -67,7 +67,8 @@ class Measurer {
   }
 };
 
-/// Serial measurer: one SimGpu (striped over the pool), one scratch output.
+/// Serial measurer: one SimGpu (its blocks chunked over the pool), one
+/// scratch output.
 /// The reference implementation the batched engine must agree with.
 class ConvMeasurer : public Measurer {
  public:

@@ -1,8 +1,9 @@
 // Fixed-size work-queue thread pool.
 //
-// In the GPU simulator one pool worker plays the role of one streaming
-// multiprocessor: thread blocks are submitted as tasks and drained by
-// `num_threads()` workers, mirroring how a GPU schedules blocks onto SMs.
+// In the GPU simulator each thread running a launch plays the role of one
+// streaming multiprocessor: a striped launch cuts its grid into contiguous
+// block chunks that the workers and the calling thread claim through
+// parallel_for, the way a GPU hands blocks to whichever SM is free.
 #pragma once
 
 #include <cstddef>

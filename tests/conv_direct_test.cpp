@@ -9,7 +9,7 @@ namespace {
 
 ConvShape shape(std::int64_t b, std::int64_t cin, std::int64_t hw,
                 std::int64_t cout, std::int64_t k, std::int64_t stride,
-                std::int64_t pad) {
+                std::int64_t pad, std::int64_t groups = 1) {
   ConvShape s;
   s.batch = b;
   s.cin = cin;
@@ -18,6 +18,7 @@ ConvShape shape(std::int64_t b, std::int64_t cin, std::int64_t hw,
   s.kh = s.kw = k;
   s.stride = stride;
   s.pad = pad;
+  s.groups = groups;
   return s;
 }
 
@@ -65,6 +66,50 @@ INSTANTIATE_TEST_SUITE_P(
         DirectCase{shape(1, 3, 8, 4, 3, 1, 1), cfg(4, 4, 2, Layout::kNCWH)},
         DirectCase{shape(3, 2, 7, 3, 3, 1, 0), cfg(5, 5, 3)},    // batch > 1
         DirectCase{shape(1, 5, 9, 7, 2, 1, 0), cfg(4, 4, 7)}));  // even kernel
+
+// Counted traffic pinned to literal values: the block body may reorder its
+// arithmetic, but never what it moves or counts.
+struct TrafficCase {
+  const char* name;
+  ConvShape s;
+  ConvConfig cfg;
+  std::uint64_t bytes_loaded, bytes_stored, flops, num_blocks;
+};
+
+TEST(DirectTiled, CountedTrafficIsPinned) {
+  const TrafficCase cases[] = {
+      {"1x1 s1", shape(1, 8, 12, 16, 1, 1, 0), cfg(6, 6, 4), 20480, 9216,
+       36864, 16},
+      {"1x1 s2", shape(1, 8, 13, 8, 1, 2, 0), cfg(4, 4, 4), 10240, 1568, 6272,
+       8},
+      // hout = wout = 11: neither 4 nor 3 divides it.
+      {"3x3 s1 edge tiles", shape(1, 4, 11, 6, 3, 1, 1), cfg(4, 3, 3), 18528,
+       2904, 52272, 24},
+      {"3x3 s2", shape(2, 4, 14, 6, 3, 2, 1), cfg(4, 4, 3), 21312, 2352,
+       42336, 16},
+      {"7x7 s2 cin3", shape(1, 3, 32, 8, 7, 2, 3), cfg(4, 8, 4), 79368, 8192,
+       602112, 16},
+      {"depthwise", shape(1, 8, 10, 8, 3, 1, 1, 8), cfg(5, 5, 4), 5760, 3200,
+       14400, 32},
+      {"grouped g2", shape(1, 4, 9, 6, 3, 1, 1, 2), cfg(3, 3, 3), 6592, 1944,
+       17496, 18},
+  };
+  for (const TrafficCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ConvProblem prob = make_problem(c.s, 11);
+    const Tensor4<float> expect = conv2d_ref(prob.input, prob.weights, c.s);
+    SimGpu gpu(MachineSpec::v100());
+    Tensor4<float> out(c.s.batch, c.s.cout, c.s.hout(), c.s.wout());
+    const LaunchStats st =
+        direct_tiled_sim(gpu, prob.input, prob.weights, c.s, c.cfg, out);
+    EXPECT_EQ(st.bytes_loaded, c.bytes_loaded);
+    EXPECT_EQ(st.bytes_stored, c.bytes_stored);
+    EXPECT_EQ(st.flops, c.flops);
+    EXPECT_EQ(st.num_blocks, c.num_blocks);
+    EXPECT_TRUE(allclose(expect, out, 1e-4, 1e-4))
+        << "maxdiff=" << max_abs_diff(expect, out);
+  }
+}
 
 class DirectBaselineCorrectness
     : public ::testing::TestWithParam<ConvShape> {};

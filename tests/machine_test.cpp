@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <thread>
+
 #include "convbound/machine/machine_spec.hpp"
 #include "convbound/machine/sim_gpu.hpp"
 
@@ -145,6 +150,59 @@ TEST(SimGpu, GatherCostsMoreThanContiguous) {
   });
   EXPECT_EQ(contiguous.bytes_loaded, 64 * sizeof(float));
   EXPECT_EQ(strided.bytes_loaded, 64 * BlockContext::kTransactionBytes);
+}
+
+TEST(SimGpu, StripedLaunchNestsInsidePoolTask) {
+  // The only worker of the pool issues the launch, so no helper can ever
+  // dequeue: the launch completes only if the caller drains blocks itself.
+  auto pool = std::make_unique<ThreadPool>(1);
+  SimGpu gpu(MachineSpec::test_machine(), pool.get());
+  LaunchConfig cfg;
+  cfg.num_blocks = 9;
+  cfg.smem_bytes_per_block = 64 * sizeof(float);
+  std::vector<float> out(static_cast<std::size_t>(cfg.num_blocks), 0.0f);
+  const SimGpu::Kernel kernel = [&](BlockContext& ctx) {
+    const float v = static_cast<float>(ctx.block_id());
+    ctx.store(out.data() + ctx.block_id(), &v, 1);
+  };
+  auto fut = pool->submit([&] { return gpu.launch(cfg, kernel); });
+  if (fut.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+    // The worker is stuck for good: joining it would hang teardown, so the
+    // pool is leaked and the process exits around it.
+    static_cast<void>(pool.release());
+    FAIL() << "nested striped launch did not complete within 5 s";
+  }
+  const LaunchStats st = fut.get();
+  EXPECT_EQ(st.bytes_stored, 9u * sizeof(float));
+  for (std::size_t b = 0; b < out.size(); ++b)
+    EXPECT_EQ(out[b], static_cast<float>(b));
+}
+
+TEST(SimGpu, StripedLaunchThrowsOnlyAfterEveryBlockDrained) {
+  ThreadPool pool(4);
+  SimGpu gpu(MachineSpec::test_machine(), &pool);
+  LaunchConfig cfg;
+  cfg.num_blocks = 37;
+  cfg.smem_bytes_per_block = 64 * sizeof(float);
+  std::atomic<int> running{0};
+  std::atomic<int> finished{0};
+  const SimGpu::Kernel kernel = [&](BlockContext& ctx) {
+    running.fetch_add(1, std::memory_order_relaxed);
+    // Block 5 overflows its shared memory; its siblings are still busy.
+    ctx.smem().alloc<float>(ctx.block_id() == 5 ? 65 : 64);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    running.fetch_sub(1, std::memory_order_relaxed);
+    finished.fetch_add(1, std::memory_order_relaxed);
+  };
+  EXPECT_THROW(gpu.launch(cfg, kernel), Error);
+  // Only block 5 is left mid-flight (it threw before decrementing), and no
+  // block starts or finishes once launch has returned.
+  EXPECT_EQ(running.load(std::memory_order_relaxed), 1);
+  const int done = finished.load(std::memory_order_relaxed);
+  EXPECT_GE(done, 4);
+  EXPECT_LE(done, 36);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(finished.load(std::memory_order_relaxed), done);
 }
 
 TEST(SimGpu, StatsAccumulate) {
