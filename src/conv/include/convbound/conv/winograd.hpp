@@ -9,6 +9,11 @@
 
 namespace convbound {
 
+/// Largest transformed-tile side a = e + r - 1 the fused kernel accepts: it
+/// stages each a x a tile in a fixed 64-float register fragment.
+/// make_winograd_transform itself builds transforms up to a = 10.
+inline constexpr std::int64_t kMaxFusedWinogradTile = 8;
+
 /// Host reference Winograd (correctness oracle for the simulated kernels,
 /// itself validated against conv2d_ref in the test suite).
 Tensor4<float> winograd_ref(const Tensor4<float>& input,

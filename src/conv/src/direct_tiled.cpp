@@ -6,6 +6,38 @@
 
 namespace convbound {
 
+namespace {
+
+// Output channels one wide-tile pixel keeps in registers at a time.
+constexpr std::int64_t kChunk = 16;
+// z-tiles narrower than this take the row-axpy path instead: a channel loop
+// of a few iterations cannot amortise its per-pixel accumulator traffic.
+constexpr std::int64_t kWideZ = 8;
+
+// One input channel's kh*kw taps into `n` (kChunk when kFull) consecutive
+// output channels of one output pixel: acc[c] += w[(fh*kw + fw)*z + c] *
+// in[fh*cols + fw]. The partial sums live in a fixed-size local fragment,
+// so acc is read and written once per call rather than once per tap.
+template <bool kFull>
+inline void accumulate_chunk(float* acc, const float* w, std::int64_t z,
+                             const float* in, std::int64_t cols,
+                             std::int64_t kh, std::int64_t kw,
+                             std::int64_t n) {
+  const std::int64_t m = kFull ? kChunk : n;
+  float r[kChunk];
+  for (std::int64_t c = 0; c < m; ++c) r[c] = acc[c];
+  for (std::int64_t fh = 0; fh < kh; ++fh) {
+    for (std::int64_t fw = 0; fw < kw; ++fw) {
+      const float t = in[fh * cols + fw];
+      const float* wk = w + (fh * kw + fw) * z;
+      for (std::int64_t c = 0; c < m; ++c) r[c] += wk[c] * t;
+    }
+  }
+  for (std::int64_t c = 0; c < m; ++c) acc[c] = r[c];
+}
+
+}  // namespace
+
 std::int64_t direct_tiled_smem_bytes(const ConvShape& s,
                                      const ConvConfig& cfg) {
   const std::int64_t in_rows = (cfg.x - 1) * s.stride + s.kh;
@@ -59,6 +91,9 @@ LaunchStats direct_tiled_sim(SimGpu& gpu, const Tensor4<float>& input,
     const std::int64_t ey = std::min(y, wout - ow0);
     const std::int64_t ez = std::min(z, s.cout - oc0);
 
+    // acc is pixel-major, channel-minor: acc[(dx*y + dy)*z + dz]. wbuf holds
+    // the z kernel slices transposed, wbuf[k*z + dz], so one tap's weights
+    // for consecutive output channels are contiguous.
     auto acc = ctx.smem().alloc<float>(static_cast<std::size_t>(x * y * z));
     auto tile =
         ctx.smem().alloc<float>(static_cast<std::size_t>(in_rows * in_cols));
@@ -75,29 +110,52 @@ LaunchStats direct_tiled_sim(SimGpu& gpu, const Tensor4<float>& input,
       detail::load_input_tile(ctx, input, b, c_base + dc,
                               oh0 * s.stride - s.pad, ow0 * s.stride - s.pad,
                               rows_eff, cols_eff, tile.data());
+      // kker contiguous floats per output channel leave global memory; only
+      // their on-chip placement is transposed.
       for (std::int64_t dz = 0; dz < ez; ++dz) {
-        ctx.load(weights.data() + weights.index(oc0 + dz, dc, 0, 0),
-                 wbuf.data() + dz * kker, static_cast<std::size_t>(kker));
+        const float* src = weights.data() + weights.index(oc0 + dz, dc, 0, 0);
+        for (std::int64_t k = 0; k < kker; ++k) wbuf[k * z + dz] = src[k];
       }
-      // Partial update of the resident output sub-block, one weight at a
-      // time over contiguous output columns, so the stride-1 row update is
-      // a vectorisable axpy.
-      for (std::int64_t dz = 0; dz < ez; ++dz) {
-        const float* wk = wbuf.data() + dz * kker;
-        float* az = acc.data() + dz * x * y;
-        for (std::int64_t fh = 0; fh < s.kh; ++fh) {
-          for (std::int64_t fw = 0; fw < s.kw; ++fw) {
-            const float wv = wk[fh * s.kw + fw];
-            for (std::int64_t dx = 0; dx < ex; ++dx) {
-              float* arow = az + dx * y;
-              const float* trow =
-                  tile.data() + (dx * s.stride + fh) * cols_eff + fw;
-              if (s.stride == 1) {
-                for (std::int64_t dy = 0; dy < ey; ++dy)
-                  arow[dy] += wv * trow[dy];
-              } else {
-                for (std::int64_t dy = 0; dy < ey; ++dy)
-                  arow[dy] += wv * trow[dy * s.stride];
+      ctx.charge_load(static_cast<std::size_t>(ez * kker) * sizeof(float));
+
+      // Partial update of the resident output sub-block. Every element
+      // receives its += w*t in (fh, fw) order, whichever path runs.
+      if (ez >= kWideZ) {
+        // Wide z-tile: per output pixel, chunks of output channels stay in
+        // registers across all kh*kw taps.
+        for (std::int64_t dx = 0; dx < ex; ++dx) {
+          for (std::int64_t dy = 0; dy < ey; ++dy) {
+            float* apix = acc.data() + (dx * y + dy) * z;
+            const float* tpix =
+                tile.data() + dx * s.stride * cols_eff + dy * s.stride;
+            std::int64_t dz0 = 0;
+            for (; dz0 + kChunk <= ez; dz0 += kChunk)
+              accumulate_chunk<true>(apix + dz0, wbuf.data() + dz0, z, tpix,
+                                     cols_eff, s.kh, s.kw, kChunk);
+            if (dz0 < ez)
+              accumulate_chunk<false>(apix + dz0, wbuf.data() + dz0, z, tpix,
+                                      cols_eff, s.kh, s.kw, ez - dz0);
+          }
+        }
+      } else {
+        // Narrow z-tile (depthwise snaps to z = 1): one weight at a time
+        // over a row of output columns, a contiguous axpy when z = 1 and
+        // stride = 1.
+        for (std::int64_t dz = 0; dz < ez; ++dz) {
+          for (std::int64_t fh = 0; fh < s.kh; ++fh) {
+            for (std::int64_t fw = 0; fw < s.kw; ++fw) {
+              const float wv = wbuf[(fh * s.kw + fw) * z + dz];
+              for (std::int64_t dx = 0; dx < ex; ++dx) {
+                float* arow = acc.data() + dx * y * z + dz;
+                const float* trow =
+                    tile.data() + (dx * s.stride + fh) * cols_eff + fw;
+                if (z == 1 && s.stride == 1) {
+                  for (std::int64_t dy = 0; dy < ey; ++dy)
+                    arow[dy] += wv * trow[dy];
+                } else {
+                  for (std::int64_t dy = 0; dy < ey; ++dy)
+                    arow[dy * z] += wv * trow[dy * s.stride];
+                }
               }
             }
           }
@@ -105,10 +163,19 @@ LaunchStats direct_tiled_sim(SimGpu& gpu, const Tensor4<float>& input,
       }
       ctx.add_flops(static_cast<std::uint64_t>(2 * ez * ex * ey * kker));
     }
-    // Outputs leave the chip exactly once.
+    // Outputs leave the chip exactly once. With z > 1 each channel's plane
+    // is gathered into the input-tile buffer, free after the channel loop
+    // (in_rows*in_cols >= x*y); with z = 1 acc already is the plane.
     for (std::int64_t dz = 0; dz < ez; ++dz) {
+      const float* plane = acc.data();
+      if (z > 1) {
+        for (std::int64_t dx = 0; dx < ex; ++dx)
+          for (std::int64_t dy = 0; dy < ey; ++dy)
+            tile[dx * y + dy] = acc[(dx * y + dy) * z + dz];
+        plane = tile.data();
+      }
       detail::store_output_tile(ctx, out, b, oc0 + dz, oh0, ow0, ex, ey,
-                                acc.data() + dz * x * y, y);
+                                plane, y);
     }
   });
 }

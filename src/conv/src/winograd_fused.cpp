@@ -27,6 +27,10 @@ LaunchStats winograd_fused_sim(SimGpu& gpu, const Tensor4<float>& input,
   CB_CHECK_MSG(s.groups == 1, "grouped convolution: use the tiled direct kernel");
   CB_CHECK(s.kh == s.kw && s.stride == 1);
   const std::int64_t r = s.kh;
+  CB_CHECK_MSG(e + r - 1 <= kMaxFusedWinogradTile,
+               "fused Winograd F(" << e << "," << r << ") needs a = "
+                                   << e + r - 1 << " <= "
+                                   << kMaxFusedWinogradTile);
   const auto t = make_winograd_transform(e, r);
   const std::int64_t a = t.a, a2 = a * a, r2 = r * r;
 
@@ -97,7 +101,7 @@ LaunchStats winograd_fused_sim(SimGpu& gpu, const Tensor4<float>& input,
       for (std::int64_t ti = 0; ti < etx; ++ti) {
         for (std::int64_t tj = 0; tj < ety; ++tj) {
           // V for this winograd tile, from the staged input region.
-          float dtile[64];  // a <= 8
+          float dtile[kMaxFusedWinogradTile * kMaxFusedWinogradTile];
           for (std::int64_t i = 0; i < a; ++i)
             for (std::int64_t j = 0; j < a; ++j)
               dtile[i * a + j] =
@@ -120,8 +124,8 @@ LaunchStats winograd_fused_sim(SimGpu& gpu, const Tensor4<float>& input,
     for (std::int64_t dz = 0; dz < ez; ++dz) {
       for (std::int64_t ti = 0; ti < etx; ++ti) {
         for (std::int64_t tj = 0; tj < ety; ++tj) {
-          float ytile[64];
-          float yscratch[64];
+          float ytile[kMaxFusedWinogradTile * kMaxFusedWinogradTile];
+          float yscratch[kMaxFusedWinogradTile * kMaxFusedWinogradTile];
           const float* acc = pi.data() + ((dz * tbx + ti) * tby + tj) * a2;
           const std::uint64_t ymacs =
               wino_sandwich(t.AT.data(), e, a, acc, ytile, yscratch);

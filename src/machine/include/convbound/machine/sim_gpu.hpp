@@ -7,6 +7,12 @@
 // off-chip byte.
 // The counted traffic is exactly the Q of the red-blue pebble game, which is
 // what the paper's bounds and dataflow designs reason about.
+//
+// On-chip scratch rule: data that lives for a whole block (accumulators,
+// staged tiles, kernel slices) is allocated only from the block's
+// SharedMemory, so S_b is enforced. A kernel's local arrays are register
+// fragments of a compile-time bound (direct-tiled's 16-channel chunk, fused
+// Winograd's 8x8 tiles) that never outlive one step of the block body.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +30,10 @@ namespace convbound {
 
 /// Bump allocator standing in for one thread block's shared memory.
 /// Allocation beyond the configured capacity throws — the simulator
-/// physically enforces the tuning constraint x*y*z (+tiles) <= S_b.
+/// physically enforces the tuning constraint x*y*z (+tiles) <= S_b. Every
+/// buffer that lives for the whole block comes from here; a kernel may lay
+/// out and reuse its allocations freely (e.g. stage outputs through an input
+/// buffer it no longer needs), but never keeps block-lifetime data elsewhere.
 class SharedMemory {
  public:
   explicit SharedMemory(std::size_t capacity_bytes)
@@ -51,7 +60,9 @@ class SharedMemory {
   std::size_t used_;
 };
 
-/// Per-block execution context handed to kernels.
+/// Per-block execution context handed to kernels. Global memory is reached
+/// only through its counted load/store helpers; on-chip state lives in
+/// smem() or in compile-time-bounded local register fragments.
 class BlockContext {
  public:
   BlockContext(std::int64_t block_id, SharedMemory& smem)

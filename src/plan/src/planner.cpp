@@ -137,7 +137,7 @@ std::int64_t Planner::choose_winograd_e(const ConvShape& s,
   // e capped at 4 (a <= r + 3): the accuracy envelope production Winograd
   // kernels use; larger tiles win on I/O but amplify transform error.
   for (std::int64_t e = 2; e <= 4; ++e) {
-    if (e + s.kh - 1 > 8) continue;  // no F(e, r) transform
+    if (e + s.kh - 1 > kMaxFusedWinogradTile) continue;  // no F(e, r) kernel
     const double io = winograd_dataflow_io(s, e, S, spec.num_sms);
     const double score =
         roofline_seconds(spec, io, winograd_flops_estimate(s, e));
@@ -148,6 +148,23 @@ std::int64_t Planner::choose_winograd_e(const ConvShape& s,
   }
   return best_e;
 }
+
+namespace {
+
+/// PlannerOptions::force_e when set, else the bound-guided choice. A forced
+/// e must leave a fused-kernel tile (a = e + r - 1 <= 8), the same filter
+/// choose_winograd_e applies.
+std::int64_t winograd_e(const ConvShape& s, const MachineSpec& spec,
+                        std::int64_t force_e) {
+  if (force_e <= 0) return Planner::choose_winograd_e(s, spec);
+  CB_CHECK_MSG(force_e + s.kh - 1 <= kMaxFusedWinogradTile,
+               "force_e=" << force_e << ": no F(e, r) transform with a <= "
+                          << kMaxFusedWinogradTile << " for "
+                          << s.to_string());
+  return force_e;
+}
+
+}  // namespace
 
 PlanCandidate Planner::make_candidate(SimGpu& gpu, const ConvShape& s,
                                       ConvAlgorithm algo, std::int64_t e,
@@ -242,8 +259,7 @@ std::vector<PlanCandidate> Planner::enumerate(SimGpu& gpu, const ConvShape& s,
   for (ConvAlgorithm algo : algos) {
     std::int64_t e = 2;
     if (is_winograd(algo)) {
-      e = opts.force_e > 0 ? opts.force_e
-                           : choose_winograd_e(s, gpu.spec());
+      e = winograd_e(s, gpu.spec(), opts.force_e);
       if (e == 0) continue;
     }
     cands.push_back(make_candidate(gpu, s, algo, e, opts, dry_run));
@@ -307,7 +323,7 @@ ConvPlan Planner::plan_algorithm(SimGpu& gpu, const ConvShape& s,
                to_string(algo) << " does not support " << s.to_string());
   std::int64_t e = 2;
   if (is_winograd(algo)) {
-    e = opts.force_e > 0 ? opts.force_e : choose_winograd_e(s, gpu.spec());
+    e = winograd_e(s, gpu.spec(), opts.force_e);
     CB_CHECK_MSG(e > 0, "no Winograd transform for " << s.to_string());
   }
   return to_plan(s, make_candidate(gpu, s, algo, e, opts, false));

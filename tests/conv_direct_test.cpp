@@ -93,6 +93,22 @@ TEST(DirectTiled, CountedTrafficIsPinned) {
        14400, 32},
       {"grouped g2", shape(1, 4, 9, 6, 3, 1, 1, 2), cfg(3, 3, 3), 6592, 1944,
        17496, 18},
+      // Wide z-tiles (z >= 8): the channel-chunk path.
+      {"3x3 s1 z8", shape(1, 6, 12, 16, 3, 1, 1), cfg(4, 6, 8), 31488, 9216,
+       248832, 12},
+      {"3x3 s1 z16", shape(1, 5, 10, 32, 3, 1, 1), cfg(5, 5, 16), 28800, 12800,
+       288000, 8},
+      // 20 = one 16-channel chunk plus a 4-channel remainder.
+      {"3x3 s1 z20", shape(1, 4, 9, 40, 3, 1, 1), cfg(3, 4, 20), 57248, 12960,
+       233280, 18},
+      // wout = 10: 3 does not divide it.
+      {"1x1 s1 z12 edge tiles", shape(1, 16, 10, 24, 1, 1, 0), cfg(4, 3, 12),
+       31232, 9600, 76800, 24},
+      {"3x3 s2 z16", shape(2, 8, 14, 16, 3, 2, 1), cfg(4, 4, 16), 51264, 6272,
+       225792, 8},
+      // The ResNet-18 stem's plan config; z = 22 snaps to 16 for cout = 64.
+      {"7x7 s2 cin3 z22 stem", shape(1, 3, 48, 64, 7, 2, 3), cfg(17, 16, 22),
+       285360, 147456, 10838016, 16},
   };
   for (const TrafficCase& c : cases) {
     SCOPED_TRACE(c.name);

@@ -4,6 +4,7 @@
 #include "convbound/conv/reference.hpp"
 #include "convbound/conv/winograd.hpp"
 #include "convbound/conv/winograd_transform.hpp"
+#include "convbound/plan/planner.hpp"
 
 namespace convbound {
 namespace {
@@ -210,6 +211,31 @@ TEST(WinogradFused, SmemBudgetEnforced) {
   c.smem_budget = 2048;
   EXPECT_THROW(
       winograd_fused_sim(gpu, prob.input, prob.weights, s, 2, c, out), Error);
+}
+
+// F(4,7) has a = 10: make_winograd_transform builds it, but the fused
+// kernel's 8x8 register tiles cannot hold it. Both the kernel and a planner
+// forced to e = 4 must refuse it instead of overrunning the stack.
+TEST(WinogradFused, RejectsTilesAboveEight) {
+  const ConvShape s = shape(1, 2, 12, 2, 7, 3);
+  const ConvProblem prob = make_problem(s, 3);
+  SimGpu gpu(MachineSpec::v100());
+  Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
+  EXPECT_THROW(winograd_fused_sim(gpu, prob.input, prob.weights, s, 4,
+                                  wcfg(8, 8, 2), out),
+               Error);
+
+  PlannerOptions opts;
+  opts.mode = PlanMode::kAnalytic;
+  opts.force_e = 4;
+  Planner planner;
+  EXPECT_THROW(planner.plan(gpu, s, opts), Error);
+  EXPECT_THROW(
+      planner.plan_algorithm(gpu, s, ConvAlgorithm::kWinogradFused, opts),
+      Error);
+  opts.force_e = 2;  // F(2,7): a = 8 still plans
+  EXPECT_NO_THROW(
+      planner.plan_algorithm(gpu, s, ConvAlgorithm::kWinogradFused, opts));
 }
 
 }  // namespace

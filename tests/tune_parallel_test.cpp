@@ -150,28 +150,35 @@ TEST(SimGpuExecMode, SerialAndStripedCountIdentically) {
   EXPECT_EQ(a.sim_time, b.sim_time);
 
   // A real kernel: each output element is owned by one block, so the two
-  // modes must also produce bit-equal tensors.
-  const ConvShape s = small_shape();
-  const ConvProblem prob = make_problem(s, 9);
-  ConvConfig c;
-  c.x = 5;
-  c.y = 6;
-  c.z = 4;
-  Tensor4<float> out_striped(s.batch, s.cout, s.hout(), s.wout());
-  Tensor4<float> out_serial(s.batch, s.cout, s.hout(), s.wout());
-  const LaunchStats ts = direct_tiled_sim(striped, prob.input, prob.weights,
-                                          s, c, out_striped);
-  const LaunchStats tr =
-      direct_tiled_sim(serial, prob.input, prob.weights, s, c, out_serial);
-  EXPECT_EQ(ts.bytes_loaded, tr.bytes_loaded);
-  EXPECT_EQ(ts.bytes_stored, tr.bytes_stored);
-  EXPECT_EQ(ts.flops, tr.flops);
-  EXPECT_EQ(ts.num_blocks, tr.num_blocks);
-  EXPECT_EQ(ts.sim_time, tr.sim_time);
-  ASSERT_EQ(out_striped.size(), out_serial.size());
-  EXPECT_EQ(std::memcmp(out_striped.data(), out_serial.data(),
-                        out_striped.size_bytes()),
-            0);
+  // modes must also produce bit-equal tensors. z = 4 takes the narrow
+  // row-axpy body; cout = 40 with z = 20 takes the wide channel-chunk body
+  // (one 16-channel chunk plus a 4-channel remainder).
+  ConvShape wide = small_shape();
+  wide.cout = 40;
+  for (const auto& [s, z] :
+       {std::pair{small_shape(), 4}, std::pair{wide, 20}}) {
+    SCOPED_TRACE(z);
+    const ConvProblem prob = make_problem(s, 9);
+    ConvConfig c;
+    c.x = 5;
+    c.y = 6;
+    c.z = z;
+    Tensor4<float> out_striped(s.batch, s.cout, s.hout(), s.wout());
+    Tensor4<float> out_serial(s.batch, s.cout, s.hout(), s.wout());
+    const LaunchStats ts = direct_tiled_sim(striped, prob.input,
+                                            prob.weights, s, c, out_striped);
+    const LaunchStats tr =
+        direct_tiled_sim(serial, prob.input, prob.weights, s, c, out_serial);
+    EXPECT_EQ(ts.bytes_loaded, tr.bytes_loaded);
+    EXPECT_EQ(ts.bytes_stored, tr.bytes_stored);
+    EXPECT_EQ(ts.flops, tr.flops);
+    EXPECT_EQ(ts.num_blocks, tr.num_blocks);
+    EXPECT_EQ(ts.sim_time, tr.sim_time);
+    ASSERT_EQ(out_striped.size(), out_serial.size());
+    EXPECT_EQ(std::memcmp(out_striped.data(), out_serial.data(),
+                          out_striped.size_bytes()),
+              0);
+  }
 }
 
 TEST(Engine, BatchedAutotuneDeterministicAcrossWorkerCounts) {

@@ -24,6 +24,16 @@
 //       (algorithm, config, predicted I/O vs the I/O lower bound); with a
 //       single shape, print the full candidate ranking. --mode tuned
 //       consults/fills the tune cache; analytic (default) executes nothing.
+//   profile --model NAME [--batch N] [--reps N] [--seed N]
+//           [--mode analytic|measured|tuned] [--set ours|baseline]
+//           [--machine NAME]
+//       Plans every layer as `plan --model` does, executes each on a
+//       striped SimGpu and prints one row per layer: plan and config,
+//       predicted I/O, lower bound and counted traffic, counted flops,
+//       modelled ms, host wall ms (min over --reps, default 3) and host
+//       GFLOP/s; then totals by algorithm. Exits 1 with `error:` when a
+//       layer's counted traffic is below its Thm 4.12/4.20 bound or its
+//       output differs from conv2d_ref.
 //   serve  [--machine NAME] [--serve-workers N] [--replicas N] [--queue N]
 //          [shared load flags]
 //   cluster [--devices CSV] [--policy bound|rr|least] [--dev-workers N]
@@ -330,6 +340,20 @@ PlannerOptions planner_options_from(const Args& a) {
   return opts;
 }
 
+/// The leading per-layer cells `plan --model` and `profile` share.
+const std::vector<std::string> kPlanColumns = {
+    "layer", "shape", "algorithm", "config", "pred I/O MB", "bound MB"};
+
+std::vector<std::string> plan_cells(const ConvLayer& layer,
+                                    const ConvPlan& p) {
+  return {layer.name,
+          layer.shape.to_string(),
+          p.label(),
+          p.config.to_string(),
+          Table::fmt(p.predicted_io_elems * 4e-6, 3),
+          Table::fmt(p.lower_bound_elems * 4e-6, 3)};
+}
+
 int cmd_plan(const Args& a) {
   SimGpu gpu(spec_by_name(a.gets("machine", "v100")));
   const PlannerOptions opts = planner_options_from(a);
@@ -344,15 +368,15 @@ int cmd_plan(const Args& a) {
   const std::string model_name = a.gets("model", "");
   if (!model_name.empty()) {
     const auto layers = model_by_name(model_name, a.geti("batch", 1));
-    Table t({"layer", "shape", "algorithm", "config", "pred I/O MB",
-             "bound MB", "ratio"});
+    std::vector<std::string> cols = kPlanColumns;
+    cols.push_back("ratio");
+    Table t(cols);
     double total_io = 0, total_pred_s = 0;
     for (const auto& layer : layers) {
       const ConvPlan p = planner.plan(gpu, layer.shape, opts);
-      t.add_row({layer.name, layer.shape.to_string(), p.label(),
-                 p.config.to_string(), Table::fmt(mb(p.predicted_io_elems), 3),
-                 Table::fmt(mb(p.lower_bound_elems), 3),
-                 Table::fmt(p.bound_ratio(), 2)});
+      std::vector<std::string> row = plan_cells(layer, p);
+      row.push_back(Table::fmt(p.bound_ratio(), 2));
+      t.add_row(std::move(row));
       total_io += p.predicted_io_elems;
       total_pred_s += p.predicted_seconds;
     }
@@ -392,6 +416,91 @@ int cmd_plan(const Args& a) {
     std::printf("tune cache saved to %s\n", cache_path.c_str());
   }
   return 0;
+}
+
+int cmd_profile(const Args& a) {
+  SimGpu gpu(spec_by_name(a.gets("machine", "v100")));  // striped
+  const PlannerOptions opts = planner_options_from(a);
+  const std::string model_name = a.gets("model", "");
+  CB_CHECK_MSG(!model_name.empty(), "profile needs --model NAME");
+  const std::int64_t reps = a.geti("reps", 3);
+  CB_CHECK_MSG(reps >= 1, "--reps must be >= 1, got " << reps);
+  const auto layers = model_by_name(model_name, a.geti("batch", 1));
+
+  struct Totals {
+    int layers = 0;
+    double flops = 0, sim_s = 0, wall_s = 0;
+  };
+  std::map<std::string, Totals> by_algo;
+  std::vector<std::string> errors;
+  std::vector<std::string> cols = kPlanColumns;
+  cols.insert(cols.end(), {"counted MB", "MFLOP", "modelled ms", "wall ms",
+                           "host GFLOP/s"});
+  Table t(cols);
+  Planner planner;
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    const ConvLayer& layer = layers[i];
+    const ConvShape& s = layer.shape;
+    const ConvPlan p = planner.plan(gpu, s, opts);
+    const ConvProblem prob = make_problem(s, opts.seed + i);
+    Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
+    LaunchStats st;
+    double wall_s = 0;
+    for (std::int64_t r = 0; r < reps; ++r) {
+      const WallTimer timer;
+      st = run_plan(gpu, p, prob.input, prob.weights, out);
+      const double dt = timer.seconds();
+      wall_s = r == 0 ? dt : std::min(wall_s, dt);
+    }
+    const double counted = static_cast<double>(st.bytes_total());
+    const double flops = static_cast<double>(st.flops);
+    if (counted < p.lower_bound_elems * sizeof(float))
+      errors.push_back(layer.name + ": counted traffic below the " +
+                       "Thm 4.12/4.20 lower bound");
+    if (!allclose(conv2d_ref(prob.input, prob.weights, s), out, 1e-3, 1e-3))
+      errors.push_back(layer.name + ": output differs from conv2d_ref");
+
+    std::vector<std::string> row = plan_cells(layer, p);
+    row.insert(row.end(),
+               {Table::fmt(counted * 1e-6, 3), Table::fmt(flops * 1e-6, 1),
+                Table::fmt(st.sim_time * 1e3, 4), Table::fmt(wall_s * 1e3, 2),
+                Table::fmt(flops / wall_s * 1e-9, 2)});
+    t.add_row(std::move(row));
+    Totals& tot = by_algo[to_string(p.algorithm)];
+    ++tot.layers;
+    tot.flops += flops;
+    tot.sim_s += st.sim_time;
+    tot.wall_s += wall_s;
+  }
+  std::printf("%s on %s (%s planning, striped, wall = min of %lld reps)\n",
+              model_name.c_str(), gpu.spec().name.c_str(),
+              a.gets("mode", "analytic").c_str(),
+              static_cast<long long>(reps));
+  std::printf("%s", t.to_string().c_str());
+
+  Table totals({"algorithm", "layers", "MFLOP", "modelled ms", "wall ms",
+                "host GFLOP/s"});
+  Totals all;
+  auto add_total = [&](const std::string& name, const Totals& tot) {
+    totals.add_row({name, Table::fmt_int(tot.layers),
+                    Table::fmt(tot.flops * 1e-6, 1),
+                    Table::fmt(tot.sim_s * 1e3, 4),
+                    Table::fmt(tot.wall_s * 1e3, 2),
+                    Table::fmt(tot.flops / tot.wall_s * 1e-9, 2)});
+  };
+  for (const auto& [name, tot] : by_algo) {
+    add_total(name, tot);
+    all.layers += tot.layers;
+    all.flops += tot.flops;
+    all.sim_s += tot.sim_s;
+    all.wall_s += tot.wall_s;
+  }
+  add_total("total", all);
+  std::printf("%s", totals.to_string().c_str());
+
+  for (const std::string& e : errors)
+    std::fprintf(stderr, "error: %s\n", e.c_str());
+  return errors.empty() ? 0 : 1;
 }
 
 std::vector<std::string> split_csv(const std::string& csv) {
@@ -728,8 +837,8 @@ int cmd_models(const Args& a) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: convbound-cli <bound|run|tune|plan|models|serve|"
-               "cluster> [--flag value]...\n"
+               "usage: convbound-cli <bound|run|tune|plan|profile|models|"
+               "serve|cluster> [--flag value]...\n"
                "  see the header comment of tools/convbound_cli.cpp\n");
   return 2;
 }
@@ -745,6 +854,7 @@ int main(int argc, char** argv) {
     if (cmd == "run") return cmd_run(a);
     if (cmd == "tune") return cmd_tune(a);
     if (cmd == "plan") return cmd_plan(a);
+    if (cmd == "profile") return cmd_profile(a);
     if (cmd == "models") return cmd_models(a);
     if (cmd == "serve" || cmd == "cluster")
       return cmd_load(a, cmd == "cluster");
