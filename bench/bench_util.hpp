@@ -192,6 +192,20 @@ inline ConvShape make_shape(std::int64_t batch, std::int64_t cin,
   return s;
 }
 
+/// Plans `algos` on `gpu` (one algorithm, or a best-of such as
+/// kCudnnBaselinePair) and executes the plan on problem data drawn from
+/// `seed`: the same plan-then-run_plan path as the API and model inference.
+inline LaunchStats run_planned(SimGpu& gpu, const ConvShape& s,
+                               const std::vector<ConvAlgorithm>& algos,
+                               std::uint64_t seed,
+                               const PlannerOptions& opts = {}) {
+  Planner planner;
+  const ConvPlan plan = planner.plan_algorithm(gpu, s, algos, opts);
+  const ConvProblem p = make_problem(s, seed);
+  Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
+  return run_plan(gpu, plan, p.input, p.weights, out);
+}
+
 /// Standard bench main: run all registered benchmarks, then the summary.
 inline int run_all(int argc, char** argv,
                    const std::function<void()>& print_summary) {

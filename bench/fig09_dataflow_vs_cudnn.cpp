@@ -7,12 +7,10 @@
 // Scaled grid here: H_in in {14, 28, 56, 112}, C_out in {32, 64, 128, 256},
 // C_in = 64 (see EXPERIMENTS.md); the comparison structure is identical.
 //
-// Every point goes through the plan layer: the Planner emits per-algorithm
-// plans (the baseline's best-of-direct resolution included) and a shared
-// Workspace/Executor runs them, so the bench exercises the same planning
-// path as the API and model inference, and the output arena is reused
-// across the whole grid. e is pinned to 2 to match the paper's
-// F(2x2, 3x3) Winograd panels.
+// Every point goes through the plan layer: the Planner plans each algorithm
+// (the baseline as the kCudnnBaselinePair best-of) and run_plan executes it,
+// the same path as the API and model inference. e is pinned to 2 to match
+// the paper's F(2x2, 3x3) Winograd panels.
 #include "bench_util.hpp"
 
 namespace convbound::bench {
@@ -22,20 +20,12 @@ const std::vector<std::int64_t> kHin = {14, 28, 56, 112};
 const std::vector<std::int64_t> kCout = {32, 64, 128, 256};
 constexpr std::int64_t kCin = 64;
 
-ConvExecutor& executor() {
-  static Workspace ws;
-  static ConvExecutor exec(ws);
-  return exec;
-}
-
-LaunchStats run_point(const ConvShape& s, ConvAlgorithm algo) {
+LaunchStats run_point(const ConvShape& s,
+                      const std::vector<ConvAlgorithm>& algos) {
   SimGpu gpu(MachineSpec::gtx1080ti());
-  Planner planner;  // plan_algorithm is not memoised; nothing to share
   PlannerOptions opts;
   opts.force_e = 2;  // the paper's F(2x2, 3x3) panels
-  const ConvPlan plan = planner.plan_algorithm(gpu, s, algo, opts);
-  const ConvProblem p = make_problem(s, 1);
-  return executor().execute(gpu, plan, p.input, p.weights).stats;
+  return run_planned(gpu, s, algos, 1, opts);
 }
 
 std::string key(const char* panel, std::int64_t hin, std::int64_t cout,
@@ -50,10 +40,10 @@ void register_direct_panel(std::int64_t mu) {
     for (std::int64_t hin : kHin) {
       const ConvShape s = make_shape(1, kCin, hin, cout, 3, mu, 1);
       register_point(key(panel.c_str(), hin, cout, "ours"), [s] {
-        return run_point(s, ConvAlgorithm::kDirectTiled);
+        return run_point(s, {ConvAlgorithm::kDirectTiled});
       });
       register_point(key(panel.c_str(), hin, cout, "cudnn"), [s] {
-        return run_point(s, ConvAlgorithm::kCudnnDirect);
+        return run_point(s, kCudnnBaselinePair);
       });
     }
   }
@@ -64,10 +54,10 @@ void register_winograd_panel() {
     for (std::int64_t hin : kHin) {
       const ConvShape s = make_shape(1, kCin, hin, cout, 3, 1, 1);
       register_point(key("wino", hin, cout, "ours"), [s] {
-        return run_point(s, ConvAlgorithm::kWinogradFused);
+        return run_point(s, {ConvAlgorithm::kWinogradFused});
       });
       register_point(key("wino", hin, cout, "cudnn"), [s] {
-        return run_point(s, ConvAlgorithm::kWinogradPhased);
+        return run_point(s, {ConvAlgorithm::kWinogradPhased});
       });
     }
   }

@@ -30,10 +30,7 @@ void register_all() {
       });
       register_point(key(hin, batch, "cudnn"), [s] {
         SimGpu gpu(MachineSpec::gtx1080ti());
-        const ConvProblem p = make_problem(s, 1);
-        return run_conv(gpu, ConvAlgorithm::kCudnnDirect, p.input, p.weights,
-                        s)
-            .stats;
+        return run_planned(gpu, s, kCudnnBaselinePair, 1);
       });
     }
   }

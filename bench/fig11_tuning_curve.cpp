@@ -131,11 +131,8 @@ void register_all() {
       const ConvShape s = conv1();
 
       // cuDNN-like baseline reference line.
-      const ConvProblem p = make_problem(s, 7);
-      const auto base =
-          run_conv(gpu, ConvAlgorithm::kCudnnDirect, p.input, p.weights, s);
-      g_baseline_gflops =
-          static_cast<double>(s.flops()) / base.stats.sim_time / 1e9;
+      const LaunchStats base = run_planned(gpu, s, kCudnnBaselinePair, 7);
+      g_baseline_gflops = static_cast<double>(s.flops()) / base.sim_time / 1e9;
 
       DomainOptions ours_opts;   // pruned
       DomainOptions tvm_opts;    // unpruned (TVM-like space)

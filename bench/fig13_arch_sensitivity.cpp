@@ -58,17 +58,13 @@ double tuned_gflops(SimGpu& gpu, const Case& c, bool prune) {
 }
 
 double vendor_gflops(SimGpu& gpu, const Case& c) {
-  const ConvProblem p = make_problem(c.shape, 5);
-  Tensor4<float> out(c.shape.batch, c.shape.cout, c.shape.hout(),
-                     c.shape.wout());
-  LaunchStats stats;
-  if (c.winograd) {
-    stats = winograd_phased_sim(gpu, p.input, p.weights, c.shape, 2, out);
-  } else {
-    stats = run_conv(gpu, ConvAlgorithm::kCudnnDirect, p.input, p.weights,
-                     c.shape)
-                .stats;
-  }
+  PlannerOptions opts;
+  opts.force_e = 2;
+  const LaunchStats stats = run_planned(
+      gpu, c.shape,
+      c.winograd ? std::vector<ConvAlgorithm>{ConvAlgorithm::kWinogradPhased}
+                 : kCudnnBaselinePair,
+      5, opts);
   return static_cast<double>(c.shape.flops()) / stats.sim_time / 1e9;
 }
 

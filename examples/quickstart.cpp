@@ -28,9 +28,13 @@ int main() {
 
   // Our dataflow (Section 5.2), configured by the optimality condition.
   const ConvResult ours = conv2d(gpu, p.input, p.weights, s);
-  // cuDNN-like baseline: best of {naive direct, im2col+GEMM}.
-  const ConvResult base =
-      run_conv(gpu, ConvAlgorithm::kCudnnDirect, p.input, p.weights, s);
+  // cuDNN-like baseline: best of {naive direct, im2col+GEMM}, planned and
+  // executed like any other plan.
+  Planner planner;
+  const ConvPlan base_plan =
+      planner.plan_algorithm(gpu, s, kCudnnBaselinePair, PlannerOptions{});
+  ConvResult base{Tensor4<float>(s.batch, s.cout, s.hout(), s.wout()), {}};
+  base.stats = run_plan(gpu, base_plan, p.input, p.weights, base.output);
 
   // Verify both against the naive host reference.
   const Tensor4<float> expect = conv2d_ref(p.input, p.weights, s);

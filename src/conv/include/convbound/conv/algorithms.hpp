@@ -1,4 +1,7 @@
-// Unified entry point over all convolution implementations.
+// The convolution algorithm enum, its capability query and the analytic
+// default configurations of the tunable dataflows. Plans (the planner's
+// output) name an algorithm; `run_plan` (plan/executor.hpp) is the one
+// dispatch onto the kernels.
 #pragma once
 
 #include <string>
@@ -13,8 +16,6 @@ enum class ConvAlgorithm {
   kDirectTiled,     ///< paper dataflow, Section 5.2 (tunable)
   kDirectNaive,     ///< generic direct kernel (baseline component)
   kIm2col,          ///< im2col + GEMM (baseline component)
-  kCudnnDirect,     ///< best of {kDirectNaive, kIm2col} — the paper's cuDNN
-                    ///< direct-convolution comparison point
   kWinogradFused,   ///< paper dataflow, Section 5.3 (tunable)
   kWinogradPhased,  ///< cuDNN-style Winograd baseline
 };
@@ -26,19 +27,6 @@ std::string to_string(ConvAlgorithm algo);
 /// stride 1 and groups == 1; im2col needs groups == 1; the direct paths
 /// take anything. Callers (planner, CLI, benches) must not re-derive these.
 bool algorithm_supports(ConvAlgorithm algo, const ConvShape& s);
-
-struct ConvResult {
-  Tensor4<float> output;
-  LaunchStats stats;
-};
-
-/// Runs `algo` on the simulated machine. `cfg` is honoured by the tunable
-/// algorithms and ignored by the baselines; `e` selects the Winograd
-/// variant F(e x e, r x r).
-ConvResult run_conv(SimGpu& gpu, ConvAlgorithm algo,
-                    const Tensor4<float>& input, const Tensor4<float>& weights,
-                    const ConvShape& s, const ConvConfig& cfg = {},
-                    std::int64_t e = 2);
 
 /// Default untuned-but-sane config for the tiled dataflow: the optimality
 /// condition tile x*y = R*z under the budget S_sm/(2 * elements).

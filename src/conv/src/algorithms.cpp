@@ -12,7 +12,6 @@ std::string to_string(ConvAlgorithm algo) {
     case ConvAlgorithm::kDirectTiled: return "direct-tiled(ours)";
     case ConvAlgorithm::kDirectNaive: return "direct-naive";
     case ConvAlgorithm::kIm2col: return "im2col+gemm";
-    case ConvAlgorithm::kCudnnDirect: return "cudnn-direct(best-of)";
     case ConvAlgorithm::kWinogradFused: return "winograd-fused(ours)";
     case ConvAlgorithm::kWinogradPhased: return "winograd-phased";
   }
@@ -34,51 +33,9 @@ bool algorithm_supports(ConvAlgorithm algo, const ConvShape& s) {
       return s.groups == 1;
     case ConvAlgorithm::kDirectTiled:
     case ConvAlgorithm::kDirectNaive:
-    case ConvAlgorithm::kCudnnDirect:
       return true;
   }
   return false;
-}
-
-ConvResult run_conv(SimGpu& gpu, ConvAlgorithm algo,
-                    const Tensor4<float>& input, const Tensor4<float>& weights,
-                    const ConvShape& s, const ConvConfig& cfg,
-                    std::int64_t e) {
-  s.validate();
-  ConvResult res{Tensor4<float>(s.batch, s.cout, s.hout(), s.wout()), {}};
-  switch (algo) {
-    case ConvAlgorithm::kDirectTiled:
-      res.stats = direct_tiled_sim(gpu, input, weights, s, cfg, res.output);
-      break;
-    case ConvAlgorithm::kDirectNaive:
-      res.stats = direct_naive_sim(gpu, input, weights, s, res.output);
-      break;
-    case ConvAlgorithm::kIm2col:
-      res.stats = im2col_sim(gpu, input, weights, s, res.output);
-      break;
-    case ConvAlgorithm::kCudnnDirect: {
-      // cuDNN picks the better of its direct implementations per shape
-      // (paper Section 7: "we compare with the best one of two direct
-      // implementations in cuDNN"). Grouped shapes only have the direct
-      // path.
-      ConvResult naive{Tensor4<float>(s.batch, s.cout, s.hout(), s.wout()),
-                       {}};
-      naive.stats = direct_naive_sim(gpu, input, weights, s, naive.output);
-      if (s.groups > 1) return naive;
-      ConvResult i2c{Tensor4<float>(s.batch, s.cout, s.hout(), s.wout()), {}};
-      i2c.stats = im2col_sim(gpu, input, weights, s, i2c.output);
-      return naive.stats.sim_time <= i2c.stats.sim_time ? std::move(naive)
-                                                        : std::move(i2c);
-    }
-    case ConvAlgorithm::kWinogradFused:
-      res.stats =
-          winograd_fused_sim(gpu, input, weights, s, e, cfg, res.output);
-      break;
-    case ConvAlgorithm::kWinogradPhased:
-      res.stats = winograd_phased_sim(gpu, input, weights, s, e, res.output);
-      break;
-  }
-  return res;
 }
 
 ConvConfig default_tiled_config(const ConvShape& s, const MachineSpec& spec) {

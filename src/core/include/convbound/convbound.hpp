@@ -17,8 +17,6 @@
 #include "convbound/cluster/cluster.hpp"
 #include "convbound/conv/algorithms.hpp"
 #include "convbound/conv/reference.hpp"
-#include "convbound/fft/fft.hpp"
-#include "convbound/fft/fft_conv.hpp"
 #include "convbound/gemm/gemm.hpp"
 #include "convbound/machine/machine_spec.hpp"
 #include "convbound/machine/sim_gpu.hpp"
@@ -44,6 +42,12 @@
 #include "convbound/util/table.hpp"
 
 namespace convbound {
+
+/// An executed convolution: the output tensor and the launch statistics.
+struct ConvResult {
+  Tensor4<float> output;
+  LaunchStats stats;
+};
 
 /// Highest-level convenience: runs the best of our dataflows for `s` with
 /// analytically derived default configurations (no tuning pass) and returns

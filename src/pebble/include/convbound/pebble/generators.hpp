@@ -70,9 +70,4 @@ Dag winograd_dag(const WinogradDagShape& shape,
 Dag matmul_dag(std::int64_t m, std::int64_t k, std::int64_t n,
                std::int64_t tile_m = 1, std::int64_t tile_n = 1);
 
-/// n-point radix-2 FFT butterfly network (n a power of two): log2(n) stages,
-/// every stage-s vertex depends on partners i and i xor 2^s. The second
-/// classic Hong-Kung testbed (Q = Omega(n log n / log S)).
-Dag fft_dag(std::int64_t n);
-
 }  // namespace convbound

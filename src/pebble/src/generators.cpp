@@ -242,23 +242,4 @@ Dag matmul_dag(std::int64_t m, std::int64_t k, std::int64_t n,
   return b.build();
 }
 
-Dag fft_dag(std::int64_t n) {
-  CB_CHECK_MSG(n >= 2 && (n & (n - 1)) == 0, "FFT size must be a power of 2");
-  DagBuilder b;
-  std::vector<VertexId> stage(static_cast<std::size_t>(n));
-  for (auto& v : stage) v = b.add_input();
-  for (std::int64_t half = 1; half < n; half <<= 1) {
-    std::vector<VertexId> next(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      const std::int64_t partner = i ^ half;
-      next[static_cast<std::size_t>(i)] =
-          b.add_vertex({stage[static_cast<std::size_t>(i)],
-                        stage[static_cast<std::size_t>(partner)]});
-    }
-    stage = std::move(next);
-  }
-  for (VertexId v : stage) b.mark_output(v);
-  return b.build();
-}
-
 }  // namespace convbound

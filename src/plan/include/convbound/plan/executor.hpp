@@ -6,9 +6,9 @@
 
 namespace convbound {
 
-/// Stateless plan dispatch: runs plan.algorithm with plan.config / plan.e on
-/// `gpu`, writing into the caller-shaped `out`. The plan must be concrete
-/// (kCudnnDirect is resolved by the planner, never executed).
+/// Stateless plan dispatch, the one place an algorithm meets its kernel:
+/// runs plan.algorithm with plan.config / plan.e on `gpu`, writing into the
+/// caller-shaped `out`.
 LaunchStats run_plan(SimGpu& gpu, const ConvPlan& plan,
                      const Tensor4<float>& input,
                      const Tensor4<float>& weights, Tensor4<float>& out);

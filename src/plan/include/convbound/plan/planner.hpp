@@ -48,6 +48,13 @@ enum class CandidateSet {
   kBaseline,  ///< cuDNN-like: naive direct, im2col+GEMM, phased Winograd
 };
 
+/// The paper's Section 7 baseline, "the best of two direct implementations
+/// in cuDNN": a best-of over these two kernels for plan_algorithm, not an
+/// algorithm of its own. Naive comes first, so it wins ties; grouped shapes
+/// leave only naive (im2col needs groups == 1).
+inline const std::vector<ConvAlgorithm> kCudnnBaselinePair = {
+    ConvAlgorithm::kDirectNaive, ConvAlgorithm::kIm2col};
+
 struct PlannerOptions {
   PlanMode mode = PlanMode::kMeasured;
   CandidateSet candidates = CandidateSet::kOurs;
@@ -103,11 +110,14 @@ class Planner {
   /// options).
   ConvPlan plan(SimGpu& gpu, const ConvShape& s, const PlannerOptions& opts);
 
-  /// Plans a specific algorithm instead of competing the whole set (the
-  /// per-panel benches). kCudnnDirect resolves to the measured best of its
-  /// two concrete implementations, so the returned plan is always directly
-  /// executable.
-  ConvPlan plan_algorithm(SimGpu& gpu, const ConvShape& s, ConvAlgorithm algo,
+  /// Plans the given algorithms instead of competing a CandidateSet (the
+  /// per-panel benches, CLI `run`); not memoised. One algorithm is planned
+  /// as asked, with no dry run; it must support `s`. Several are a best-of
+  /// such as kCudnnBaselinePair, as cuDNN's find phase does: the ones that
+  /// support `s` are dry-run unless opts.mode is kAnalytic, and the lowest
+  /// time wins, the earlier algorithm on ties.
+  ConvPlan plan_algorithm(SimGpu& gpu, const ConvShape& s,
+                          const std::vector<ConvAlgorithm>& algos,
                           const PlannerOptions& opts);
 
   TuneCache* cache() const { return cache_; }
@@ -117,6 +127,15 @@ class Planner {
   PlanCandidate make_candidate(SimGpu& gpu, const ConvShape& s,
                                ConvAlgorithm algo, std::int64_t e,
                                const PlannerOptions& opts, bool dry_run);
+  /// The one best-of: scores every algorithm of `algos` that supports `s`,
+  /// best first (stable, so earlier algorithms win ties); infeasible
+  /// candidates sort last.
+  std::vector<PlanCandidate> rank(SimGpu& gpu, const ConvShape& s,
+                                  const std::vector<ConvAlgorithm>& algos,
+                                  const PlannerOptions& opts, bool dry_run);
+  /// The front of a ranking as a plan; throws when nothing is feasible.
+  ConvPlan best_plan(const ConvShape& s,
+                     const std::vector<PlanCandidate>& ranked) const;
   ConvPlan to_plan(const ConvShape& s, const PlanCandidate& c) const;
 
   TuneCache* cache_;

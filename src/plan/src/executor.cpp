@@ -28,13 +28,8 @@ LaunchStats dispatch_plan(SimGpu& gpu, const ConvPlan& plan,
                                 out);
     case ConvAlgorithm::kWinogradPhased:
       return winograd_phased_sim(gpu, input, weights, s, plan.e, out);
-    case ConvAlgorithm::kCudnnDirect:
-      break;  // falls through to the check below
   }
-  CB_CHECK_MSG(false, "plan holds non-executable algorithm "
-                          << to_string(plan.algorithm)
-                          << " (the planner resolves best-of aliases)");
-  return {};
+  return {};  // unreachable: every ConvAlgorithm has a kernel
 }
 
 }  // namespace

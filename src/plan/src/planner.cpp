@@ -78,8 +78,6 @@ double predicted_io_elems(const ConvShape& s, ConvAlgorithm algo,
       return static_cast<double>(s.input_elems()) +
              static_cast<double>(s.weight_elems()) + 2.0 * (u + v + m) + out;
     }
-    case ConvAlgorithm::kCudnnDirect:
-      break;
   }
   return 0;
 }
@@ -246,22 +244,14 @@ ConvPlan Planner::to_plan(const ConvShape& s, const PlanCandidate& c) const {
   return p;
 }
 
-std::vector<PlanCandidate> Planner::enumerate(SimGpu& gpu, const ConvShape& s,
-                                              const PlannerOptions& opts) {
-  s.validate();
-  const std::vector<ConvAlgorithm> algos =
-      eligible_algorithms(opts.candidates, s);
-  CB_CHECK_MSG(!algos.empty(),
-               "no eligible algorithm for " << s.to_string());
-  const bool dry_run = opts.mode != PlanMode::kAnalytic;
-
+std::vector<PlanCandidate> Planner::rank(
+    SimGpu& gpu, const ConvShape& s, const std::vector<ConvAlgorithm>& algos,
+    const PlannerOptions& opts, bool dry_run) {
   std::vector<PlanCandidate> cands;
   for (ConvAlgorithm algo : algos) {
-    std::int64_t e = 2;
-    if (is_winograd(algo)) {
-      e = winograd_e(s, gpu.spec(), opts.force_e);
-      if (e == 0) continue;
-    }
+    if (!algorithm_supports(algo, s)) continue;
+    const std::int64_t e =
+        is_winograd(algo) ? winograd_e(s, gpu.spec(), opts.force_e) : 2;
     cands.push_back(make_candidate(gpu, s, algo, e, opts, dry_run));
   }
   std::stable_sort(cands.begin(), cands.end(),
@@ -270,6 +260,20 @@ std::vector<PlanCandidate> Planner::enumerate(SimGpu& gpu, const ConvShape& s,
                      return a.predicted_seconds < b.predicted_seconds;
                    });
   return cands;
+}
+
+ConvPlan Planner::best_plan(const ConvShape& s,
+                            const std::vector<PlanCandidate>& ranked) const {
+  CB_CHECK_MSG(!ranked.empty() && !ranked.front().infeasible,
+               "no feasible plan for " << s.to_string());
+  return to_plan(s, ranked.front());
+}
+
+std::vector<PlanCandidate> Planner::enumerate(SimGpu& gpu, const ConvShape& s,
+                                              const PlannerOptions& opts) {
+  s.validate();
+  return rank(gpu, s, eligible_algorithms(opts.candidates, s), opts,
+              opts.mode != PlanMode::kAnalytic);
 }
 
 ConvPlan Planner::plan(SimGpu& gpu, const ConvShape& s,
@@ -282,10 +286,7 @@ ConvPlan Planner::plan(SimGpu& gpu, const ConvShape& s,
   // Planning (dry runs, autotuning) happens outside the lock; when two
   // threads race on the same cold shape, the first emplace wins and both
   // return the memoised plan.
-  const std::vector<PlanCandidate> cands = enumerate(gpu, s, opts);
-  CB_CHECK_MSG(!cands.empty() && !cands.front().infeasible,
-               "no feasible plan for " << s.to_string());
-  const ConvPlan p = to_plan(s, cands.front());
+  const ConvPlan p = best_plan(s, enumerate(gpu, s, opts));
   MutexLock lock(memo_mu_);
   return memo_.emplace(key, p).first->second;
 }
@@ -296,37 +297,15 @@ std::size_t Planner::plans_memoised() const {
 }
 
 ConvPlan Planner::plan_algorithm(SimGpu& gpu, const ConvShape& s,
-                                 ConvAlgorithm algo,
+                                 const std::vector<ConvAlgorithm>& algos,
                                  const PlannerOptions& opts) {
   s.validate();
-  if (algo == ConvAlgorithm::kCudnnDirect) {
-    // Resolve the best-of alias to a concrete winner, as cuDNN's find
-    // phase does (paper Section 7).
-    PlanCandidate best;
-    bool have = false;
-    for (ConvAlgorithm cand :
-         {ConvAlgorithm::kDirectNaive, ConvAlgorithm::kIm2col}) {
-      if (!algorithm_supports(cand, s)) continue;
-      PlanCandidate c = make_candidate(gpu, s, cand, 2, opts,
-                                       opts.mode != PlanMode::kAnalytic);
-      if (c.infeasible) continue;
-      if (!have || c.predicted_seconds < best.predicted_seconds) {
-        best = c;
-        have = true;
-      }
-    }
-    CB_CHECK_MSG(have, "no feasible direct baseline for " << s.to_string());
-    return to_plan(s, best);
-  }
-
-  CB_CHECK_MSG(algorithm_supports(algo, s),
-               to_string(algo) << " does not support " << s.to_string());
-  std::int64_t e = 2;
-  if (is_winograd(algo)) {
-    e = winograd_e(s, gpu.spec(), opts.force_e);
-    CB_CHECK_MSG(e > 0, "no Winograd transform for " << s.to_string());
-  }
-  return to_plan(s, make_candidate(gpu, s, algo, e, opts, false));
+  CB_CHECK_MSG(algos.size() != 1 || algorithm_supports(algos.front(), s),
+               to_string(algos.front()) << " does not support "
+                                        << s.to_string());
+  return best_plan(s, rank(gpu, s, algos, opts,
+                           algos.size() > 1 &&
+                               opts.mode != PlanMode::kAnalytic));
 }
 
 }  // namespace convbound

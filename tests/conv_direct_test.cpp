@@ -242,26 +242,7 @@ TEST(DirectTiled, SmemBudgetEnforced) {
                Error);
 }
 
-TEST(RunConv, DispatchesAllAlgorithms) {
-  const ConvShape s = shape(1, 4, 10, 4, 3, 1, 1);
-  const ConvProblem prob = make_problem(s, 77);
-  const Tensor4<float> expect = conv2d_ref(prob.input, prob.weights, s);
-  SimGpu gpu(MachineSpec::v100());
-  for (ConvAlgorithm algo :
-       {ConvAlgorithm::kDirectTiled, ConvAlgorithm::kDirectNaive,
-        ConvAlgorithm::kIm2col, ConvAlgorithm::kCudnnDirect,
-        ConvAlgorithm::kWinogradFused, ConvAlgorithm::kWinogradPhased}) {
-    ASSERT_TRUE(algorithm_supports(algo, s));
-    const ConvConfig c = algo == ConvAlgorithm::kWinogradFused
-                             ? default_winograd_config(s, 2, gpu.spec())
-                             : default_tiled_config(s, gpu.spec());
-    const ConvResult r = run_conv(gpu, algo, prob.input, prob.weights, s, c);
-    EXPECT_TRUE(allclose(expect, r.output, 1e-3, 1e-3)) << to_string(algo);
-    EXPECT_GT(r.stats.sim_time, 0) << to_string(algo);
-  }
-}
-
-TEST(RunConv, WinogradUnsupportedForStride2) {
+TEST(AlgorithmSupports, WinogradUnsupportedForStride2) {
   const ConvShape s = shape(1, 4, 10, 4, 3, 2, 1);
   EXPECT_FALSE(algorithm_supports(ConvAlgorithm::kWinogradFused, s));
   EXPECT_TRUE(algorithm_supports(ConvAlgorithm::kDirectTiled, s));

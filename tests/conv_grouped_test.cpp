@@ -121,17 +121,7 @@ TEST(GroupedDispatch, UnsupportedAlgorithmsDeclineGroups) {
   EXPECT_FALSE(algorithm_supports(ConvAlgorithm::kIm2col, s));
   EXPECT_FALSE(algorithm_supports(ConvAlgorithm::kWinogradFused, s));
   EXPECT_TRUE(algorithm_supports(ConvAlgorithm::kDirectTiled, s));
-  EXPECT_TRUE(algorithm_supports(ConvAlgorithm::kCudnnDirect, s));
-}
-
-TEST(GroupedDispatch, CudnnBestOfRunsGrouped) {
-  const ConvShape s = gshape(4, 8, 4, 4);
-  const ConvProblem p = make_problem(s, 73);
-  const Tensor4<float> expect = conv2d_ref(p.input, p.weights, s);
-  SimGpu gpu(MachineSpec::v100());
-  const ConvResult r =
-      run_conv(gpu, ConvAlgorithm::kCudnnDirect, p.input, p.weights, s);
-  EXPECT_TRUE(allclose(expect, r.output, 1e-3, 1e-3));
+  EXPECT_TRUE(algorithm_supports(ConvAlgorithm::kDirectNaive, s));
 }
 
 TEST(GroupedBounds, DepthwiseBoundBelowDense) {

@@ -231,11 +231,11 @@ TEST(WinogradFused, RejectsTilesAboveEight) {
   Planner planner;
   EXPECT_THROW(planner.plan(gpu, s, opts), Error);
   EXPECT_THROW(
-      planner.plan_algorithm(gpu, s, ConvAlgorithm::kWinogradFused, opts),
+      planner.plan_algorithm(gpu, s, {ConvAlgorithm::kWinogradFused}, opts),
       Error);
   opts.force_e = 2;  // F(2,7): a = 8 still plans
   EXPECT_NO_THROW(
-      planner.plan_algorithm(gpu, s, ConvAlgorithm::kWinogradFused, opts));
+      planner.plan_algorithm(gpu, s, {ConvAlgorithm::kWinogradFused}, opts));
 }
 
 }  // namespace

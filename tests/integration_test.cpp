@@ -106,13 +106,18 @@ TEST(Integration, SpeedupShapeDirectVsCudnn) {
   s.kh = s.kw = 3;
   s.pad = 1;
   const ConvProblem p = make_problem(s, 9);
-  const ConvConfig cfg = default_tiled_config(s, gpu.spec());
-  const ConvResult ours =
-      run_conv(gpu, ConvAlgorithm::kDirectTiled, p.input, p.weights, s, cfg);
-  const ConvResult base =
-      run_conv(gpu, ConvAlgorithm::kCudnnDirect, p.input, p.weights, s);
-  EXPECT_LT(ours.stats.sim_time, base.stats.sim_time);
-  EXPECT_TRUE(allclose(ours.output, base.output, 1e-3, 1e-3));
+  Planner planner;
+  const PlannerOptions opts;
+  Tensor4<float> ours(s.batch, s.cout, s.hout(), s.wout());
+  Tensor4<float> base(s.batch, s.cout, s.hout(), s.wout());
+  const LaunchStats ours_stats = run_plan(
+      gpu, planner.plan_algorithm(gpu, s, {ConvAlgorithm::kDirectTiled}, opts),
+      p.input, p.weights, ours);
+  const LaunchStats base_stats = run_plan(
+      gpu, planner.plan_algorithm(gpu, s, kCudnnBaselinePair, opts), p.input,
+      p.weights, base);
+  EXPECT_LT(ours_stats.sim_time, base_stats.sim_time);
+  EXPECT_TRUE(allclose(ours, base, 1e-3, 1e-3));
 }
 
 TEST(Integration, WinogradTradesIoForFlops) {

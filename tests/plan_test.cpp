@@ -228,6 +228,70 @@ TEST(Workspace, SecondInferencePassAllocatesNothing) {
 
 // ---------------------------------------------------------- executor -----
 
+TEST(RunPlan, DispatchesAllAlgorithms) {
+  const ConvShape s = shape(4, 10, 4, 3, 1, 1);
+  const ConvProblem prob = make_problem(s, 77);
+  const Tensor4<float> expect = conv2d_ref(prob.input, prob.weights, s);
+  SimGpu gpu(MachineSpec::v100());
+  Planner planner;
+  PlannerOptions opts;
+  opts.force_e = 2;
+  for (ConvAlgorithm algo :
+       {ConvAlgorithm::kDirectTiled, ConvAlgorithm::kDirectNaive,
+        ConvAlgorithm::kIm2col, ConvAlgorithm::kWinogradFused,
+        ConvAlgorithm::kWinogradPhased}) {
+    const ConvPlan plan = planner.plan_algorithm(gpu, s, {algo}, opts);
+    EXPECT_EQ(plan.algorithm, algo);
+    EXPECT_FALSE(plan.measured) << to_string(algo);  // no dry run
+    Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
+    const LaunchStats stats =
+        run_plan(gpu, plan, prob.input, prob.weights, out);
+    EXPECT_TRUE(allclose(expect, out, 1e-3, 1e-3)) << to_string(algo);
+    EXPECT_GT(stats.sim_time, 0) << to_string(algo);
+  }
+  // A single algorithm that cannot run the shape is an error, not a
+  // fallback.
+  EXPECT_THROW(planner.plan_algorithm(gpu, shape(4, 10, 4, 3, 2, 1),
+                                      {ConvAlgorithm::kWinogradFused}, opts),
+               Error);
+}
+
+// The paper's cuDNN baseline is a best-of over naive and im2col: the plan
+// is whichever has the lower executed time (naive on ties), and grouped
+// shapes, which im2col cannot run, plan naive.
+TEST(BestOf, CudnnBaselinePairPlansTheFasterDirectKernel) {
+  SimGpu gpu(MachineSpec::v100());
+  Planner planner;
+  for (const ConvShape& s : {shape(4, 8, 4, 3, 1, 1, 4),  // grouped
+                             shape(8, 12, 8, 3, 1, 1),    // dense
+                             shape(16, 20, 32, 3, 2, 1)}) {
+    const ConvProblem p = make_problem(s, 73);
+    const Tensor4<float> expect = conv2d_ref(p.input, p.weights, s);
+    const ConvPlan plan =
+        planner.plan_algorithm(gpu, s, kCudnnBaselinePair, PlannerOptions{});
+    EXPECT_TRUE(plan.measured);
+
+    ConvAlgorithm want = ConvAlgorithm::kDirectNaive;
+    if (s.groups == 1) {
+      double t[2];
+      for (int i = 0; i < 2; ++i) {
+        Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
+        t[i] = run_plan(gpu,
+                        planner.plan_algorithm(gpu, s, {kCudnnBaselinePair[i]},
+                                               PlannerOptions{}),
+                        p.input, p.weights, out)
+                   .sim_time;
+      }
+      if (t[1] < t[0]) want = ConvAlgorithm::kIm2col;
+    }
+    EXPECT_EQ(plan.algorithm, want) << s.to_string();
+
+    Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
+    run_plan(gpu, plan, p.input, p.weights, out);
+    EXPECT_TRUE(allclose(expect, out, 1e-3, 1e-3)) << s.to_string();
+  }
+}
+
 TEST(Executor, ExecuteIntoMatchesLeasedExecution) {
   SimGpu gpu(MachineSpec::v100());
   const ConvShape s = shape(4, 11, 6, 3, 1, 1);

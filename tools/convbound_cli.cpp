@@ -83,7 +83,8 @@
 //
 // Machines: 1080ti, titanx, v100 (default), gfx906, hbm, dense, test.
 // Models: squeezenet, vgg-19, resnet-18, resnet-34, inception-v3, mobilenet.
-// Algorithms: tiled (default), naive, im2col, cudnn, winograd, phased, fft.
+// Algorithms (run --algo): tiled (default), naive, im2col, winograd, phased,
+//   and cudnn, the best of naive and im2col (the paper's Section 7 baseline).
 #include <atomic>
 #include <cctype>
 #include <cerrno>
@@ -196,33 +197,24 @@ int cmd_run(const Args& a) {
   const ConvShape s = shape_from(a);
   SimGpu gpu(spec_by_name(a.gets("machine", "v100")));
   const std::string algo_name = a.gets("algo", "tiled");
+  const std::map<std::string, std::vector<ConvAlgorithm>> algos = {
+      {"tiled", {ConvAlgorithm::kDirectTiled}},
+      {"naive", {ConvAlgorithm::kDirectNaive}},
+      {"im2col", {ConvAlgorithm::kIm2col}},
+      {"cudnn", kCudnnBaselinePair},
+      {"winograd", {ConvAlgorithm::kWinogradFused}},
+      {"phased", {ConvAlgorithm::kWinogradPhased}}};
+  const auto it = algos.find(algo_name);
+  if (it == algos.end())
+    throw Error("unknown algorithm '" + algo_name +
+                "' (tiled|naive|im2col|cudnn|winograd|phased)");
+  PlannerOptions opts;
+  opts.force_e = 2;  // F(2x2, r x r), as the paper's Winograd panels
+  Planner planner;
+  const ConvPlan plan = planner.plan_algorithm(gpu, s, it->second, opts);
   const ConvProblem p = make_problem(s, a.geti("seed", 1));
   Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
-
-  LaunchStats stats;
-  if (algo_name == "fft") {
-    stats = fft_conv_sim(gpu, p.input, p.weights, s, out);
-  } else {
-    const std::map<std::string, ConvAlgorithm> algos = {
-        {"tiled", ConvAlgorithm::kDirectTiled},
-        {"naive", ConvAlgorithm::kDirectNaive},
-        {"im2col", ConvAlgorithm::kIm2col},
-        {"cudnn", ConvAlgorithm::kCudnnDirect},
-        {"winograd", ConvAlgorithm::kWinogradFused},
-        {"phased", ConvAlgorithm::kWinogradPhased}};
-    const auto it = algos.find(algo_name);
-    CB_CHECK_MSG(it != algos.end(), "unknown algorithm '" << algo_name << "'");
-    CB_CHECK_MSG(algorithm_supports(it->second, s),
-                 to_string(it->second) << " does not support "
-                                       << s.to_string());
-    const ConvConfig cfg =
-        it->second == ConvAlgorithm::kWinogradFused
-            ? default_winograd_config(s, 2, gpu.spec())
-            : default_tiled_config(s, gpu.spec());
-    ConvResult r = run_conv(gpu, it->second, p.input, p.weights, s, cfg);
-    stats = r.stats;
-    out = std::move(r.output);
-  }
+  const LaunchStats stats = run_plan(gpu, plan, p.input, p.weights, out);
   // Verify against the reference oracle.
   const Tensor4<float> expect = conv2d_ref(p.input, p.weights, s);
   const bool ok = allclose(expect, out, 1e-3, 1e-3);
@@ -231,14 +223,16 @@ int cmd_run(const Args& a) {
   std::printf("  correct:   %s\n", ok ? "yes" : "NO  <-- bug!");
   std::printf("  sim time:  %.3f us\n", stats.sim_time * 1e6);
   std::printf("  GFlops:    %.0f\n", stats.gflops());
-  // Exact Thm 4.12 can be vacuous (zero) at small scales; fall back to the
-  // leading term so the ratio stays informative.
-  const double S = static_cast<double>(gpu.spec().smem_floats());
-  const double bound = std::max(direct_conv_lower_bound(s, S),
-                                direct_conv_lower_bound_leading(s, S));
-  std::printf("  I/O:       %.3f MB (%.1fx the Thm 4.12 bound)\n",
+  // The plan's bound is its algorithm family's (direct Thm 4.12 or
+  // Winograd Thm 4.20), floored by the leading term where the exact form is
+  // vacuous at small scales.
+  const bool wino = plan.algorithm == ConvAlgorithm::kWinogradFused ||
+                    plan.algorithm == ConvAlgorithm::kWinogradPhased;
+  std::printf("  I/O:       %.3f MB (%.1fx the %s bound)\n",
               static_cast<double>(stats.bytes_total()) / 1e6,
-              static_cast<double>(stats.bytes_total()) / 4.0 / bound);
+              static_cast<double>(stats.bytes_total()) / 4.0 /
+                  plan.lower_bound_elems,
+              wino ? "Thm 4.20" : "Thm 4.12");
   return ok ? 0 : 1;
 }
 
