@@ -175,11 +175,13 @@ enum class ExecMode {
   /// Blocks cut into contiguous chunks (about four per pool thread) that
   /// the pool workers and the calling thread claim dynamically, so a launch
   /// from inside a pool task is safe. Default; right for running a single
-  /// kernel as fast as possible.
+  /// kernel as fast as possible. BatchMeasurer's replicas use it too, so
+  /// idle threads help with whichever candidates are still running.
   kStriped,
-  /// All blocks drained on the calling thread. Used by the batched tuning
-  /// pipeline, where parallelism lives at the candidate level and a striped
-  /// launch would oversubscribe the cores.
+  /// All blocks drained on the calling thread. Used by the serving
+  /// sessions, where each in-flight batch owns one worker thread, by
+  /// ServeEngine's plan lookup, which executes nothing, and as the serial
+  /// oracle that tests and benchmarks re-measure against.
   kSerial,
 };
 

@@ -1,14 +1,16 @@
 // Batch-oriented, thread-pool-parallel measurement engine.
 //
-// The serial ConvMeasurer spreads each kernel's block chunks over the pool, so
-// tuning wall-clock scales linearly with the trial budget no matter how many
-// cores the host has. BatchMeasurer flips the parallelism axis: tuners hand
-// over a whole proposal batch, and candidates are evaluated concurrently by
-// per-worker replicas — each one a serial-mode SimGpu plus a private scratch
-// output — over shared immutable problem tensors. Cores run one candidate
-// each instead of striping one candidate's blocks, so they are never
-// oversubscribed, and results align with the proposal order by index, which
-// keeps search traces bit-identical across worker counts.
+// The serial ConvMeasurer measures one candidate at a time, so tuning
+// wall-clock scales linearly with the trial budget. BatchMeasurer adds a
+// second parallelism axis: tuners hand over a whole proposal batch, and up to
+// `workers` candidates are in flight at once, each on its own replica — a
+// striped SimGpu on the measurer's pool plus a private scratch output — over
+// shared immutable problem tensors. Slots claim candidates dynamically, and
+// each candidate's block chunks go to whichever pool threads are idle, so a
+// batch narrower than the pool (ATE's rounds often are) or one slow candidate
+// still keeps every core busy. Counted traffic is an exact integer sum and
+// results align with the proposal order by index, which keeps search traces
+// bit-identical across worker counts.
 #pragma once
 
 #include <atomic>
@@ -21,8 +23,10 @@ namespace convbound {
 
 class BatchMeasurer : public Measurer {
  public:
-  /// `workers` = number of measurement replicas; 0 means one per pool
-  /// thread. `pool` defaults to the process-global pool.
+  /// `workers` = number of measurement replicas, the most candidates in
+  /// flight at once; 0 means one per pool thread, negative throws Error.
+  /// `pool` (default: the process-global pool) runs both the candidate slots
+  /// and each replica's striped launches.
   BatchMeasurer(const MachineSpec& spec, const SearchDomain& domain,
                 std::uint64_t seed = 42, int workers = 0,
                 ThreadPool* pool = nullptr);
@@ -41,8 +45,8 @@ class BatchMeasurer : public Measurer {
   struct Worker {
     SimGpu gpu;
     Tensor4<float> out;
-    Worker(const MachineSpec& spec, const ConvShape& s)
-        : gpu(spec, nullptr, ExecMode::kSerial),
+    Worker(const MachineSpec& spec, const ConvShape& s, ThreadPool* pool)
+        : gpu(spec, pool, ExecMode::kStriped),
           out(s.batch, s.cout, s.hout(), s.wout()) {}
   };
 

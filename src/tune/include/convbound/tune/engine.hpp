@@ -18,9 +18,10 @@ struct AutotuneOptions {
   bool winograd = false;
   std::int64_t e = 2;
   bool prune_with_optimality = true;
-  /// Parallel measurement workers for the batched evaluation pipeline;
-  /// 0 = one per hardware thread. The search trace is identical for any
-  /// value — workers only change wall-clock.
+  /// Most candidates the batched measurer has in flight at once; 0 = one
+  /// per thread of the SimGpu's pool, negative throws Error. Idle pool
+  /// threads also take block chunks of running candidates. The search trace
+  /// is identical for any value — workers only change wall-clock.
   int workers = 0;
   /// Strategy id for make_tuner: "ate" (default) | "bnb" | "sa" | "ga" |
   /// "random".

@@ -4,7 +4,10 @@
 // through BatchMeasurer with any worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 
 #include "convbound/conv/algorithms.hpp"
@@ -77,15 +80,10 @@ TEST_P(ParallelDeterminism, HistoryIndependentOfWorkerCount) {
 INSTANTIATE_TEST_SUITE_P(AllTuners, ParallelDeterminism,
                          ::testing::Values("random", "sa", "ga", "ate"));
 
-TEST(BatchMeasurer, MatchesSerialMeasurementsExactly) {
-  SimGpu gpu(MachineSpec::v100());
-  const auto domain = SearchDomain::build(small_shape(), gpu.spec());
-  ConvMeasurer serial(gpu, domain, 5);
-  BatchMeasurer batched(gpu.spec(), domain, 5, 4);
-
-  Rng rng(9);
-  std::vector<ConvConfig> cfgs;
-  for (int i = 0; i < 12; ++i) cfgs.push_back(domain.sample(rng));
+// Every batched measurement equals its serial ConvMeasurer counterpart.
+void expect_matches_serial(BatchMeasurer& batched, ConvMeasurer& serial,
+                           const std::vector<ConvConfig>& cfgs) {
+  const std::uint64_t trials_before = batched.trials();
   const auto ms = batched.measure_batch(cfgs);
   ASSERT_EQ(ms.size(), cfgs.size());
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
@@ -96,7 +94,91 @@ TEST(BatchMeasurer, MatchesSerialMeasurementsExactly) {
     EXPECT_EQ(ms[i].stats.bytes_stored, ref.stats.bytes_stored) << i;
     EXPECT_EQ(ms[i].stats.flops, ref.stats.flops) << i;
   }
-  EXPECT_EQ(batched.trials(), cfgs.size());
+  EXPECT_EQ(batched.trials() - trials_before, cfgs.size());
+}
+
+// A config whose tile overflows its declared shared memory.
+ConvConfig overflowing_config() {
+  ConvConfig bad;
+  bad.x = bad.y = bad.z = 16;
+  bad.smem_budget = 512;  // way too small
+  return bad;
+}
+
+TEST(BatchMeasurer, MatchesSerialMeasurementsExactly) {
+  SimGpu gpu(MachineSpec::v100());
+  const auto domain = SearchDomain::build(small_shape(), gpu.spec());
+  ConvMeasurer serial(gpu, domain, 5);
+  BatchMeasurer batched(gpu.spec(), domain, 5, 4);
+
+  Rng rng(9);
+  std::vector<ConvConfig> cfgs;
+  for (int i = 0; i < 12; ++i) cfgs.push_back(domain.sample(rng));
+  expect_matches_serial(batched, serial, cfgs);
+}
+
+// Batches narrower than, equal to and one wider than the slot count, with
+// candidates whose costs differ widely, on both kernel families.
+TEST(BatchMeasurer, NarrowMixedAndWinogradBatchesMatchSerial) {
+  SimGpu gpu(MachineSpec::v100());
+  const auto direct = SearchDomain::build(small_shape(), gpu.spec());
+  DomainOptions wopts;
+  wopts.winograd = true;
+  wopts.e = 2;
+  const auto winograd = SearchDomain::build(small_shape(), gpu.spec(), wopts);
+  ConvMeasurer direct_serial(gpu, direct, 5);
+  ConvMeasurer winograd_serial(gpu, winograd, 5);
+
+  // Direct configs ordered by tile volume, so alternating picks from both
+  // ends mix the cheapest-per-block and the largest tiles in one batch.
+  Rng rng(21);
+  std::vector<ConvConfig> by_tile;
+  for (int i = 0; i < 64; ++i) by_tile.push_back(direct.sample(rng));
+  std::sort(by_tile.begin(), by_tile.end(),
+            [](const ConvConfig& a, const ConvConfig& b) {
+              return a.tile_elems() < b.tile_elems();
+            });
+  ASSERT_LT(by_tile.front().tile_elems(), by_tile.back().tile_elems());
+  ASSERT_FALSE(direct_serial.measure(overflowing_config()).valid);
+
+  for (int workers : {1, 2, 8}) {
+    SCOPED_TRACE(workers);
+    const std::size_t wider = static_cast<std::size_t>(workers) + 1;
+    BatchMeasurer batched(gpu.spec(), direct, 5, workers);
+    expect_matches_serial(batched, direct_serial, {by_tile.back()});
+
+    std::vector<ConvConfig> mixed = {overflowing_config()};
+    for (std::size_t k = 0; mixed.size() < wider; ++k)
+      mixed.push_back(k % 2 == 0 ? by_tile[by_tile.size() - 1 - k / 2]
+                                 : by_tile[k / 2]);
+    expect_matches_serial(batched, direct_serial, mixed);
+
+    BatchMeasurer wbatched(gpu.spec(), winograd, 5, workers);
+    std::vector<ConvConfig> wcfgs;
+    while (wcfgs.size() < wider) wcfgs.push_back(winograd.sample(rng));
+    expect_matches_serial(wbatched, winograd_serial, wcfgs);
+  }
+
+  // Replicas on a caller's private pool: the default slot count follows that
+  // pool, and the results do not change.
+  ThreadPool pool(2);
+  BatchMeasurer pooled(gpu.spec(), direct, 5, 0, &pool);
+  EXPECT_EQ(pooled.workers(), 2);
+  std::vector<ConvConfig> cfgs(by_tile.begin(), by_tile.begin() + 3);
+  cfgs.push_back(by_tile.back());
+  expect_matches_serial(pooled, direct_serial, cfgs);
+}
+
+TEST(BatchMeasurer, NegativeWorkerCountThrows) {
+  SimGpu gpu(MachineSpec::v100());
+  const auto domain = SearchDomain::build(small_shape(), gpu.spec());
+  EXPECT_THROW(BatchMeasurer(gpu.spec(), domain, 5, -1), Error);
+  EXPECT_THROW(BatchMeasurer(gpu.spec(), domain, 5, -3), Error);
+
+  AutotuneOptions opts;
+  opts.budget = 4;
+  opts.workers = -3;
+  EXPECT_THROW(autotune_conv(gpu, small_shape(), opts), Error);
 }
 
 TEST(BatchMeasurer, InvalidConfigsComeBackInvalidInBatch) {
@@ -105,11 +187,8 @@ TEST(BatchMeasurer, InvalidConfigsComeBackInvalidInBatch) {
   BatchMeasurer batched(gpu.spec(), domain, 5, 2);
 
   Rng rng(3);
-  ConvConfig bad;
-  bad.x = bad.y = bad.z = 16;
-  bad.smem_budget = 512;  // way too small
-  const std::vector<ConvConfig> cfgs = {domain.sample(rng), bad,
-                                        domain.sample(rng)};
+  const std::vector<ConvConfig> cfgs = {
+      domain.sample(rng), overflowing_config(), domain.sample(rng)};
   const auto ms = batched.measure_batch(cfgs);
   EXPECT_TRUE(ms[0].valid);
   EXPECT_FALSE(ms[1].valid);
@@ -194,6 +273,35 @@ TEST(Engine, BatchedAutotuneDeterministicAcrossWorkerCounts) {
   expect_identical(one.result, eight.result, "engine");
   EXPECT_EQ(one.best_gflops, eight.best_gflops);
   EXPECT_GT(one.best_gflops, 0);
+}
+
+// The tuned warm-up chain: a pool task runs the tuner, whose candidate slots
+// run on that same pool, and each slot's striped launches nest once more.
+// It completes only if every level drains work on its own thread.
+TEST(Engine, AutotuneNestsInsidePoolTask) {
+  AutotuneOptions opts;
+  opts.budget = 8;
+  opts.seed = 6;
+  SimGpu ref_gpu(MachineSpec::v100());
+  opts.workers = 1;
+  const AutotuneOutcome ref = autotune_conv(ref_gpu, small_shape(), opts);
+  opts.workers = 0;
+
+  for (std::size_t threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    auto pool = std::make_unique<ThreadPool>(threads);
+    SimGpu gpu(MachineSpec::v100(), pool.get());
+    auto fut =
+        pool->submit([&] { return autotune_conv(gpu, small_shape(), opts); });
+    if (fut.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+      // The worker is stuck for good: joining it would hang teardown, so the
+      // pool is leaked and the process exits around it.
+      static_cast<void>(pool.release());
+      FAIL() << "autotune inside a pool task did not complete within 5 s";
+    }
+    const AutotuneOutcome out = fut.get();
+    expect_identical(ref.result, out.result, "nested");
+  }
 }
 
 TEST(ConvConfigHash, ConsistentWithEquality) {
