@@ -178,13 +178,13 @@ OverloadResult run_overload() {
   r.paid_completed = paid_it->second.completed;
   r.paid_quota_rejected = paid_it->second.quota_rejected;
   r.paid_expired = paid_it->second.expired;
-  r.paid_p50_ms = paid_it->second.latency_p50 * 1e3;
-  r.paid_p99_ms = paid_it->second.latency_p99 * 1e3;
+  r.paid_p50_ms = paid_it->second.latency.quantile(0.50) * 1e3;
+  r.paid_p99_ms = paid_it->second.latency.quantile(0.99) * 1e3;
   r.free_completed = free_it->second.completed;
   r.free_quota_rejected = free_it->second.quota_rejected;
   r.free_expired = free_it->second.expired;
-  r.free_p50_ms = free_it->second.latency_p50 * 1e3;
-  r.free_p99_ms = free_it->second.latency_p99 * 1e3;
+  r.free_p50_ms = free_it->second.latency.quantile(0.50) * 1e3;
+  r.free_p99_ms = free_it->second.latency.quantile(0.99) * 1e3;
   return r;
 }
 

@@ -66,9 +66,10 @@ struct DeviceSnapshot {
 };
 
 struct ClusterSnapshot {
-  /// Fleet-wide merge (see merge_snapshots): modelled_rps is the makespan
-  /// figure total-completed / busiest-device-sim-seconds; submitted /
-  /// rejected / queue depths are the front door's.
+  /// Fleet-wide merge of the devices and the front door (see
+  /// merge_snapshots): modelled_rps is the makespan figure total-completed
+  /// / busiest-device-sim-seconds; the wall clock and queue depths are the
+  /// front door's.
   StatsSnapshot fleet;
   std::vector<DeviceSnapshot> devices;
   /// Groups placed on a non-preferred device (work-stealing fallback).
@@ -139,12 +140,15 @@ class ClusterServer {
   /// answers them kShutdown when it is closed). Returns how many were
   /// re-queued (all of them, unless shut down).
   std::size_t requeue_group(std::vector<PendingRequest> group);
+  /// Answers an admitted, never-served request kShutdown and counts it.
+  void answer_shutdown(PendingRequest& p);
 
   ClusterOptions opts_;
   std::map<std::string, ServedModel> models_;
   TenantTable tenants_;
-  /// Front-door counters (submitted / rejected / queue watermark), one
-  /// stripe per ingest shard plus the exec stripe for queue-side expiry;
+  /// Front-door counters (submitted / shed / queue watermark), one stripe
+  /// per ingest shard plus the exec stripe for queue-side expiry and
+  /// shutdown answers;
   /// each device records its own execution-side stats. snapshot() folds
   /// every stripe — reading a single stripe would drop what the other
   /// shards' producers recorded.

@@ -21,8 +21,9 @@ ClusterServer::ClusterServer(std::vector<ServedModel> models,
   // capacity); they never reach a device, so the front door counts them —
   // on the exec stripe, keeping expiry off the submit stripes' locks.
   queue_.set_on_expired([this](std::size_t cls, std::size_t n) {
-    stats_.exec_stripe().record_expired(
-        n, cls < tenants_.size() ? tenants_.cls(cls).name : std::string());
+    stats_.exec_stripe().record_unserved(
+        ServeStatus::kDeadlineExceeded, n,
+        cls < tenants_.size() ? tenants_.cls(cls).name : std::string());
   });
   for (std::size_t i = 0; i < opts_.devices.size(); ++i) {
     DeviceConfig cfg = opts_.devices[i];
@@ -112,11 +113,17 @@ void ClusterServer::stop() {
   if (scheduler_ != nullptr) scheduler_->join();
   for (auto& d : devices_) d->drain();
   // Only a never-started cluster still holds queued requests here.
-  for (auto& p : queue_.drain()) {
-    InferResponse r;
-    r.status = ServeStatus::kShutdown;
-    p.promise.set_value(std::move(r));
-  }
+  for (auto& p : queue_.drain()) answer_shutdown(p);
+}
+
+void ClusterServer::answer_shutdown(PendingRequest& p) {
+  // Admitted, so record_submitted already counted the arrival; record the
+  // disposition before completing, like every other answer.
+  stats_.exec_stripe().record_unserved(ServeStatus::kShutdown, 1,
+                                       p.tenant_class);
+  InferResponse r;
+  r.status = ServeStatus::kShutdown;
+  p.promise.set_value(std::move(r));
 }
 
 std::future<InferResponse> ClusterServer::submit(InferRequest request) {
@@ -143,56 +150,37 @@ std::future<InferResponse> ClusterServer::submit(InferRequest request) {
   ServerStats& stripe =
       stats_.stripe(queue_.shard_of(p.request.model, p.class_index));
 
-  if (stopped_.load(std::memory_order_seq_cst)) {
-    InferResponse r;
-    r.status = ServeStatus::kShutdown;
-    stripe.record_shutdown_rejected(cls);
-    obs::instant(TraceStage::kShed, enqueued, trace_id, 0, -1,
-                 static_cast<double>(ServeStatus::kShutdown));
-    p.promise.set_value(std::move(r));
-    return fut;
-  }
-  // `p` is untouched on a non-kOk push; the queue's own closed flag (not a
-  // re-read of stopped_) decides shutdown races, so a submit that loses to
-  // a concurrent stop() resolves kShutdown instead of hanging.
+  // stopped_ is only a fast path. `p` is untouched on a non-kOk push; the
+  // queue's own closed flag decides shutdown races, so a submit that loses
+  // to a concurrent stop() resolves kShutdown instead of hanging.
   std::size_t depth_after = 0;
-  switch (queue_.push(std::move(p), &depth_after)) {
-    case ShardedRequestQueue::Admit::kOk:
-      // depth_after came out of the push itself — the old code re-locked
-      // the queue with queue_.depth() right after push released it.
-      stripe.record_submitted(depth_after, cls);
-      obs::instant(TraceStage::kAdmit, enqueued, trace_id, 0, -1,
-                   static_cast<double>(depth_after));
-      return fut;
-    case ShardedRequestQueue::Admit::kFull: {
-      InferResponse r;
-      r.status = ServeStatus::kRejected;
-      stripe.record_rejected(cls);
-      obs::instant(TraceStage::kShed, enqueued, trace_id, 0, -1,
-                   static_cast<double>(ServeStatus::kRejected));
-      p.promise.set_value(std::move(r));
-      return fut;
-    }
-    case ShardedRequestQueue::Admit::kQuota: {
-      InferResponse r;
-      r.status = ServeStatus::kQuotaExceeded;
-      stripe.record_quota_rejected(cls);
-      obs::instant(TraceStage::kShed, enqueued, trace_id, 0, -1,
-                   static_cast<double>(ServeStatus::kQuotaExceeded));
-      p.promise.set_value(std::move(r));
-      return fut;
-    }
-    case ShardedRequestQueue::Admit::kClosed: {
-      InferResponse r;
-      r.status = ServeStatus::kShutdown;
-      stripe.record_shutdown_rejected(cls);
-      obs::instant(TraceStage::kShed, enqueued, trace_id, 0, -1,
-                   static_cast<double>(ServeStatus::kShutdown));
-      p.promise.set_value(std::move(r));
-      return fut;
+  ServeStatus shed = ServeStatus::kShutdown;
+  if (!stopped_.load(std::memory_order_seq_cst)) {
+    switch (queue_.push(std::move(p), &depth_after)) {
+      case ShardedRequestQueue::Admit::kOk:
+        // depth_after comes out of the push itself, so recording it takes
+        // no second queue lock.
+        stripe.record_submitted(depth_after, cls);
+        obs::instant(TraceStage::kAdmit, enqueued, trace_id, 0, -1,
+                     static_cast<double>(depth_after));
+        return fut;
+      case ShardedRequestQueue::Admit::kFull:
+        shed = ServeStatus::kRejected;
+        break;
+      case ShardedRequestQueue::Admit::kQuota:
+        shed = ServeStatus::kQuotaExceeded;
+        break;
+      case ShardedRequestQueue::Admit::kClosed:
+        break;
     }
   }
-  return fut;  // unreachable
+  stripe.record_shed(shed, cls);
+  obs::instant(TraceStage::kShed, enqueued, trace_id, 0, -1,
+               static_cast<double>(shed));
+  InferResponse r;
+  r.status = shed;
+  p.promise.set_value(std::move(r));
+  return fut;
 }
 
 std::size_t ClusterServer::requeue_group(std::vector<PendingRequest> group) {
@@ -203,9 +191,7 @@ std::size_t ClusterServer::requeue_group(std::vector<PendingRequest> group) {
     } else {
       // Queue closed: the fleet is shutting down; resolve instead of
       // re-queueing into a queue nobody will drain for serving.
-      InferResponse r;
-      r.status = ServeStatus::kShutdown;
-      p.promise.set_value(std::move(r));
+      answer_shutdown(p);
     }
   }
   return requeued;
@@ -289,37 +275,24 @@ ClusterSnapshot ClusterServer::stats() const {
     snap.devices.push_back(std::move(d));
   }
 
+  // The front door is one more part: it holds what devices never see —
+  // submissions, sheds, queue-side expiry, and shutdown answers.
+  // StripedServerStats::snapshot() folds every per-shard stripe — reading
+  // a single stripe here would report only the slice of submissions that
+  // hashed to that shard (the skewed-stripe regression test in
+  // tests/stats_test.cpp pins the fold).
+  parts.push_back(stats_.snapshot());
+  const double wall_seconds = parts.back().wall_seconds;
   snap.fleet = merge_snapshots(parts);
-  // Front-door truth overrides the merge: devices never see submissions or
-  // rejections, and the fleet clock starts at cluster start(). Requests the
-  // fleet queue expired before placement are the front door's too — they
-  // add to the devices' collect-time expirations, as do the front door's
-  // per-class slices (submits, rejections, queue-side expiry).
-  // StripedServerStats::snapshot() folds every per-shard stripe before this
-  // override — reading a single stripe here would report only the slice of
-  // submissions that hashed to that shard (the skewed-stripe regression
-  // test in tests/stats_test.cpp pins the fold).
-  const StatsSnapshot front = stats_.snapshot();
-  snap.fleet.submitted = front.submitted;
-  snap.fleet.rejected = front.rejected;
-  snap.fleet.quota_rejected = front.quota_rejected;
-  snap.fleet.shutdown_rejected = front.shutdown_rejected;
-  snap.fleet.expired += front.expired;
-  for (const auto& [name, part] : front.classes) {
-    ClassSnapshot& c = snap.fleet.classes[name];
-    c.submitted = part.submitted;
-    c.rejected = part.rejected;
-    c.quota_rejected = part.quota_rejected;
-    c.shutdown_rejected = part.shutdown_rejected;
-    c.expired += part.expired;
-  }
-  snap.fleet.wall_seconds = front.wall_seconds;
+  // What does not add up across parts: the fleet clock starts at cluster
+  // start(), and the queue fields describe the live shared front-door
+  // queue, not any device queue (devices drain scheduler groups, not
+  // shards).
+  snap.fleet.wall_seconds = wall_seconds;
   snap.fleet.throughput_rps =
-      front.wall_seconds > 0
-          ? static_cast<double>(snap.fleet.completed) / front.wall_seconds
+      wall_seconds > 0
+          ? static_cast<double>(snap.fleet.completed) / wall_seconds
           : 0;
-  // Shard fields describe the fleet's shared front-door queue, not any
-  // device queue (devices drain scheduler groups, not shards).
   snap.fleet.queue_depth = queue_.depth();
   snap.fleet.shard_depths.resize(queue_.num_shards());
   snap.fleet.shard_max_depths.resize(queue_.num_shards());
@@ -328,7 +301,6 @@ ClusterSnapshot ClusterServer::stats() const {
     snap.fleet.shard_max_depths[i] = queue_.shard_max_depth(i);
   }
   snap.fleet.shard_imbalance = shard_imbalance_ratio(snap.fleet.shard_max_depths);
-  snap.fleet.max_queue_depth = front.max_queue_depth;
   return snap;
 }
 

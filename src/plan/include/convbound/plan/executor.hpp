@@ -31,12 +31,6 @@ class ConvExecutor {
                     const Tensor4<float>& input,
                     const Tensor4<float>& weights);
 
-  /// Runs `plan` into a caller-owned, pre-shaped output tensor.
-  LaunchStats execute_into(SimGpu& gpu, const ConvPlan& plan,
-                           const Tensor4<float>& input,
-                           const Tensor4<float>& weights,
-                           Tensor4<float>& out);
-
   Workspace& workspace() { return ws_; }
 
  private:

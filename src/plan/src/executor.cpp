@@ -61,11 +61,4 @@ ConvExecutor::Execution ConvExecutor::execute(SimGpu& gpu,
   return Execution{stats, std::move(lease)};
 }
 
-LaunchStats ConvExecutor::execute_into(SimGpu& gpu, const ConvPlan& plan,
-                                       const Tensor4<float>& input,
-                                       const Tensor4<float>& weights,
-                                       Tensor4<float>& out) {
-  return run_plan(gpu, plan, input, weights, out);
-}
-
 }  // namespace convbound

@@ -1,6 +1,12 @@
-// Serving observability: counters, latency telemetry, batch-size
-// histogram. ServerStats guards one accumulator with one mutex; the sharded
-// front door gives each ingest shard its own ServerStats *stripe*
+// Serving observability: request accounting, latency telemetry,
+// batch-size histogram. One value type, RequestCounts, holds the request
+// accounting: `submitted` plus the six disposition counters every request
+// ends in exactly one of, and the four completion histograms. The server
+// total, each tenant-class slice, and every fleet merge of either are that
+// one record, so they are declared, merged, and rendered once.
+//
+// ServerStats guards one accumulator with one mutex; the sharded front
+// door gives each ingest shard its own ServerStats *stripe*
 // (StripedServerStats below) so submit-path recording never contends on a
 // global stats lock — stripes are folded bucket-wise at snapshot time via
 // merge_snapshots, which the exact mergeable LatencyHistogram makes
@@ -29,40 +35,47 @@
 
 namespace convbound {
 
-/// Per-tenant-class slice of the counters. Populated only for requests
-/// that carry a resolved class name; a single-tenant server's snapshot has
-/// an empty `classes` map, exactly as before tenancy existed.
-struct ClassSnapshot {
+/// The request accounting of a server, a tenant class, or a fleet merge of
+/// either. `submitted` counts every arrival at the front door; once every
+/// submitted request has resolved, each sits in exactly one disposition
+/// counter:
+///   submitted == completed + rejected + quota_rejected +
+///                shutdown_rejected + expired + failed == resolved()
+struct RequestCounts {
   std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t rejected = 0;           ///< backpressure (kRejected: queue full)
-  std::uint64_t quota_rejected = 0;     ///< weighted-fair admission (kQuotaExceeded)
-  std::uint64_t shutdown_rejected = 0;  ///< submit raced server stop (kShutdown)
-  std::uint64_t expired = 0;            ///< effective deadline passed (kDeadlineExceeded)
+  std::uint64_t completed = 0;       ///< kOk
+  std::uint64_t rejected = 0;        ///< kRejected: queue full on submit
+  std::uint64_t quota_rejected = 0;  ///< kQuotaExceeded: over-share class
+  /// kShutdown: a submit that raced server stop, or an admitted request
+  /// the stopping server answered without serving it.
+  std::uint64_t shutdown_rejected = 0;
+  std::uint64_t expired = 0;  ///< kDeadlineExceeded: effective deadline passed
+  std::uint64_t failed = 0;   ///< kError: execution failed
+
+  /// Submit-to-completion wall latencies of completed requests, and their
+  /// stage decomposition, recorded from the same timestamps so the stages
+  /// satisfy an exact accounting identity per request:
+  ///   queue_wait (enqueue -> collect) + batch_delay (collect -> exec
+  ///   start) + exec (exec start -> completion) == end-to-end latency
+  /// and therefore sum(queue_wait) + sum(batch_delay) + sum(exec) ==
+  /// sum(latency) over any snapshot (up to float rounding; pinned by test).
   LatencyHistogram latency;
-  double latency_p50 = 0;
-  double latency_p99 = 0;
-  double latency_mean = 0;
-  double latency_max = 0;
-  /// Per-stage decomposition of the completed requests' latency (same
-  /// stage boundaries as StatsSnapshot's; see there).
   LatencyHistogram queue_wait;
   LatencyHistogram batch_delay;
   LatencyHistogram exec;
-  double queue_wait_p99 = 0;
-  double batch_delay_p99 = 0;
-  double exec_p99 = 0;
+
+  /// The disposition counter for a request that ended with `status`.
+  std::uint64_t& disposition(ServeStatus status);
+  /// Sum of the six disposition counters.
+  std::uint64_t resolved() const;
+  /// Counters add; histograms add bucket-wise, so percentiles of the merge
+  /// are true percentiles of the combined population.
+  void merge(const RequestCounts& other);
 };
 
-/// Point-in-time copy of the server's counters with derived quantities.
-struct StatsSnapshot {
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t rejected = 0;           ///< backpressure (queue full)
-  std::uint64_t quota_rejected = 0;     ///< over-share class under overload
-  std::uint64_t shutdown_rejected = 0;  ///< submit raced server stop
-  std::uint64_t expired = 0;            ///< deadline passed while queued
-  std::uint64_t failed = 0;             ///< execution errors
+/// Point-in-time copy of the server's accounting (the RequestCounts base)
+/// with derived quantities.
+struct StatsSnapshot : RequestCounts {
   std::uint64_t batches = 0;
 
   double wall_seconds = 0;         ///< since mark_start()
@@ -74,27 +87,14 @@ struct StatsSnapshot {
   double sim_seconds = 0;
   double modelled_rps = 0;
 
-  /// Submit-to-completion wall latencies of completed requests: the full
-  /// mergeable histogram plus the derived quantities every consumer reads.
+  /// Derived from the RequestCounts histograms; every consumer reads these.
   /// The percentiles are histogram-derived (≤5% bucket error); max and
   /// mean are exact.
-  LatencyHistogram latency;
   double latency_p50 = 0;
   double latency_p95 = 0;
   double latency_p99 = 0;
   double latency_max = 0;
   double latency_mean = 0;
-
-  /// Stage decomposition of the same completed requests, recorded from the
-  /// same timestamps the end-to-end latency uses, so the stages satisfy an
-  /// exact accounting identity per request:
-  ///   queue_wait (enqueue -> collect) + batch_delay (collect -> exec
-  ///   start) + exec (exec start -> completion) == end-to-end latency
-  /// and therefore sum(queue_wait) + sum(batch_delay) + sum(exec) ==
-  /// sum(latency) over any snapshot (up to float rounding; pinned by test).
-  LatencyHistogram queue_wait;
-  LatencyHistogram batch_delay;
-  LatencyHistogram exec;
   double queue_wait_p50 = 0, queue_wait_p99 = 0, queue_wait_mean = 0;
   double batch_delay_p50 = 0, batch_delay_p99 = 0, batch_delay_mean = 0;
   double exec_p50 = 0, exec_p99 = 0, exec_mean = 0;
@@ -105,7 +105,7 @@ struct StatsSnapshot {
 
   /// Per-class slices keyed by resolved class name. Empty when the server
   /// has no tenant classes configured.
-  std::map<std::string, ClassSnapshot> classes;
+  std::map<std::string, RequestCounts> classes;
 
   /// Front-door depth at snapshot time. A fleet merge SUMS the parts'
   /// depths (total requests queued across devices); only the high-water
@@ -131,8 +131,9 @@ struct StatsSnapshot {
 
 /// Fleet-wide view of per-device snapshots, treating the parts as devices
 /// running *in parallel* (the cluster layer's semantics):
-///   - counters, sim_seconds, histograms, and memo/workspace sizes sum;
-///   - wall_seconds and queue depths take the max;
+///   - request counts (total and per class), sim_seconds, and
+///     memo/workspace sizes sum; histograms add bucket-wise;
+///   - queue_depth sums; wall_seconds and max_queue_depth take the max;
 ///   - modelled_rps = total completed / max part sim_seconds — the
 ///     makespan figure: at saturation the busiest device's modelled time is
 ///     when the fleet finishes;
@@ -163,12 +164,14 @@ class ServerStats {
   /// pay nothing and see no class map.
   void record_submitted(std::size_t queue_depth_after,
                         const std::string& cls = {});
-  void record_rejected(const std::string& cls = {});
-  void record_quota_rejected(const std::string& cls = {});
-  /// A submit that lost the race with server stop (ServeStatus::kShutdown).
-  void record_shutdown_rejected(const std::string& cls = {});
-  void record_expired(std::size_t n, const std::string& cls = {});
-  void record_failed(std::size_t n);
+  /// A submit refused at the door with `status` (kRejected,
+  /// kQuotaExceeded, or kShutdown): counts the arrival and its disposition.
+  void record_shed(ServeStatus status, const std::string& cls = {});
+  /// `n` admitted requests that ended with `status` without completing
+  /// (kDeadlineExceeded, kShutdown, or kError); record_submitted already
+  /// counted their arrival.
+  void record_unserved(ServeStatus status, std::size_t n,
+                       const std::string& cls = {});
   /// One executed micro-batch: group size, modelled batch time, and the
   /// per-request wall latencies. `classes`, when non-empty, runs parallel
   /// to `latencies` and attributes each completion to its tenant class;
@@ -184,39 +187,13 @@ class ServerStats {
   StatsSnapshot snapshot() const;
 
  private:
-  /// Per-class accumulator (histogram + counters); caller holds mu_.
-  struct ClassCounters {
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t quota_rejected = 0;
-    std::uint64_t shutdown_rejected = 0;
-    std::uint64_t expired = 0;
-    LatencyHistogram latency;
-    LatencyHistogram queue_wait;
-    LatencyHistogram batch_delay;
-    LatencyHistogram exec;
-  };
-  ClassCounters& class_counters(const std::string& cls) CB_REQUIRES(mu_);
-
   mutable Mutex mu_;
   ServeTimePoint start_ CB_GUARDED_BY(mu_){};
-  std::uint64_t submitted_ CB_GUARDED_BY(mu_) = 0;
-  std::uint64_t completed_ CB_GUARDED_BY(mu_) = 0;
-  std::uint64_t rejected_ CB_GUARDED_BY(mu_) = 0;
-  std::uint64_t quota_rejected_ CB_GUARDED_BY(mu_) = 0;
-  std::uint64_t shutdown_rejected_ CB_GUARDED_BY(mu_) = 0;
-  std::uint64_t expired_ CB_GUARDED_BY(mu_) = 0;
-  std::uint64_t failed_ CB_GUARDED_BY(mu_) = 0;
+  RequestCounts total_ CB_GUARDED_BY(mu_);
+  std::map<std::string, RequestCounts> classes_ CB_GUARDED_BY(mu_);
   std::uint64_t batches_ CB_GUARDED_BY(mu_) = 0;
   double sim_seconds_ CB_GUARDED_BY(mu_) = 0;
-  /// Every completion, O(1) per record.
-  LatencyHistogram latency_ CB_GUARDED_BY(mu_);
-  LatencyHistogram queue_wait_ CB_GUARDED_BY(mu_);
-  LatencyHistogram batch_delay_ CB_GUARDED_BY(mu_);
-  LatencyHistogram exec_ CB_GUARDED_BY(mu_);
   std::map<int, std::uint64_t> histogram_ CB_GUARDED_BY(mu_);
-  std::map<std::string, ClassCounters> classes_ CB_GUARDED_BY(mu_);
   std::size_t max_queue_depth_ CB_GUARDED_BY(mu_) = 0;
 };
 
@@ -245,7 +222,8 @@ class StripedServerStats {
   /// Submit-path stripe `i` (callers pass the ingest shard index; values
   /// >= num_stripes() wrap).
   ServerStats& stripe(std::size_t i) { return *stripes_[i % num_stripes()]; }
-  /// The executor's dedicated stripe (batches, failures, expiry).
+  /// The dedicated stripe for recording off the submit path (completions,
+  /// failures, expiry, shutdown answers).
   ServerStats& exec_stripe() { return *stripes_.back(); }
   /// Submit stripes only (excludes the exec stripe).
   std::size_t num_stripes() const { return stripes_.size() - 1; }

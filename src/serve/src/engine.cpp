@@ -113,8 +113,8 @@ void ServeEngine::execute_batch(std::vector<PendingRequest> group,
   // were already satisfied before a mid-loop throw are skipped.
   std::vector<PendingRequest> live;
   const auto fail_batch = [&](const char* what) {
-    stats_->record_failed(live.size());
     for (auto& p : live) {
+      stats_->record_unserved(ServeStatus::kError, 1, p.tenant_class);
       InferResponse r;
       r.status = ServeStatus::kError;
       r.error = what;
@@ -139,7 +139,8 @@ void ServeEngine::execute_batch(std::vector<PendingRequest> group,
                      ordinal_, r.latency_seconds);
         // Record before completing: a client that sees its future resolve
         // must also see the stats reflect it.
-        stats_->record_expired(1, p.tenant_class);
+        stats_->record_unserved(ServeStatus::kDeadlineExceeded, 1,
+                                p.tenant_class);
         p.promise.set_value(std::move(r));
       } else {
         live.push_back(std::move(p));

@@ -14,37 +14,59 @@ std::string join_labels(const std::string& base, const std::string& extra) {
   return base + "," + extra;
 }
 
+/// One RequestCounts as series named `prefix` + the family name: the
+/// server total renders under "convbound_", each class slice under
+/// "convbound_class_", so the two cannot drift apart.
+void publish_counts(ObsRegistry& reg, const std::string& prefix,
+                    const std::string& labels, const RequestCounts& c) {
+  const std::string help_req =
+      "Requests by terminal disposition (completed / shed / expired / "
+      "failed); submitted counts every arrival.";
+  reg.set_counter(prefix + "requests_submitted_total", labels,
+                  static_cast<double>(c.submitted), help_req);
+  reg.set_counter(prefix + "requests_completed_total", labels,
+                  static_cast<double>(c.completed), help_req);
+  // Queue-full backpressure, weighted-fair quota, and shutdown each get
+  // their own reason label.
+  const std::string help_shed = "Requests shed at admission, by reason.";
+  reg.set_counter(prefix + "requests_shed_total",
+                  join_labels(labels, "reason=\"full\""),
+                  static_cast<double>(c.rejected), help_shed);
+  reg.set_counter(prefix + "requests_shed_total",
+                  join_labels(labels, "reason=\"quota\""),
+                  static_cast<double>(c.quota_rejected), help_shed);
+  reg.set_counter(prefix + "requests_shed_total",
+                  join_labels(labels, "reason=\"shutdown\""),
+                  static_cast<double>(c.shutdown_rejected), help_shed);
+  reg.set_counter(prefix + "requests_expired_total", labels,
+                  static_cast<double>(c.expired),
+                  "Requests whose deadline passed before execution.");
+  reg.set_counter(prefix + "requests_failed_total", labels,
+                  static_cast<double>(c.failed),
+                  "Requests completed with an execution error.");
+
+  reg.set_histogram(prefix + "request_latency_seconds", labels, c.latency,
+                    "End-to-end submit-to-completion latency.");
+  const std::string help_stage =
+      "Stage decomposition of completed-request latency; the three stages "
+      "sum to the end-to-end latency per request.";
+  reg.set_histogram(prefix + "stage_queue_wait_seconds", labels,
+                    c.queue_wait, help_stage);
+  reg.set_histogram(prefix + "stage_batch_delay_seconds", labels,
+                    c.batch_delay, help_stage);
+  reg.set_histogram(prefix + "stage_exec_seconds", labels, c.exec,
+                    help_stage);
+}
+
 }  // namespace
 
 void publish_snapshot(ObsRegistry& reg, const std::string& labels,
                       const StatsSnapshot& s) {
-  // ----- request counters ---------------------------------------------------
-  const std::string help_req =
-      "Requests by terminal disposition (completed / shed / expired / "
-      "failed); submitted counts every arrival.";
-  reg.set_counter("convbound_requests_submitted_total", labels,
-                  static_cast<double>(s.submitted), help_req);
-  reg.set_counter("convbound_requests_completed_total", labels,
-                  static_cast<double>(s.completed), help_req);
-  // Shed reasons split the old single `rejected` counter (satellite b):
-  // queue-full backpressure, weighted-fair quota, and shutdown races each
-  // get their own reason label.
-  const std::string help_shed = "Requests shed at admission, by reason.";
-  reg.set_counter("convbound_requests_shed_total",
-                  join_labels(labels, "reason=\"full\""),
-                  static_cast<double>(s.rejected), help_shed);
-  reg.set_counter("convbound_requests_shed_total",
-                  join_labels(labels, "reason=\"quota\""),
-                  static_cast<double>(s.quota_rejected), help_shed);
-  reg.set_counter("convbound_requests_shed_total",
-                  join_labels(labels, "reason=\"shutdown\""),
-                  static_cast<double>(s.shutdown_rejected), help_shed);
-  reg.set_counter("convbound_requests_expired_total", labels,
-                  static_cast<double>(s.expired),
-                  "Requests whose deadline passed before execution.");
-  reg.set_counter("convbound_requests_failed_total", labels,
-                  static_cast<double>(s.failed),
-                  "Requests completed with an execution error.");
+  // ----- request accounting: the total, then each class slice -------------
+  publish_counts(reg, "convbound_", labels, s);
+  for (const auto& [name, c] : s.classes)
+    publish_counts(reg, "convbound_class_",
+                   join_labels(labels, "class=\"" + name + "\""), c);
   reg.set_counter("convbound_batches_total", labels,
                   static_cast<double>(s.batches),
                   "Executed micro-batches.");
@@ -76,41 +98,6 @@ void publish_snapshot(ObsRegistry& reg, const std::string& labels,
   if (!s.shard_max_depths.empty())
     reg.set_gauge("convbound_shard_imbalance", labels, s.shard_imbalance,
                   "max/mean of per-shard high-water depths (1.0 = even).");
-
-  // ----- latency histograms -------------------------------------------------
-  reg.set_histogram("convbound_request_latency_seconds", labels, s.latency,
-                    "End-to-end submit-to-completion latency.");
-  const std::string help_stage =
-      "Stage decomposition of completed-request latency; the three stages "
-      "sum to the end-to-end latency per request.";
-  reg.set_histogram("convbound_stage_queue_wait_seconds", labels,
-                    s.queue_wait, help_stage);
-  reg.set_histogram("convbound_stage_batch_delay_seconds", labels,
-                    s.batch_delay, help_stage);
-  reg.set_histogram("convbound_stage_exec_seconds", labels, s.exec,
-                    help_stage);
-
-  // ----- per-class slices ---------------------------------------------------
-  for (const auto& [name, c] : s.classes) {
-    const std::string cls = join_labels(labels, "class=\"" + name + "\"");
-    reg.set_counter("convbound_class_requests_submitted_total", cls,
-                    static_cast<double>(c.submitted), help_req);
-    reg.set_counter("convbound_class_requests_completed_total", cls,
-                    static_cast<double>(c.completed), help_req);
-    reg.set_counter("convbound_class_requests_shed_total",
-                    join_labels(cls, "reason=\"full\""),
-                    static_cast<double>(c.rejected), help_shed);
-    reg.set_counter("convbound_class_requests_shed_total",
-                    join_labels(cls, "reason=\"quota\""),
-                    static_cast<double>(c.quota_rejected), help_shed);
-    reg.set_counter("convbound_class_requests_shed_total",
-                    join_labels(cls, "reason=\"shutdown\""),
-                    static_cast<double>(c.shutdown_rejected), help_shed);
-    reg.set_counter("convbound_class_requests_expired_total", cls,
-                    static_cast<double>(c.expired), help_req);
-    reg.set_histogram("convbound_class_request_latency_seconds", cls,
-                      c.latency, help_stage);
-  }
 }
 
 }  // namespace convbound

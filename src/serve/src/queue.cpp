@@ -25,10 +25,22 @@ PendingRequest RequestQueue::remove_locked(
 void RequestQueue::expire_locked(ServeTimePoint now) {
   // Expired entries are exactly the prefix of the EDF-ordered map whose
   // key deadline is before now (key.deadline == effective_deadline).
+  std::vector<PendingRequest> expired;
   std::vector<std::size_t> per_class;
-  std::size_t total = 0;
   while (!items_.empty() && items_.begin()->first.deadline < now) {
     PendingRequest p = remove_locked(items_.begin());
+    if (per_class.size() <= p.class_index)
+      per_class.resize(p.class_index + 1, 0);
+    ++per_class[p.class_index];
+    expired.push_back(std::move(p));
+  }
+  // Completed futures must never be visible before the counter reflects
+  // them, so the report comes first (the handler takes its own lock).
+  if (on_expired_) {
+    for (std::size_t c = 0; c < per_class.size(); ++c)
+      if (per_class[c] > 0) on_expired_(c, per_class[c]);
+  }
+  for (PendingRequest& p : expired) {
     InferResponse r;
     r.status = ServeStatus::kDeadlineExceeded;
     r.latency_seconds =
@@ -36,15 +48,6 @@ void RequestQueue::expire_locked(ServeTimePoint now) {
     obs::instant(TraceStage::kExpire, now, p.trace_id, p.batch_id, -1,
                  r.latency_seconds);
     p.promise.set_value(std::move(r));
-    if (per_class.size() <= p.class_index) per_class.resize(p.class_index + 1, 0);
-    ++per_class[p.class_index];
-    ++total;
-  }
-  // Completed futures must never be visible before the counter reflects
-  // them, so the report happens under mu_ (the handler takes its own lock).
-  if (total > 0 && on_expired_) {
-    for (std::size_t c = 0; c < per_class.size(); ++c)
-      if (per_class[c] > 0) on_expired_(c, per_class[c]);
   }
 }
 

@@ -25,17 +25,61 @@ void fill_latency_fields(StatsSnapshot& s) {
   s.exec_mean = s.exec.mean();
 }
 
-void fill_class_latency_fields(ClassSnapshot& c) {
-  c.latency_p50 = c.latency.quantile(0.50);
-  c.latency_p99 = c.latency.quantile(0.99);
-  c.latency_mean = c.latency.mean();
-  c.latency_max = c.latency.max_value();
-  c.queue_wait_p99 = c.queue_wait.quantile(0.99);
-  c.batch_delay_p99 = c.batch_delay.quantile(0.99);
-  c.exec_p99 = c.exec.quantile(0.99);
+/// Batch-size histogram rows and their mean over `batches`.
+void fill_batch_fields(StatsSnapshot& s,
+                       const std::map<int, std::uint64_t>& histogram) {
+  std::uint64_t grouped = 0;
+  for (const auto& [size, count] : histogram) {
+    s.batch_histogram.emplace_back(size, count);
+    grouped += static_cast<std::uint64_t>(size) * count;
+  }
+  if (s.batches > 0)
+    s.mean_batch_size =
+        static_cast<double>(grouped) / static_cast<double>(s.batches);
+}
+
+void record_completion(RequestCounts& c, double latency,
+                       const ServerStats::StageLatencies* stage) {
+  ++c.completed;
+  c.latency.record(latency);
+  if (stage == nullptr) return;
+  c.queue_wait.record(stage->queue_wait);
+  c.batch_delay.record(stage->batch_delay);
+  c.exec.record(stage->exec);
 }
 
 }  // namespace
+
+std::uint64_t& RequestCounts::disposition(ServeStatus status) {
+  switch (status) {
+    case ServeStatus::kOk: return completed;
+    case ServeStatus::kRejected: return rejected;
+    case ServeStatus::kQuotaExceeded: return quota_rejected;
+    case ServeStatus::kShutdown: return shutdown_rejected;
+    case ServeStatus::kDeadlineExceeded: return expired;
+    case ServeStatus::kError: return failed;
+  }
+  return failed;  // unreachable: the switch covers every status
+}
+
+std::uint64_t RequestCounts::resolved() const {
+  return completed + rejected + quota_rejected + shutdown_rejected + expired +
+         failed;
+}
+
+void RequestCounts::merge(const RequestCounts& other) {
+  submitted += other.submitted;
+  completed += other.completed;
+  rejected += other.rejected;
+  quota_rejected += other.quota_rejected;
+  shutdown_rejected += other.shutdown_rejected;
+  expired += other.expired;
+  failed += other.failed;
+  latency.merge(other.latency);
+  queue_wait.merge(other.queue_wait);
+  batch_delay.merge(other.batch_delay);
+  exec.merge(other.exec);
+}
 
 double shard_imbalance_ratio(const std::vector<std::size_t>& shard_values) {
   if (shard_values.empty()) return 0;
@@ -56,13 +100,14 @@ StatsSnapshot merge_snapshots(const std::vector<StatsSnapshot>& parts) {
   std::map<int, std::uint64_t> histogram;
   double makespan = 0;
   for (const StatsSnapshot& p : parts) {
-    s.submitted += p.submitted;
-    s.completed += p.completed;
-    s.rejected += p.rejected;
-    s.quota_rejected += p.quota_rejected;
-    s.shutdown_rejected += p.shutdown_rejected;
-    s.expired += p.expired;
-    s.failed += p.failed;
+    // Bucket-wise histogram addition: the merged histogram is exactly the
+    // histogram of the combined request population, so the fleet
+    // percentiles below are real percentiles — not the completed-weighted
+    // average of per-device percentiles this merge used to report, which
+    // understated a heterogeneous fleet's tail whenever the slow device
+    // held it. Per-class slices merge the same way.
+    s.merge(p);
+    for (const auto& [name, part] : p.classes) s.classes[name].merge(part);
     s.batches += p.batches;
     s.sim_seconds += p.sim_seconds;
     s.wall_seconds = std::max(s.wall_seconds, p.wall_seconds);
@@ -89,48 +134,16 @@ StatsSnapshot merge_snapshots(const std::vector<StatsSnapshot>& parts) {
     s.workspace_buffers += p.workspace_buffers;
     s.workspace_bytes += p.workspace_bytes;
     makespan = std::max(makespan, p.sim_seconds);
-    // Bucket-wise addition: the merged histogram is exactly the histogram
-    // of the combined request population, so the fleet percentiles below
-    // are real percentiles — not the completed-weighted average of
-    // per-device percentiles this merge used to report, which understated
-    // a heterogeneous fleet's tail whenever the slow device held it.
-    s.latency.merge(p.latency);
-    s.queue_wait.merge(p.queue_wait);
-    s.batch_delay.merge(p.batch_delay);
-    s.exec.merge(p.exec);
     for (const auto& [size, count] : p.batch_histogram)
       histogram[size] += count;
-    // Per-class slices merge the same way: counters sum, histograms add
-    // bucket-wise, so per-class fleet percentiles stay true percentiles.
-    for (const auto& [name, part] : p.classes) {
-      ClassSnapshot& c = s.classes[name];
-      c.submitted += part.submitted;
-      c.completed += part.completed;
-      c.rejected += part.rejected;
-      c.quota_rejected += part.quota_rejected;
-      c.shutdown_rejected += part.shutdown_rejected;
-      c.expired += part.expired;
-      c.latency.merge(part.latency);
-      c.queue_wait.merge(part.queue_wait);
-      c.batch_delay.merge(part.batch_delay);
-      c.exec.merge(part.exec);
-    }
   }
   s.shard_imbalance = shard_imbalance_ratio(s.shard_max_depths);
   fill_latency_fields(s);
-  for (auto& [name, c] : s.classes) fill_class_latency_fields(c);
   if (s.wall_seconds > 0)
     s.throughput_rps = static_cast<double>(s.completed) / s.wall_seconds;
   if (makespan > 0)
     s.modelled_rps = static_cast<double>(s.completed) / makespan;
-  std::uint64_t grouped = 0;
-  for (const auto& [size, count] : histogram) {
-    s.batch_histogram.emplace_back(size, count);
-    grouped += static_cast<std::uint64_t>(size) * count;
-  }
-  if (s.batches > 0)
-    s.mean_batch_size =
-        static_cast<double>(grouped) / static_cast<double>(s.batches);
+  fill_batch_fields(s, histogram);
   return s;
 }
 
@@ -139,61 +152,30 @@ void ServerStats::mark_start() {
   start_ = ServeClock::now();
 }
 
-ServerStats::ClassCounters& ServerStats::class_counters(
-    const std::string& cls) {
-  return classes_[cls];
-}
-
 void ServerStats::record_submitted(std::size_t queue_depth_after,
                                    const std::string& cls) {
   MutexLock lock(mu_);
-  ++submitted_;
+  ++total_.submitted;
   max_queue_depth_ = std::max(max_queue_depth_, queue_depth_after);
-  if (!cls.empty()) ++class_counters(cls).submitted;
+  if (!cls.empty()) ++classes_[cls].submitted;
 }
 
-void ServerStats::record_rejected(const std::string& cls) {
+void ServerStats::record_shed(ServeStatus status, const std::string& cls) {
   MutexLock lock(mu_);
-  ++submitted_;
-  ++rejected_;
+  ++total_.submitted;
+  ++total_.disposition(status);
   if (!cls.empty()) {
-    ClassCounters& c = class_counters(cls);
+    RequestCounts& c = classes_[cls];
     ++c.submitted;
-    ++c.rejected;
+    ++c.disposition(status);
   }
 }
 
-void ServerStats::record_quota_rejected(const std::string& cls) {
+void ServerStats::record_unserved(ServeStatus status, std::size_t n,
+                                  const std::string& cls) {
   MutexLock lock(mu_);
-  ++submitted_;
-  ++quota_rejected_;
-  if (!cls.empty()) {
-    ClassCounters& c = class_counters(cls);
-    ++c.submitted;
-    ++c.quota_rejected;
-  }
-}
-
-void ServerStats::record_shutdown_rejected(const std::string& cls) {
-  MutexLock lock(mu_);
-  ++submitted_;
-  ++shutdown_rejected_;
-  if (!cls.empty()) {
-    ClassCounters& c = class_counters(cls);
-    ++c.submitted;
-    ++c.shutdown_rejected;
-  }
-}
-
-void ServerStats::record_expired(std::size_t n, const std::string& cls) {
-  MutexLock lock(mu_);
-  expired_ += n;
-  if (!cls.empty()) class_counters(cls).expired += n;
-}
-
-void ServerStats::record_failed(std::size_t n) {
-  MutexLock lock(mu_);
-  failed_ += n;
+  total_.disposition(status) += n;
+  if (!cls.empty()) classes_[cls].disposition(status) += n;
 }
 
 void ServerStats::record_batch(std::size_t group, double sim_seconds,
@@ -205,37 +187,18 @@ void ServerStats::record_batch(std::size_t group, double sim_seconds,
   sim_seconds_ += sim_seconds;
   ++histogram_[static_cast<int>(group)];
   for (std::size_t i = 0; i < latencies.size(); ++i) {
-    ++completed_;
-    latency_.record(latencies[i]);
-    const bool staged = i < stages.size();
-    if (staged) {
-      queue_wait_.record(stages[i].queue_wait);
-      batch_delay_.record(stages[i].batch_delay);
-      exec_.record(stages[i].exec);
-    }
-    if (i < classes.size() && !classes[i].empty()) {
-      ClassCounters& c = class_counters(classes[i]);
-      ++c.completed;
-      c.latency.record(latencies[i]);
-      if (staged) {
-        c.queue_wait.record(stages[i].queue_wait);
-        c.batch_delay.record(stages[i].batch_delay);
-        c.exec.record(stages[i].exec);
-      }
-    }
+    const StageLatencies* stage = i < stages.size() ? &stages[i] : nullptr;
+    record_completion(total_, latencies[i], stage);
+    if (i < classes.size() && !classes[i].empty())
+      record_completion(classes_[classes[i]], latencies[i], stage);
   }
 }
 
 StatsSnapshot ServerStats::snapshot() const {
   MutexLock lock(mu_);
   StatsSnapshot s;
-  s.submitted = submitted_;
-  s.completed = completed_;
-  s.rejected = rejected_;
-  s.quota_rejected = quota_rejected_;
-  s.shutdown_rejected = shutdown_rejected_;
-  s.expired = expired_;
-  s.failed = failed_;
+  static_cast<RequestCounts&>(s) = total_;
+  s.classes = classes_;
   s.batches = batches_;
   s.sim_seconds = sim_seconds_;
   s.max_queue_depth = max_queue_depth_;
@@ -247,37 +210,8 @@ StatsSnapshot ServerStats::snapshot() const {
     s.throughput_rps = static_cast<double>(s.completed) / s.wall_seconds;
   if (s.sim_seconds > 0)
     s.modelled_rps = static_cast<double>(s.completed) / s.sim_seconds;
-
-  s.latency = latency_;
-  s.queue_wait = queue_wait_;
-  s.batch_delay = batch_delay_;
-  s.exec = exec_;
   fill_latency_fields(s);
-
-  for (const auto& [name, counters] : classes_) {
-    ClassSnapshot c;
-    c.submitted = counters.submitted;
-    c.completed = counters.completed;
-    c.rejected = counters.rejected;
-    c.quota_rejected = counters.quota_rejected;
-    c.shutdown_rejected = counters.shutdown_rejected;
-    c.expired = counters.expired;
-    c.latency = counters.latency;
-    c.queue_wait = counters.queue_wait;
-    c.batch_delay = counters.batch_delay;
-    c.exec = counters.exec;
-    fill_class_latency_fields(c);
-    s.classes.emplace(name, std::move(c));
-  }
-
-  std::uint64_t grouped = 0;
-  for (const auto& [size, count] : histogram_) {
-    s.batch_histogram.emplace_back(size, count);
-    grouped += static_cast<std::uint64_t>(size) * count;
-  }
-  if (batches_ > 0)
-    s.mean_batch_size =
-        static_cast<double>(grouped) / static_cast<double>(batches_);
+  fill_batch_fields(s, histogram_);
   return s;
 }
 

@@ -735,8 +735,118 @@ TEST(Cluster, TenantQuotaProtectsPaidHeadroomAtTheFrontDoor) {
   EXPECT_EQ(s.fleet.classes.at("paid").completed, 4u);
   EXPECT_EQ(s.fleet.classes.at("free").completed, 4u);
   EXPECT_EQ(s.fleet.classes.at("free").quota_rejected, 1u);
-  EXPECT_GT(s.fleet.classes.at("paid").latency_p99, 0.0);
+  EXPECT_GT(s.fleet.classes.at("paid").latency.quantile(0.99), 0.0);
   cluster.stop();
+}
+
+// -------------------------------------------------- accounting identity ----
+
+// Every submitted request ends in exactly one disposition, in the fleet
+// total and in every class slice, and the class slices of a tenanted fleet
+// add up to the fleet.
+void expect_one_disposition_each(const ClusterSnapshot& s) {
+  const StatsSnapshot& f = s.fleet;
+  EXPECT_EQ(f.submitted, f.completed + f.rejected + f.quota_rejected +
+                             f.shutdown_rejected + f.expired + f.failed);
+  if (f.classes.empty()) return;  // single-tenant: no class slices
+  std::uint64_t submitted = 0, completed = 0, rejected = 0, quota = 0,
+                shutdown = 0, expired = 0, failed = 0;
+  for (const auto& [name, c] : f.classes) {
+    EXPECT_EQ(c.submitted, c.completed + c.rejected + c.quota_rejected +
+                               c.shutdown_rejected + c.expired + c.failed)
+        << name;
+    submitted += c.submitted;
+    completed += c.completed;
+    rejected += c.rejected;
+    quota += c.quota_rejected;
+    shutdown += c.shutdown_rejected;
+    expired += c.expired;
+    failed += c.failed;
+  }
+  EXPECT_EQ(submitted, f.submitted);
+  EXPECT_EQ(completed, f.completed);
+  EXPECT_EQ(rejected, f.rejected);
+  EXPECT_EQ(quota, f.quota_rejected);
+  EXPECT_EQ(shutdown, f.shutdown_rejected);
+  EXPECT_EQ(expired, f.expired);
+  EXPECT_EQ(failed, f.failed);
+}
+
+TEST(Cluster, EveryRequestLandsInExactlyOneDisposition) {
+  auto models = tiny_models();
+  ClusterOptions opts = hetero_options();
+  opts.devices.resize(2);
+  opts.max_queue = 8;
+  opts.admission_congestion = 0.5;
+  opts.classes = {TenantClass{"paid", 0, 3.0}, TenantClass{"free", 0, 1.0}};
+  ClusterServer cluster(models, opts);
+
+  // Not started, so admission is deterministic. Shares: paid 6, free 2;
+  // quotas bind at depth 4.
+  const Tensor4<float> input = make_request_input(models[0], 31);
+  const auto submit = [&](const char* tenant, ServeTimePoint deadline) {
+    InferRequest r{models[0].name, input};
+    r.tenant = tenant;
+    r.deadline = deadline;
+    return cluster.submit(std::move(r));
+  };
+  const ServeTimePoint never = ServeTimePoint::max();
+  std::vector<std::future<InferResponse>> free_futs, paid_futs;
+  for (int i = 0; i < 6; ++i) free_futs.push_back(submit("free", never));
+  // Past its deadline on arrival; the sweep of the full queue expires it.
+  auto late = submit("paid", ServeClock::now() - std::chrono::seconds(1));
+  for (int i = 0; i < 5; ++i) paid_futs.push_back(submit("paid", never));
+
+  cluster.start();
+  for (int i = 0; i < 6; ++i)
+    EXPECT_EQ(free_futs[i].get().status,
+              i < 4 ? ServeStatus::kOk : ServeStatus::kQuotaExceeded);
+  EXPECT_EQ(late.get().status, ServeStatus::kDeadlineExceeded);
+  for (int i = 0; i < 5; ++i)
+    EXPECT_EQ(paid_futs[i].get().status,
+              i < 4 ? ServeStatus::kOk : ServeStatus::kRejected);
+  cluster.stop();
+
+  const ClusterSnapshot s = cluster.stats();
+  EXPECT_EQ(s.fleet.submitted, 12u);
+  EXPECT_EQ(s.fleet.completed, 8u);
+  EXPECT_EQ(s.fleet.quota_rejected, 2u);
+  EXPECT_EQ(s.fleet.rejected, 1u);
+  EXPECT_EQ(s.fleet.expired, 1u);
+  ASSERT_EQ(s.fleet.classes.size(), 2u);
+  expect_one_disposition_each(s);
+}
+
+// Requests admitted before start() and never served count as shutdown
+// rejections when stop() answers them, so they still land in a disposition.
+TEST(Cluster, StopBeforeStartCountsQueuedRequestsAsShutdown) {
+  auto models = tiny_models();
+  ClusterServer cluster(models, hetero_options());
+  auto f = cluster.submit({models[0].name, make_request_input(models[0], 3)});
+  cluster.stop();
+  EXPECT_EQ(f.get().status, ServeStatus::kShutdown);
+  const ClusterSnapshot s = cluster.stats();
+  EXPECT_EQ(s.fleet.submitted, 1u);
+  EXPECT_EQ(s.fleet.shutdown_rejected, 1u);
+  expect_one_disposition_each(s);
+}
+
+// A fully dead fleet cannot place what the scheduler collects; stop()
+// sends those groups back to the closed queue, which answers kShutdown.
+TEST(Cluster, StopOnADeadFleetCountsCollectedRequestsAsShutdown) {
+  auto models = tiny_models();
+  ClusterOptions opts = hetero_options();
+  opts.devices.resize(1);
+  ClusterServer cluster(models, opts);
+  cluster.start();
+  cluster.fail_device(0);
+  auto f = cluster.submit({models[0].name, make_request_input(models[0], 5)});
+  cluster.stop();
+  EXPECT_EQ(f.get().status, ServeStatus::kShutdown);
+  const ClusterSnapshot s = cluster.stats();
+  EXPECT_EQ(s.fleet.submitted, 1u);
+  EXPECT_EQ(s.fleet.shutdown_rejected, 1u);
+  expect_one_disposition_each(s);
 }
 
 // ------------------------------------------------------- stats merge ----

@@ -306,7 +306,7 @@ TEST(ObsRegistry, PublishSnapshotExportsServingMetrics) {
   s.queue_wait.record(0.002);
   s.batch_delay.record(0.001);
   s.exec.record(0.002);
-  ClassSnapshot& cls = s.classes["paid"];
+  RequestCounts& cls = s.classes["paid"];
   cls.submitted = 4;
   cls.shutdown_rejected = 1;
   publish_snapshot(reg, "job=\"test\"", s);
@@ -328,6 +328,128 @@ TEST(ObsRegistry, PublishSnapshotExportsServingMetrics) {
       text.find("convbound_class_requests_shed_total{job=\"test\","
                 "class=\"paid\",reason=\"shutdown\"} 1"),
       std::string::npos);
+}
+
+// A snapshot with every exported field set, two tenant classes included.
+StatsSnapshot every_field_snapshot() {
+  StatsSnapshot s;
+  s.submitted = 40;
+  s.completed = 21;
+  s.rejected = 5;
+  s.quota_rejected = 4;
+  s.shutdown_rejected = 3;
+  s.expired = 6;
+  s.failed = 1;
+  s.batches = 9;
+  s.throughput_rps = 125.5;
+  s.modelled_rps = 4000.25;
+  s.mean_batch_size = 2.5;
+  s.queue_depth = 7;
+  s.max_queue_depth = 11;
+  s.shard_depths = {3, 4};
+  s.shard_max_depths = {5, 6};
+  s.shard_imbalance = 1.0909;
+  for (double v : {0.004, 0.009, 0.03}) s.latency.record(v);
+  for (double v : {0.001, 0.002}) s.queue_wait.record(v);
+  s.batch_delay.record(0.0005);
+  for (double v : {0.002, 0.006}) s.exec.record(v);
+  auto& paid = s.classes["paid"];
+  paid.submitted = 25;
+  paid.completed = 15;
+  paid.rejected = 2;
+  paid.quota_rejected = 0;
+  paid.shutdown_rejected = 3;
+  paid.expired = 5;
+  paid.latency.record(0.004);
+  paid.latency.record(0.03);
+  paid.queue_wait.record(0.001);
+  paid.batch_delay.record(0.0005);
+  paid.exec.record(0.002);
+  auto& free = s.classes["free"];
+  free.submitted = 15;
+  free.completed = 6;
+  free.rejected = 3;
+  free.quota_rejected = 4;
+  free.expired = 1;
+  free.latency.record(0.009);
+  return s;
+}
+
+// Pins the exposition: every series below (name, labels, value) is what
+// publish_snapshot rendered for every_field_snapshot() before the total
+// and the class slices shared one renderer. Series may be added; none of
+// these may change or disappear.
+TEST(ObsRegistry, PublishSnapshotKeepsEverySeries) {
+  const char* const kSeries[] = {
+      "convbound_batches_total{job=\"g\"} 9",
+      "convbound_class_request_latency_seconds_bucket{job=\"g\",class=\"free\",le=\"0.00917062481\"} 1",
+      "convbound_class_request_latency_seconds_bucket{job=\"g\",class=\"free\",le=\"+Inf\"} 1",
+      "convbound_class_request_latency_seconds_sum{job=\"g\",class=\"free\"} 0.009",
+      "convbound_class_request_latency_seconds_count{job=\"g\",class=\"free\"} 1",
+      "convbound_class_request_latency_seconds_bucket{job=\"g\",class=\"paid\",le=\"0.00400111323\"} 1",
+      "convbound_class_request_latency_seconds_bucket{job=\"g\",class=\"paid\",le=\"0.0310549907\"} 2",
+      "convbound_class_request_latency_seconds_bucket{job=\"g\",class=\"paid\",le=\"+Inf\"} 2",
+      "convbound_class_request_latency_seconds_sum{job=\"g\",class=\"paid\"} 0.034",
+      "convbound_class_request_latency_seconds_count{job=\"g\",class=\"paid\"} 2",
+      "convbound_class_requests_completed_total{job=\"g\",class=\"free\"} 6",
+      "convbound_class_requests_completed_total{job=\"g\",class=\"paid\"} 15",
+      "convbound_class_requests_expired_total{job=\"g\",class=\"free\"} 1",
+      "convbound_class_requests_expired_total{job=\"g\",class=\"paid\"} 5",
+      "convbound_class_requests_shed_total{job=\"g\",class=\"free\",reason=\"full\"} 3",
+      "convbound_class_requests_shed_total{job=\"g\",class=\"free\",reason=\"quota\"} 4",
+      "convbound_class_requests_shed_total{job=\"g\",class=\"free\",reason=\"shutdown\"} 0",
+      "convbound_class_requests_shed_total{job=\"g\",class=\"paid\",reason=\"full\"} 2",
+      "convbound_class_requests_shed_total{job=\"g\",class=\"paid\",reason=\"quota\"} 0",
+      "convbound_class_requests_shed_total{job=\"g\",class=\"paid\",reason=\"shutdown\"} 3",
+      "convbound_class_requests_submitted_total{job=\"g\",class=\"free\"} 15",
+      "convbound_class_requests_submitted_total{job=\"g\",class=\"paid\"} 25",
+      "convbound_mean_batch_size{job=\"g\"} 2.5",
+      "convbound_modelled_rps{job=\"g\"} 4000.25",
+      "convbound_queue_depth{job=\"g\"} 7",
+      "convbound_queue_depth_max{job=\"g\"} 11",
+      "convbound_request_latency_seconds_bucket{job=\"g\",le=\"0.00400111323\"} 1",
+      "convbound_request_latency_seconds_bucket{job=\"g\",le=\"0.00917062481\"} 2",
+      "convbound_request_latency_seconds_bucket{job=\"g\",le=\"0.0310549907\"} 3",
+      "convbound_request_latency_seconds_bucket{job=\"g\",le=\"+Inf\"} 3",
+      "convbound_request_latency_seconds_sum{job=\"g\"} 0.043",
+      "convbound_request_latency_seconds_count{job=\"g\"} 3",
+      "convbound_requests_completed_total{job=\"g\"} 21",
+      "convbound_requests_expired_total{job=\"g\"} 6",
+      "convbound_requests_failed_total{job=\"g\"} 1",
+      "convbound_requests_shed_total{job=\"g\",reason=\"full\"} 5",
+      "convbound_requests_shed_total{job=\"g\",reason=\"quota\"} 4",
+      "convbound_requests_shed_total{job=\"g\",reason=\"shutdown\"} 3",
+      "convbound_requests_submitted_total{job=\"g\"} 40",
+      "convbound_shard_depth{job=\"g\",shard=\"0\"} 3",
+      "convbound_shard_depth{job=\"g\",shard=\"1\"} 4",
+      "convbound_shard_depth_max{job=\"g\",shard=\"0\"} 5",
+      "convbound_shard_depth_max{job=\"g\",shard=\"1\"} 6",
+      "convbound_shard_imbalance{job=\"g\"} 1.0909",
+      "convbound_stage_batch_delay_seconds_bucket{job=\"g\",le=\"0.000515501913\"} 1",
+      "convbound_stage_batch_delay_seconds_bucket{job=\"g\",le=\"+Inf\"} 1",
+      "convbound_stage_batch_delay_seconds_sum{job=\"g\"} 0.0005",
+      "convbound_stage_batch_delay_seconds_count{job=\"g\"} 1",
+      "convbound_stage_exec_seconds_bucket{job=\"g\",le=\"0.00202083407\"} 1",
+      "convbound_stage_exec_seconds_bucket{job=\"g\",le=\"0.00620703985\"} 2",
+      "convbound_stage_exec_seconds_bucket{job=\"g\",le=\"+Inf\"} 2",
+      "convbound_stage_exec_seconds_sum{job=\"g\"} 0.008",
+      "convbound_stage_exec_seconds_count{job=\"g\"} 2",
+      "convbound_stage_queue_wait_seconds_bucket{job=\"g\",le=\"0.00102065853\"} 1",
+      "convbound_stage_queue_wait_seconds_bucket{job=\"g\",le=\"0.00202083407\"} 2",
+      "convbound_stage_queue_wait_seconds_bucket{job=\"g\",le=\"+Inf\"} 2",
+      "convbound_stage_queue_wait_seconds_sum{job=\"g\"} 0.003",
+      "convbound_stage_queue_wait_seconds_count{job=\"g\"} 2",
+      "convbound_throughput_rps{job=\"g\"} 125.5",
+  };
+  ObsRegistry reg;
+  publish_snapshot(reg, "job=\"g\"", every_field_snapshot());
+  const std::string text = "\n" + reg.metrics_text();
+  for (const char* series : kSeries) {
+    std::string line = "\n";
+    line += series;
+    line += '\n';
+    EXPECT_NE(text.find(line), std::string::npos) << series;
+  }
 }
 
 // ------------------------------------------- live-server integration ----

@@ -292,7 +292,7 @@ TEST(BestOf, CudnnBaselinePairPlansTheFasterDirectKernel) {
   }
 }
 
-TEST(Executor, ExecuteIntoMatchesLeasedExecution) {
+TEST(Executor, RunPlanMatchesLeasedExecution) {
   SimGpu gpu(MachineSpec::v100());
   const ConvShape s = shape(4, 11, 6, 3, 1, 1);
   Planner planner;
@@ -304,14 +304,12 @@ TEST(Executor, ExecuteIntoMatchesLeasedExecution) {
   ConvExecutor::Execution ex = exec.execute(gpu, plan, p.input, p.weights);
 
   Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
-  const LaunchStats stats =
-      exec.execute_into(gpu, plan, p.input, p.weights, out);
+  const LaunchStats stats = run_plan(gpu, plan, p.input, p.weights, out);
   EXPECT_DOUBLE_EQ(stats.sim_time, ex.stats.sim_time);
   EXPECT_TRUE(allclose(out, ex.output.tensor(), 0, 0));
 
   Tensor4<float> wrong(s.batch, s.cout + 1, s.hout(), s.wout());
-  EXPECT_THROW(exec.execute_into(gpu, plan, p.input, p.weights, wrong),
-               Error);
+  EXPECT_THROW(run_plan(gpu, plan, p.input, p.weights, wrong), Error);
 }
 
 }  // namespace

@@ -608,7 +608,7 @@ TEST(Serve, TenantClassesGetPerClassStatsAndQuotaStatus) {
   EXPECT_EQ(s.classes.at("paid").quota_rejected, 0u);
   EXPECT_EQ(s.classes.at("free").completed, 4u);
   EXPECT_EQ(s.classes.at("free").quota_rejected, 1u);
-  EXPECT_GT(s.classes.at("paid").latency_p99, 0.0);
+  EXPECT_GT(s.classes.at("paid").latency.quantile(0.99), 0.0);
   server.stop();
 }
 
@@ -639,6 +639,19 @@ TEST(Serve, ClassLatencyBudgetExpiresUnservedRequests) {
 }
 
 // --------------------------------------------------- lifecycle guards ----
+
+// A request admitted before start() and answered kShutdown by stop() is
+// counted once as submitted and once as a shutdown rejection.
+TEST(Serve, StopBeforeStartCountsQueuedRequestsAsShutdown) {
+  auto models = tiny_models();
+  InferenceServer server(models, tiny_options());
+  auto f = server.submit({models[0].name, make_request_input(models[0], 4)});
+  server.stop();
+  EXPECT_EQ(f.get().status, ServeStatus::kShutdown);
+  const StatsSnapshot s = server.stats();
+  EXPECT_EQ(s.submitted, 1u);
+  EXPECT_EQ(s.shutdown_rejected, 1u);
+}
 
 TEST(Serve, LifecycleMisuseFailsLoudly) {
   auto models = tiny_models();

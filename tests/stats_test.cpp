@@ -306,9 +306,12 @@ TEST(StripedServerStats, SnapshotFoldsSkewedStripesNotStripeZero) {
   stats.stripe(0).record_submitted(1, "paid");
   for (int i = 0; i < 100; ++i)
     stats.stripe(2).record_submitted(static_cast<std::size_t>(i), "paid");
-  for (int i = 0; i < 7; ++i) stats.stripe(1).record_rejected("free");
-  for (int i = 0; i < 5; ++i) stats.stripe(3).record_quota_rejected("free");
-  stats.exec_stripe().record_expired(3, "free");
+  for (int i = 0; i < 7; ++i)
+    stats.stripe(1).record_shed(ServeStatus::kRejected, "free");
+  for (int i = 0; i < 5; ++i)
+    stats.stripe(3).record_shed(ServeStatus::kQuotaExceeded, "free");
+  stats.exec_stripe().record_unserved(ServeStatus::kDeadlineExceeded, 3,
+                                      "free");
   stats.exec_stripe().record_batch(2, 1e-3, {1e-3, 2e-3}, {"paid", "paid"});
 
   const StatsSnapshot s = stats.snapshot();
@@ -345,8 +348,8 @@ TEST(StripedServerStats, SnapshotFoldsSkewedStripesNotStripeZero) {
 TEST(ServerStats, RecordsStagesAndShutdownRejections) {
   ServerStats stats;
   stats.mark_start();
-  stats.record_shutdown_rejected("paid");
-  stats.record_shutdown_rejected();
+  stats.record_shed(ServeStatus::kShutdown, "paid");
+  stats.record_shed(ServeStatus::kShutdown);
   std::vector<ServerStats::StageLatencies> stages(2);
   stages[0] = {1e-3, 2e-3, 3e-3};   // sums to the 6ms latency below
   stages[1] = {4e-3, 5e-3, 11e-3};  // sums to 20ms
@@ -371,7 +374,33 @@ TEST(ServerStats, RecordsStagesAndShutdownRejections) {
   EXPECT_GT(s.queue_wait_p99, 0.0);
   EXPECT_GT(s.exec_mean, 0.0);
   EXPECT_EQ(s.classes.at("paid").queue_wait.count(), 2u);
-  EXPECT_GT(s.classes.at("paid").exec_p99, 0.0);
+  EXPECT_GT(s.classes.at("paid").exec.quantile(0.99), 0.0);
+}
+
+// Execution failures land in their request's class slice, so a class row
+// sums to its own submissions like the total does.
+TEST(ServerStats, FailuresAreAttributedToTheirClass) {
+  ServerStats stats;
+  for (int i = 0; i < 3; ++i) stats.record_submitted(1, "paid");
+  for (int i = 0; i < 2; ++i) stats.record_submitted(1, "free");
+  stats.record_batch(1, 1e-4, {1e-3}, {"paid"});
+  stats.record_unserved(ServeStatus::kError, 2, "paid");
+  stats.record_unserved(ServeStatus::kError, 1, "free");
+  stats.record_unserved(ServeStatus::kError, 1, "free");
+
+  const StatsSnapshot s = stats.snapshot();
+  EXPECT_EQ(s.failed, 4u);
+  EXPECT_EQ(s.submitted, 5u);
+  EXPECT_EQ(s.resolved(), 5u);
+  ASSERT_EQ(s.classes.size(), 2u);
+  const RequestCounts& paid = s.classes.at("paid");
+  EXPECT_EQ(paid.failed, 2u);
+  EXPECT_EQ(paid.completed, 1u);
+  EXPECT_EQ(paid.submitted, paid.resolved());
+  const RequestCounts& free = s.classes.at("free");
+  EXPECT_EQ(free.failed, 2u);
+  EXPECT_EQ(free.completed, 0u);
+  EXPECT_EQ(free.submitted, free.resolved());
 }
 
 TEST(ShardImbalanceRatio, MaxOverMean) {
@@ -393,7 +422,7 @@ TEST(MergeSnapshots, QueueDepthSumsShardVectorsAddStagesMerge) {
   st_b[0] = {10e-3, 5e-3, 15e-3};
   a_stats.record_batch(1, 1e-4, {4e-3}, {}, st_a);
   b_stats.record_batch(1, 1e-4, {30e-3}, {}, st_b);
-  a_stats.record_shutdown_rejected();
+  a_stats.record_shed(ServeStatus::kShutdown);
 
   StatsSnapshot a = a_stats.snapshot();
   StatsSnapshot b = b_stats.snapshot();
@@ -426,6 +455,136 @@ TEST(MergeSnapshots, QueueDepthSumsShardVectorsAddStagesMerge) {
               fleet.latency.sum(), 1e-12);
   EXPECT_GT(fleet.exec_p99, 0.0);
   EXPECT_GE(fleet.queue_wait_p99, fleet.queue_wait_p50);
+}
+
+// ---------------------------------------------------- golden fold pin ----
+
+// Every recorder, across a 4-stripe front door and two device stats,
+// folded the way a fleet snapshot folds them. The expected values are the
+// exact numbers the stats layer produced before its counters were unified
+// into one record; any refactor of the record, the merge, or the derived
+// fields must reproduce them bit for bit.
+TEST(MergeSnapshots, GoldenFoldOfEveryRecorder) {
+  StripedServerStats front(4);  // never started: wall clock stays 0
+  front.stripe(0).record_submitted(3, "paid");
+  front.stripe(1).record_submitted(5, "paid");
+  front.stripe(2).record_submitted(9, "free");
+  front.stripe(3).record_submitted(4);
+  front.stripe(5).record_submitted(6, "free");  // wraps to stripe 1
+  front.stripe(1).record_shed(ServeStatus::kRejected, "free");
+  front.stripe(2).record_shed(ServeStatus::kRejected);
+  front.stripe(3).record_shed(ServeStatus::kQuotaExceeded, "free");
+  front.stripe(0).record_shed(ServeStatus::kQuotaExceeded, "free");
+  front.stripe(2).record_shed(ServeStatus::kShutdown, "paid");
+  front.stripe(3).record_shed(ServeStatus::kShutdown);
+  front.exec_stripe().record_unserved(ServeStatus::kDeadlineExceeded, 2,
+                                      "free");
+  front.exec_stripe().record_unserved(ServeStatus::kDeadlineExceeded, 1);
+
+  ServerStats dev_a, dev_b;
+  dev_a.record_batch(2, 4e-3, {6e-3, 8e-3}, {"paid", "free"},
+                     {{1e-3, 2e-3, 3e-3}, {2e-3, 1e-3, 5e-3}});
+  dev_a.record_batch(1, 1.5e-3, {12e-3}, {"paid"}, {{4e-3, 3e-3, 5e-3}});
+  dev_a.record_unserved(ServeStatus::kDeadlineExceeded, 1, "paid");
+  dev_a.record_unserved(ServeStatus::kError, 2);
+  dev_b.record_batch(3, 9e-3, {20e-3, 25e-3, 3e-3}, {"paid", "paid", "free"},
+                     {{5e-3, 1e-3, 14e-3},
+                      {7e-3, 2e-3, 16e-3},
+                      {0.5e-3, 0.5e-3, 2e-3}});
+  dev_b.record_batch(1, 2e-3, {40e-3});
+  dev_b.record_unserved(ServeStatus::kError, 1);
+
+  const StatsSnapshot s =
+      merge_snapshots({front.snapshot(), dev_a.snapshot(), dev_b.snapshot()});
+
+  EXPECT_EQ(s.submitted, 11u);
+  EXPECT_EQ(s.completed, 7u);
+  EXPECT_EQ(s.rejected, 2u);
+  EXPECT_EQ(s.quota_rejected, 2u);
+  EXPECT_EQ(s.shutdown_rejected, 2u);
+  EXPECT_EQ(s.expired, 4u);
+  EXPECT_EQ(s.failed, 3u);
+  EXPECT_EQ(s.batches, 4u);
+  EXPECT_DOUBLE_EQ(s.wall_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(s.throughput_rps, 0.0);
+  EXPECT_DOUBLE_EQ(s.sim_seconds, 0.016500000000000001);
+  EXPECT_DOUBLE_EQ(s.modelled_rps, 636.36363636363637);
+  EXPECT_EQ(s.latency.count(), 7u);
+  EXPECT_DOUBLE_EQ(s.latency.sum(), 0.11399999999999999);
+  EXPECT_DOUBLE_EQ(s.latency_p50, 0.011996906850931558);
+  EXPECT_DOUBLE_EQ(s.latency_p95, 0.02554901766252065);
+  EXPECT_DOUBLE_EQ(s.latency_p99, 0.02554901766252065);
+  EXPECT_DOUBLE_EQ(s.latency_max, 0.040000000000000001);
+  EXPECT_DOUBLE_EQ(s.latency_mean, 0.016285714285714285);
+  EXPECT_EQ(s.queue_wait.count(), 6u);
+  EXPECT_DOUBLE_EQ(s.queue_wait.sum(), 0.0195);
+  EXPECT_DOUBLE_EQ(s.queue_wait_p50, 0.002020834068621294);
+  EXPECT_DOUBLE_EQ(s.queue_wait_p99, 0.005106547044524329);
+  EXPECT_DOUBLE_EQ(s.queue_wait_mean, 0.0032499999999999999);
+  EXPECT_EQ(s.batch_delay.count(), 6u);
+  EXPECT_DOUBLE_EQ(s.batch_delay.sum(), 0.0094999999999999998);
+  EXPECT_DOUBLE_EQ(s.batch_delay_p50, 0.0010206585263821623);
+  EXPECT_DOUBLE_EQ(s.batch_delay_p99, 0.002020834068621294);
+  EXPECT_DOUBLE_EQ(s.batch_delay_mean, 0.0015833333333333333);
+  EXPECT_EQ(s.exec.count(), 6u);
+  EXPECT_DOUBLE_EQ(s.exec.sum(), 0.044999999999999998);
+  EXPECT_DOUBLE_EQ(s.exec_p50, 0.0049849625910832734);
+  EXPECT_DOUBLE_EQ(s.exec_p99, 0.014226649032170859);
+  EXPECT_DOUBLE_EQ(s.exec_mean, 0.0074999999999999997);
+  EXPECT_DOUBLE_EQ(s.mean_batch_size, 1.75);
+  const std::vector<std::pair<int, std::uint64_t>> histogram = {
+      {1, 2}, {2, 1}, {3, 1}};
+  EXPECT_EQ(s.batch_histogram, histogram);
+  EXPECT_EQ(s.queue_depth, 0u);
+  EXPECT_EQ(s.max_queue_depth, 9u);
+  EXPECT_DOUBLE_EQ(s.shard_imbalance, 0.0);
+
+  ASSERT_EQ(s.classes.size(), 2u);
+  const auto& free = s.classes.at("free");
+  EXPECT_EQ(free.submitted, 5u);
+  EXPECT_EQ(free.completed, 2u);
+  EXPECT_EQ(free.rejected, 1u);
+  EXPECT_EQ(free.quota_rejected, 2u);
+  EXPECT_EQ(free.shutdown_rejected, 0u);
+  EXPECT_EQ(free.expired, 2u);
+  EXPECT_EQ(free.latency.count(), 2u);
+  EXPECT_DOUBLE_EQ(free.latency.sum(), 0.010999999999999999);
+  EXPECT_DOUBLE_EQ(free.latency.quantile(0.50), 0.003134976910462879);
+  EXPECT_DOUBLE_EQ(free.latency.quantile(0.99), 0.003134976910462879);
+  EXPECT_DOUBLE_EQ(free.latency.mean(), 0.0054999999999999997);
+  EXPECT_DOUBLE_EQ(free.latency.max_value(), 0.0080000000000000002);
+  EXPECT_EQ(free.queue_wait.count(), 2u);
+  EXPECT_DOUBLE_EQ(free.queue_wait.sum(), 0.0025000000000000001);
+  EXPECT_DOUBLE_EQ(free.queue_wait.quantile(0.99), 0.00051550191262726111);
+  EXPECT_EQ(free.batch_delay.count(), 2u);
+  EXPECT_DOUBLE_EQ(free.batch_delay.sum(), 0.0015);
+  EXPECT_DOUBLE_EQ(free.batch_delay.quantile(0.99), 0.00051550191262726111);
+  EXPECT_EQ(free.exec.count(), 2u);
+  EXPECT_DOUBLE_EQ(free.exec.sum(), 0.0070000000000000001);
+  EXPECT_DOUBLE_EQ(free.exec.quantile(0.99), 0.002020834068621294);
+
+  const auto& paid = s.classes.at("paid");
+  EXPECT_EQ(paid.submitted, 3u);
+  EXPECT_EQ(paid.completed, 4u);
+  EXPECT_EQ(paid.rejected, 0u);
+  EXPECT_EQ(paid.quota_rejected, 0u);
+  EXPECT_EQ(paid.shutdown_rejected, 1u);
+  EXPECT_EQ(paid.expired, 1u);
+  EXPECT_EQ(paid.latency.count(), 4u);
+  EXPECT_DOUBLE_EQ(paid.latency.sum(), 0.063);
+  EXPECT_DOUBLE_EQ(paid.latency.quantile(0.50), 0.012289514335100621);
+  EXPECT_DOUBLE_EQ(paid.latency.quantile(0.99), 0.020018323866149747);
+  EXPECT_DOUBLE_EQ(paid.latency.mean(), 0.01575);
+  EXPECT_DOUBLE_EQ(paid.latency.max_value(), 0.025000000000000001);
+  EXPECT_EQ(paid.queue_wait.count(), 4u);
+  EXPECT_DOUBLE_EQ(paid.queue_wait.sum(), 0.017000000000000001);
+  EXPECT_DOUBLE_EQ(paid.queue_wait.quantile(0.99), 0.005106547044524329);
+  EXPECT_EQ(paid.batch_delay.count(), 4u);
+  EXPECT_DOUBLE_EQ(paid.batch_delay.sum(), 0.0080000000000000002);
+  EXPECT_DOUBLE_EQ(paid.batch_delay.quantile(0.99), 0.002020834068621294);
+  EXPECT_EQ(paid.exec.count(), 4u);
+  EXPECT_DOUBLE_EQ(paid.exec.sum(), 0.037999999999999999);
+  EXPECT_DOUBLE_EQ(paid.exec.quantile(0.99), 0.014226649032170859);
 }
 
 }  // namespace

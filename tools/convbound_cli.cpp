@@ -731,16 +731,16 @@ int cmd_load(const Args& a, bool fleet) {
   const StatsSnapshot& f = s.fleet;
   if (tenanted && !f.classes.empty()) {
     Table classes({"class", "submitted", "completed", "quota-rej", "rejected",
-                   "shutdown", "expired", "p50 / p99 ms"});
+                   "shutdown", "expired", "failed", "p50 / p99 ms"});
     for (const auto& [name, c] : f.classes)
       classes.add_row({name, std::to_string(c.submitted),
                        std::to_string(c.completed),
                        std::to_string(c.quota_rejected),
                        std::to_string(c.rejected),
                        std::to_string(c.shutdown_rejected),
-                       std::to_string(c.expired),
-                       Table::fmt(c.latency_p50 * 1e3, 2) + " / " +
-                           Table::fmt(c.latency_p99 * 1e3, 2)});
+                       std::to_string(c.expired), std::to_string(c.failed),
+                       Table::fmt(c.latency.quantile(0.50) * 1e3, 2) + " / " +
+                           Table::fmt(c.latency.quantile(0.99) * 1e3, 2)});
     std::printf("%s\n", classes.to_string().c_str());
   }
 
@@ -803,6 +803,20 @@ int cmd_load(const Args& a, bool fleet) {
   if (failures.load(std::memory_order_relaxed) > 0)
     std::fprintf(stderr, "%d requests failed\n",
                  failures.load(std::memory_order_relaxed));
+  // Every client future has resolved, so every submitted request must sit
+  // in exactly one disposition, in the fleet total and in each class.
+  const auto accounted = [](const std::string& what, const RequestCounts& c) {
+    if (c.submitted == c.resolved()) return true;
+    std::fprintf(stderr,
+                 "error: %s accounting: %llu submitted but %llu resolved\n",
+                 what.c_str(), static_cast<unsigned long long>(c.submitted),
+                 static_cast<unsigned long long>(c.resolved()));
+    return false;
+  };
+  bool all_accounted = accounted("fleet", f);
+  for (const auto& [name, c] : f.classes)
+    all_accounted = accounted("class " + name, c) && all_accounted;
+  if (!all_accounted) return 1;
   return failures.load(std::memory_order_relaxed) == 0 &&
                  f.plan_misses_after_warm == 0
              ? 0
