@@ -2,7 +2,7 @@
 //   1. the optimality condition x*y = R*z (on-condition vs off-condition
 //      tiles at the same shared-memory budget);
 //   2. output-stationary accumulation (ours) vs no output-channel reuse
-//      (z = 1, the naive kernel);
+//      (the naive baseline's fixed 8x8x1 tile);
 //   3. the S_b <= S_sm/2 occupancy rule (one resident block vs two);
 //   4. search-space pruning ratio (what Table 2's compression measures).
 #include "bench_util.hpp"
@@ -72,7 +72,8 @@ void register_stationarity_and_occupancy() {
           const auto ours = direct_tiled_sim(
               gpu, p.input, p.weights, s,
               default_tiled_config(s, gpu.spec()), out);
-          const auto naive = direct_naive_sim(gpu, p.input, p.weights, s, out);
+          const auto naive = direct_tiled_sim(gpu, p.input, p.weights, s,
+                                              naive_direct_config(s), out);
           char buf[160];
           std::snprintf(buf, sizeof(buf),
                         "output-stationary tiles move %.2fx less data than "

@@ -14,7 +14,7 @@ namespace convbound {
 
 enum class ConvAlgorithm {
   kDirectTiled,     ///< paper dataflow, Section 5.2 (tunable)
-  kDirectNaive,     ///< generic direct kernel (baseline component)
+  kDirectNaive,     ///< tiled dataflow at a fixed 8x8x1 tile (baseline)
   kIm2col,          ///< im2col + GEMM (baseline component)
   kWinogradFused,   ///< paper dataflow, Section 5.3 (tunable)
   kWinogradPhased,  ///< cuDNN-style Winograd baseline
@@ -31,6 +31,12 @@ bool algorithm_supports(ConvAlgorithm algo, const ConvShape& s);
 /// Default untuned-but-sane config for the tiled dataflow: the optimality
 /// condition tile x*y = R*z under the budget S_sm/(2 * elements).
 ConvConfig default_tiled_config(const ConvShape& s, const MachineSpec& spec);
+
+/// The cuDNN-like direct baseline's fixed configuration of the tiled
+/// dataflow: 8x8 spatial tiles (clamped to the output), one output channel
+/// per block (z = 1, so the input tile is re-read C_out times: no
+/// output-channel reuse), 64 threads, S_b from the footprint. Not tunable.
+ConvConfig naive_direct_config(const ConvShape& s);
 
 /// Same for the fused Winograd dataflow (tile budget from Section 5.3).
 ConvConfig default_winograd_config(const ConvShape& s, std::int64_t e,

@@ -2,7 +2,6 @@
 #pragma once
 
 #include "convbound/conv/conv_config.hpp"
-#include "convbound/gemm/gemm.hpp"
 #include "convbound/machine/sim_gpu.hpp"
 #include "convbound/tensor/conv_shape.hpp"
 #include "convbound/tensor/tensor.hpp"
@@ -13,18 +12,12 @@ namespace convbound {
 /// x*y*z output sub-block held entirely in shared memory; an x'*y' input
 /// tile slides along the channel direction (alpha = 1); inputs and weights
 /// are read exactly once per block and outputs are written exactly once.
-/// `out` must be pre-shaped [batch, cout, hout, wout] NCHW.
+/// `out` must be pre-shaped [batch, cout, hout, wout] NCHW. The cuDNN-like
+/// direct baseline is this same kernel at naive_direct_config (algorithms.hpp):
+/// a fixed 8x8x1 tile with no output-channel reuse.
 LaunchStats direct_tiled_sim(SimGpu& gpu, const Tensor4<float>& input,
                              const Tensor4<float>& weights,
                              const ConvShape& s, const ConvConfig& cfg,
-                             Tensor4<float>& out);
-
-/// Generic direct kernel standing in for cuDNN's non-im2col direct path:
-/// fixed 8x8 spatial tiles, one output channel per block (z = 1), so the
-/// input tile is re-read C_out times — correct and competent, but with no
-/// output-channel data reuse.
-LaunchStats direct_naive_sim(SimGpu& gpu, const Tensor4<float>& input,
-                             const Tensor4<float>& weights, const ConvShape& s,
                              Tensor4<float>& out);
 
 /// im2col + blocked GEMM, the path cuDNN usually prefers for direct
@@ -32,6 +25,6 @@ LaunchStats direct_naive_sim(SimGpu& gpu, const Tensor4<float>& input,
 /// global memory (counted), then multiplied by the weight matrix.
 LaunchStats im2col_sim(SimGpu& gpu, const Tensor4<float>& input,
                        const Tensor4<float>& weights, const ConvShape& s,
-                       Tensor4<float>& out, const GemmConfig& gemm_cfg = {});
+                       Tensor4<float>& out);
 
 }  // namespace convbound

@@ -55,6 +55,15 @@ ConvConfig default_tiled_config(const ConvShape& s, const MachineSpec& spec) {
   return cfg;
 }
 
+ConvConfig naive_direct_config(const ConvShape& s) {
+  ConvConfig cfg;
+  cfg.x = std::min<std::int64_t>(8, s.hout());
+  cfg.y = std::min<std::int64_t>(8, s.wout());
+  cfg.z = 1;
+  cfg.nxt = cfg.nyt = 8;
+  return cfg;
+}
+
 ConvConfig default_winograd_config(const ConvShape& s, std::int64_t e,
                                    const MachineSpec& spec) {
   const std::int64_t r = s.kh;

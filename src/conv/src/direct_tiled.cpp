@@ -74,10 +74,9 @@ LaunchStats direct_tiled_sim(SimGpu& gpu, const Tensor4<float>& input,
   LaunchConfig lc;
   lc.num_blocks = s.batch * nz * nx * ny;
   lc.threads_per_block = cfg.threads();
-  const std::int64_t needed =
-      (x * y * z + in_rows * in_cols + z * kker) *
-      static_cast<std::int64_t>(sizeof(float));
-  lc.smem_bytes_per_block = cfg.smem_budget > 0 ? cfg.smem_budget : needed;
+  lc.smem_bytes_per_block =
+      cfg.smem_budget > 0 ? cfg.smem_budget
+                          : direct_tiled_smem_bytes(s, ConvConfig{x, y, z});
 
   return gpu.launch(lc, [&, x, y, z](BlockContext& ctx) {
     // Decode block -> (batch, z-block, x-block, y-block).

@@ -1,6 +1,7 @@
 #include <vector>
 
 #include "convbound/conv/direct.hpp"
+#include "convbound/gemm/gemm.hpp"
 #include "convbound/util/math.hpp"
 #include "tile_io.hpp"
 
@@ -49,7 +50,7 @@ LaunchStats im2col_expand(SimGpu& gpu, const Tensor4<float>& input,
 
 LaunchStats im2col_sim(SimGpu& gpu, const Tensor4<float>& input,
                        const Tensor4<float>& weights, const ConvShape& s,
-                       Tensor4<float>& out, const GemmConfig& gemm_cfg) {
+                       Tensor4<float>& out) {
   s.validate();
   CB_CHECK_MSG(s.groups == 1, "grouped convolution: use the tiled direct kernel");
   CB_CHECK(out.n() == s.batch && out.c() == s.cout &&
@@ -63,8 +64,8 @@ LaunchStats im2col_sim(SimGpu& gpu, const Tensor4<float>& input,
     total += im2col_expand(gpu, input, s, b, col.data());
     // Weights [cout, cin*kh*kw] are already a row-major matrix in NCHW.
     float* out_mat = out.data() + out.index(b, 0, 0, 0);
-    total += gemm_sim(gpu, weights.data(), col.data(), out_mat, s.cout, k, n,
-                      gemm_cfg);
+    // The default 64x64x32 GEMM tiling: the baseline is not tuned.
+    total += gemm_sim(gpu, weights.data(), col.data(), out_mat, s.cout, k, n);
   }
   return total;
 }

@@ -48,15 +48,14 @@ LaunchStats winograd_fused_sim(SimGpu& gpu, const Tensor4<float>& input,
                      nbz = ceil_div(s.cout, z);
 
   const std::int64_t in_rows = x + r - 1, in_cols = y + r - 1;
-  const std::int64_t smem_floats =
-      tbx * tby * z * a2 + in_rows * in_cols + z * r2 + z * a2 + 2 * a2;
 
   LaunchConfig lc;
   lc.num_blocks = s.batch * nbz * nbx * nby;
   lc.threads_per_block = cfg.threads();
-  const std::int64_t needed =
-      smem_floats * static_cast<std::int64_t>(sizeof(float));
-  lc.smem_bytes_per_block = cfg.smem_budget > 0 ? cfg.smem_budget : needed;
+  lc.smem_bytes_per_block =
+      cfg.smem_budget > 0
+          ? cfg.smem_budget
+          : winograd_fused_smem_bytes(s, e, ConvConfig{x, y, z});
 
   return gpu.launch(lc, [&, x, y, z](BlockContext& ctx) {
     std::int64_t id = ctx.block_id();

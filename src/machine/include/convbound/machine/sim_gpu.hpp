@@ -90,13 +90,6 @@ class BlockContext {
     bytes_loaded_ += rows * cols * sizeof(T);
   }
 
-  /// Counted single-element load (uncoalesced access path).
-  template <typename T>
-  T load_one(const T* global_src) {
-    bytes_loaded_ += sizeof(T);
-    return *global_src;
-  }
-
   /// Minimum off-chip transaction granularity. Gather accesses with an
   /// element stride > 1 over-fetch up to one transaction per element, which
   /// is how the tensor layout (Table 1's CHW/CWH/HWC knob) becomes visible
@@ -126,15 +119,6 @@ class BlockContext {
     bytes_loaded_ += gather_cost_bytes<T>(elem_stride, count);
   }
 
-  /// Counted strided scatter: global_dst[i*elem_stride] = src[i].
-  template <typename T>
-  void store_scatter(T* global_dst, std::int64_t elem_stride, const T* src,
-                     std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i)
-      global_dst[static_cast<std::int64_t>(i) * elem_stride] = src[i];
-    bytes_stored_ += gather_cost_bytes<T>(elem_stride, count);
-  }
-
   /// Counted contiguous store: shared/registers -> global.
   template <typename T>
   void store(T* global_dst, const T* src, std::size_t count) {
@@ -151,10 +135,9 @@ class BlockContext {
   /// Kernels self-report arithmetic (FMA = 2 FLOPs).
   void add_flops(std::uint64_t n) { flops_ += n; }
 
-  /// Accounting-only transfer charges, for moves performed by surrounding
-  /// scalar code (e.g. a type-converting store loop).
+  /// Accounting-only transfer charge, for moves performed by surrounding
+  /// scalar code (e.g. a transposing copy into shared memory).
   void charge_load(std::size_t bytes) { bytes_loaded_ += bytes; }
-  void charge_store(std::size_t bytes) { bytes_stored_ += bytes; }
 
   std::uint64_t bytes_loaded() const { return bytes_loaded_; }
   std::uint64_t bytes_stored() const { return bytes_stored_; }

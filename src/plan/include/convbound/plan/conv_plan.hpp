@@ -13,22 +13,12 @@ namespace convbound {
 /// Everything the executor needs to run one convolution, plus the analytic
 /// quantities that justified the choice. Plans are plain values: cheap to
 /// copy, safe to cache and to record in per-layer reports.
-/// Short human label for a planned algorithm choice: name, Winograd
-/// variant, tuned marker. The one formatter every report/table uses.
-inline std::string plan_label(ConvAlgorithm algo, std::int64_t e,
-                              bool tuned) {
-  std::string out = to_string(algo);
-  if (algo == ConvAlgorithm::kWinogradFused ||
-      algo == ConvAlgorithm::kWinogradPhased)
-    out += " e=" + std::to_string(e);
-  if (tuned) out += " (tuned)";
-  return out;
-}
-
 struct ConvPlan {
   ConvShape shape;
   ConvAlgorithm algorithm = ConvAlgorithm::kDirectTiled;
-  /// Honoured by the tunable dataflows, ignored by the baselines.
+  /// Honoured by the direct dataflows (tiled, and naive at its fixed
+  /// naive_direct_config) and fused Winograd; ignored by im2col and phased
+  /// Winograd.
   ConvConfig config;
   /// Winograd variant F(e x e, r x r); meaningful for the Winograd
   /// algorithms only.
@@ -58,7 +48,16 @@ struct ConvPlan {
                                  : 0.0;
   }
 
-  std::string label() const { return plan_label(algorithm, e, tuned); }
+  /// Short human label: name, Winograd variant, tuned marker. The one
+  /// formatter every report/table uses.
+  std::string label() const {
+    std::string out = convbound::to_string(algorithm);
+    if (algorithm == ConvAlgorithm::kWinogradFused ||
+        algorithm == ConvAlgorithm::kWinogradPhased)
+      out += " e=" + std::to_string(e);
+    if (tuned) out += " (tuned)";
+    return out;
+  }
 
   std::string to_string() const {
     return "plan[" + label() + " " + config.to_string() + "]";

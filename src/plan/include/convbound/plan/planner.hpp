@@ -71,14 +71,7 @@ struct PlannerOptions {
 /// One scored planning candidate; exposed so the CLI can print the full
 /// ranking, not just the winner.
 struct PlanCandidate {
-  ConvAlgorithm algorithm = ConvAlgorithm::kDirectTiled;
-  ConvConfig config;
-  std::int64_t e = 2;
-  bool tuned = false;
-  double predicted_io_elems = 0;
-  double lower_bound_elems = 0;
-  double predicted_seconds = 0;
-  bool measured = false;
+  ConvPlan plan;
   /// Candidate failed its dry run (e.g. configuration exceeds shared
   /// memory); never selected.
   bool infeasible = false;
@@ -133,10 +126,6 @@ class Planner {
   std::vector<PlanCandidate> rank(SimGpu& gpu, const ConvShape& s,
                                   const std::vector<ConvAlgorithm>& algos,
                                   const PlannerOptions& opts, bool dry_run);
-  /// The front of a ranking as a plan; throws when nothing is feasible.
-  ConvPlan best_plan(const ConvShape& s,
-                     const std::vector<PlanCandidate>& ranked) const;
-  ConvPlan to_plan(const ConvShape& s, const PlanCandidate& c) const;
 
   TuneCache* cache_;
   mutable Mutex memo_mu_;

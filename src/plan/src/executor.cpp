@@ -18,9 +18,8 @@ LaunchStats dispatch_plan(SimGpu& gpu, const ConvPlan& plan,
                "output tensor does not match plan shape " << s.to_string());
   switch (plan.algorithm) {
     case ConvAlgorithm::kDirectTiled:
+    case ConvAlgorithm::kDirectNaive:  // the same dataflow at a fixed tile
       return direct_tiled_sim(gpu, input, weights, s, plan.config, out);
-    case ConvAlgorithm::kDirectNaive:
-      return direct_naive_sim(gpu, input, weights, s, out);
     case ConvAlgorithm::kIm2col:
       return im2col_sim(gpu, input, weights, s, out);
     case ConvAlgorithm::kWinogradFused:

@@ -44,23 +44,18 @@ double winograd_flops_estimate(const ConvShape& s, std::int64_t e) {
 }
 
 /// Bounds-layer I/O prediction (elements, reads + writes) for an algorithm
-/// with its chosen tile. Baselines get honest structural estimates so the
-/// CLI ranking stays meaningful; only the tunable dataflows have exact
-/// Equation (20)/(22) models.
+/// with its chosen tile. The direct dataflows (tiled and naive) and fused
+/// Winograd have exact Equation (20)/(22) models; the other baselines get
+/// honest structural estimates so the CLI ranking stays meaningful.
 double predicted_io_elems(const ConvShape& s, ConvAlgorithm algo,
                           const ConvConfig& cfg, std::int64_t e) {
   const double out = static_cast<double>(s.output_elems());
   switch (algo) {
     case ConvAlgorithm::kDirectTiled:
+    case ConvAlgorithm::kDirectNaive:  // at its fixed 8 x 8 x 1 tile
       return direct_dataflow_reads(s, cfg.x, cfg.y, cfg.z) + out;
     case ConvAlgorithm::kWinogradFused:
       return winograd_dataflow_reads(s, e, cfg.x, cfg.y, cfg.z) + out;
-    case ConvAlgorithm::kDirectNaive:
-      // Literally an 8 x 8 x 1 instance of the tiled dataflow (no
-      // output-channel reuse).
-      return direct_dataflow_reads(s, std::min<std::int64_t>(8, s.hout()),
-                                   std::min<std::int64_t>(8, s.wout()), 1) +
-             out;
     case ConvAlgorithm::kIm2col: {
       // Column matrix written then re-read by the GEMM.
       const double col = static_cast<double>(s.batch * s.hout() * s.wout()) *
@@ -98,6 +93,14 @@ double family_lower_bound(const ConvShape& s, ConvAlgorithm algo,
                     winograd_lower_bound_leading(s, e, S));
   return std::max(direct_conv_lower_bound(s, S),
                   direct_conv_lower_bound_leading(s, S));
+}
+
+/// The front of a ranking as a plan; throws when nothing is feasible.
+ConvPlan best_plan(const ConvShape& s,
+                   const std::vector<PlanCandidate>& ranked) {
+  CB_CHECK_MSG(!ranked.empty() && !ranked.front().infeasible,
+               "no feasible plan for " << s.to_string());
+  return ranked.front().plan;
 }
 
 std::string memo_key(const MachineSpec& spec, const ConvShape& s,
@@ -170,24 +173,28 @@ PlanCandidate Planner::make_candidate(SimGpu& gpu, const ConvShape& s,
                                       bool dry_run) {
   const MachineSpec& spec = gpu.spec();
   PlanCandidate c;
-  c.algorithm = algo;
-  c.e = e;
+  ConvPlan& p = c.plan;
+  p.shape = s;
+  p.algorithm = algo;
+  p.e = e;
 
   // Configuration: analytic Section 5 default, overridden by the tune cache
-  // or a fresh autotuning run for the tunable dataflows in kTuned mode.
+  // or a fresh autotuning run for the tunable dataflows in kTuned mode. The
+  // naive direct baseline runs the tiled dataflow at its fixed tile.
   const bool wino = algo == ConvAlgorithm::kWinogradFused;
+  if (algo == ConvAlgorithm::kDirectNaive) p.config = naive_direct_config(s);
   if (is_tunable(algo)) {
-    c.config = wino ? default_winograd_config(s, e, spec)
+    p.config = wino ? default_winograd_config(s, e, spec)
                     : default_tiled_config(s, spec);
     if (opts.mode == PlanMode::kTuned) {
       const std::string key = TuneCache::make_key(spec, s, wino, e);
       if (cache_ != nullptr) {
         if (const auto hit = cache_->get(key)) {
-          c.config = hit->config;
-          c.tuned = true;
+          p.config = hit->config;
+          p.tuned = true;
         }
       }
-      if (!c.tuned) {
+      if (!p.tuned) {
         AutotuneOptions aopts;
         aopts.budget = opts.tune_budget;
         aopts.seed = opts.seed;
@@ -196,31 +203,31 @@ PlanCandidate Planner::make_candidate(SimGpu& gpu, const ConvShape& s,
         aopts.workers = opts.workers;
         const AutotuneOutcome outcome = autotune_conv(gpu, s, aopts);
         if (outcome.result.best_seconds < 1e30) {
-          c.config = outcome.result.best;
-          c.tuned = true;
+          p.config = outcome.result.best;
+          p.tuned = true;
           if (cache_ != nullptr)
-            cache_->put(key, {c.config, outcome.best_gflops});
+            cache_->put(key, {p.config, outcome.best_gflops});
         }
       }
     }
   }
 
-  c.predicted_io_elems = predicted_io_elems(s, algo, c.config, e);
-  c.lower_bound_elems = family_lower_bound(
+  p.predicted_io_elems = predicted_io_elems(s, algo, p.config, e);
+  p.lower_bound_elems = family_lower_bound(
       s, algo, e, static_cast<double>(spec.smem_floats()));
   const double flops = is_winograd(algo)
                            ? winograd_flops_estimate(s, e)
                            : static_cast<double>(s.flops());
-  c.predicted_seconds = roofline_seconds(spec, c.predicted_io_elems, flops);
+  p.predicted_seconds = roofline_seconds(spec, p.predicted_io_elems, flops);
 
   if (dry_run) {
-    ConvPlan probe = to_plan(s, c);
-    const ConvProblem p = make_problem(s, opts.seed);
+    const ConvProblem prob = make_problem(s, opts.seed);
     Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
     try {
-      const LaunchStats stats = run_plan(gpu, probe, p.input, p.weights, out);
-      c.predicted_seconds = stats.sim_time;
-      c.measured = true;
+      const LaunchStats stats =
+          run_plan(gpu, p, prob.input, prob.weights, out);
+      p.predicted_seconds = stats.sim_time;
+      p.measured = true;
     } catch (const Error&) {
       // Configuration does not physically fit (e.g. shared-memory
       // overflow); keep the candidate visible but never select it.
@@ -228,20 +235,6 @@ PlanCandidate Planner::make_candidate(SimGpu& gpu, const ConvShape& s,
     }
   }
   return c;
-}
-
-ConvPlan Planner::to_plan(const ConvShape& s, const PlanCandidate& c) const {
-  ConvPlan p;
-  p.shape = s;
-  p.algorithm = c.algorithm;
-  p.config = c.config;
-  p.e = c.e;
-  p.tuned = c.tuned;
-  p.predicted_io_elems = c.predicted_io_elems;
-  p.lower_bound_elems = c.lower_bound_elems;
-  p.predicted_seconds = c.predicted_seconds;
-  p.measured = c.measured;
-  return p;
 }
 
 std::vector<PlanCandidate> Planner::rank(
@@ -257,16 +250,10 @@ std::vector<PlanCandidate> Planner::rank(
   std::stable_sort(cands.begin(), cands.end(),
                    [](const PlanCandidate& a, const PlanCandidate& b) {
                      if (a.infeasible != b.infeasible) return b.infeasible;
-                     return a.predicted_seconds < b.predicted_seconds;
+                     return a.plan.predicted_seconds <
+                            b.plan.predicted_seconds;
                    });
   return cands;
-}
-
-ConvPlan Planner::best_plan(const ConvShape& s,
-                            const std::vector<PlanCandidate>& ranked) const {
-  CB_CHECK_MSG(!ranked.empty() && !ranked.front().infeasible,
-               "no feasible plan for " << s.to_string());
-  return to_plan(s, ranked.front());
 }
 
 std::vector<PlanCandidate> Planner::enumerate(SimGpu& gpu, const ConvShape& s,

@@ -4,11 +4,10 @@
 // is chosen from the bounds layer: every candidate bucket is scored with the
 // analytic planner (Eq 20/22 dataflow I/O predictions + roofline + launch
 // overhead — the same machinery behind bench/fig10_batched_conv), and the
-// smallest bucket within `knee_tolerance` of the best feasible per-request
-// time wins. That lands on the knee of the amortisation curve: larger
-// buckets would add padding waste and batch latency for <2% predicted gain,
-// and buckets whose whole-batch time exceeds the latency budget are
-// rejected outright.
+// smallest bucket within 2% of the best feasible per-request time wins.
+// That lands on the knee of the amortisation curve: larger buckets would
+// add padding waste and batch latency for <2% predicted gain, and buckets
+// whose whole-batch time exceeds the latency budget are rejected outright.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +31,6 @@ struct BatchPolicyOptions {
   /// The scheduler's group-formation window (its max_delay, seconds);
   /// ServeEngine charges ServingOptions::max_delay into its own copy.
   double max_delay_seconds = 0;
-  /// Pick the smallest bucket within this fraction of the best feasible
-  /// per-request time.
-  double knee_tolerance = 0.02;
 };
 
 /// One scored candidate bucket, kept for reporting (CLI/bench tables).

@@ -34,8 +34,6 @@ struct ServedModelOptions {
   std::int64_t channel_cap = 0;
   /// Cap input H/W (0 = uncapped); kernel/stride/pad are kept.
   std::int64_t spatial_cap = 0;
-  /// Seed for the model's fixed weights.
-  std::uint64_t weight_seed = 42;
 };
 
 struct ServedModel {

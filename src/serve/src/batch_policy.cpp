@@ -8,6 +8,10 @@ namespace convbound {
 
 namespace {
 
+// The smallest bucket within this fraction of the best feasible
+// per-request time is the knee.
+constexpr double kKneeTolerance = 0.02;
+
 BucketScore score_one(Planner& planner, SimGpu& gpu, const ServedModel& model,
                       std::int64_t b, const BatchPolicyOptions& opts) {
   PlannerOptions popts;
@@ -72,7 +76,7 @@ BucketChoice choose_batch_bucket(const ServedModel& model,
     for (auto& s : choice.scores) {
       if (s.feasible &&
           s.predicted_seconds_per_request <=
-              best * (1.0 + opts.knee_tolerance)) {
+              best * (1.0 + kKneeTolerance)) {
         choice.bucket = s.bucket;
         break;  // smallest bucket at the knee
       }

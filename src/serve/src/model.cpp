@@ -12,6 +12,9 @@ namespace convbound {
 
 namespace {
 
+// Seed for every served model's fixed weights.
+constexpr std::uint64_t kWeightSeed = 42;
+
 std::int64_t cap_channels(std::int64_t c, std::int64_t groups,
                           std::int64_t cap) {
   if (cap <= 0 || c <= cap) return c;
@@ -59,7 +62,7 @@ ServedModel make_served_model(const std::string& name,
     // Weights are generated at the batch-1 geometry, so they are identical
     // whichever batch bucket later executes the layer.
     const ConvProblem p = make_problem(
-        scaled.shape, opts.weight_seed ^ std::hash<std::string>{}(layer.name));
+        scaled.shape, kWeightSeed ^ std::hash<std::string>{}(layer.name));
     m.weights.push_back(p.weights);
     m.layers.push_back(std::move(scaled));
   }

@@ -3,6 +3,8 @@
 #include "convbound/bounds/conv_bounds.hpp"
 #include "convbound/conv/algorithms.hpp"
 #include "convbound/conv/reference.hpp"
+#include "convbound/plan/executor.hpp"
+#include "convbound/plan/planner.hpp"
 
 namespace convbound {
 namespace {
@@ -20,6 +22,26 @@ ConvShape shape(std::int64_t b, std::int64_t cin, std::int64_t hw,
   s.pad = pad;
   s.groups = groups;
   return s;
+}
+
+ConvShape rect(std::int64_t b, std::int64_t cin, std::int64_t hin,
+               std::int64_t win, std::int64_t cout, std::int64_t kh,
+               std::int64_t kw, std::int64_t stride, std::int64_t pad,
+               std::int64_t groups) {
+  ConvShape s = shape(b, cin, hin, cout, kh, stride, pad, groups);
+  s.win = win;
+  s.kw = kw;
+  s.validate();
+  return s;
+}
+
+// The naive direct baseline as the planner plans it and run_plan runs it.
+LaunchStats run_naive(SimGpu& gpu, const ConvProblem& prob,
+                      const ConvShape& s, Tensor4<float>& out) {
+  Planner planner;
+  const ConvPlan plan = planner.plan_algorithm(
+      gpu, s, {ConvAlgorithm::kDirectNaive}, PlannerOptions{});
+  return run_plan(gpu, plan, prob.input, prob.weights, out);
 }
 
 struct DirectCase {
@@ -136,7 +158,7 @@ TEST_P(DirectBaselineCorrectness, NaiveMatchesReference) {
   const Tensor4<float> expect = conv2d_ref(prob.input, prob.weights, s);
   SimGpu gpu(MachineSpec::v100());
   Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
-  direct_naive_sim(gpu, prob.input, prob.weights, s, out);
+  run_naive(gpu, prob, s, out);
   EXPECT_TRUE(allclose(expect, out, 1e-3, 1e-3)) << s.to_string();
 }
 
@@ -158,6 +180,52 @@ INSTANTIATE_TEST_SUITE_P(
                       shape(1, 2, 11, 3, 5, 1, 2),
                       shape(1, 3, 12, 4, 1, 1, 0),
                       shape(1, 2, 16, 5, 3, 4, 0)));
+
+// The naive baseline is the tiled dataflow at its fixed 8x8x1 tile. Its
+// counted traffic, block count and modelled time are pinned to the values
+// of the former stand-alone naive kernel on the same shapes.
+struct NaiveCase {
+  const char* name;
+  ConvShape s;
+  std::uint64_t bytes_loaded, bytes_stored, flops, num_blocks;
+  double sim_time;
+};
+
+TEST(DirectNaive, LaunchStatsArePinned) {
+  const NaiveCase cases[] = {
+      {"AlexNet conv1 11x11 s4", rect(1, 3, 67, 67, 16, 11, 11, 4, 2, 1),
+       1144320, 16384, 2973696, 64, 0x1.a56ecb79e1474p-18},
+      {"depthwise g32", rect(1, 32, 14, 14, 32, 3, 3, 1, 1, 32), 37376, 25088,
+       112896, 128, 0x1.11a4932edbc4dp-18},
+      {"grouped g3 5x5", rect(1, 6, 12, 12, 9, 5, 5, 1, 2, 3), 25632, 5184,
+       129600, 36, 0x1.13a821f7a14e1p-18},
+      {"s2 13x9 batch 2", rect(2, 4, 13, 9, 6, 3, 3, 2, 1, 1), 24192, 1680,
+       30240, 12, 0x1.1e9fabc1b9ac6p-18},
+      {"1x1", rect(1, 16, 10, 10, 24, 1, 1, 1, 0, 1), 159744, 9600, 76800, 96,
+       0x1.1cbcb2fbd04a3p-18},
+      {"3x3 input", rect(1, 4, 3, 3, 5, 3, 3, 1, 1, 1), 1440, 180, 3240, 5,
+       0x1.0f2b339f69a58p-18},
+      {"512-channel 7x7", rect(1, 512, 7, 7, 16, 3, 3, 1, 1, 1), 1900544,
+       3136, 7225344, 16, 0x1.3e0a80f661d53p-16},
+      {"edge tiles 3x5", rect(1, 8, 20, 20, 8, 3, 5, 1, 0, 1), 170496, 9216,
+       552960, 48, 0x1.2c052fd6864edp-18},
+  };
+  for (const NaiveCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ConvProblem prob = make_problem(c.s, 11);
+    const Tensor4<float> expect = conv2d_ref(prob.input, prob.weights, c.s);
+    SimGpu gpu(MachineSpec::v100());
+    Tensor4<float> out(c.s.batch, c.s.cout, c.s.hout(), c.s.wout());
+    const LaunchStats st = run_naive(gpu, prob, c.s, out);
+    EXPECT_EQ(st.bytes_loaded, c.bytes_loaded);
+    EXPECT_EQ(st.bytes_stored, c.bytes_stored);
+    EXPECT_EQ(st.flops, c.flops);
+    EXPECT_EQ(st.num_blocks, c.num_blocks);
+    EXPECT_EQ(st.sim_time, c.sim_time);
+    EXPECT_TRUE(allclose(expect, out, 1e-3, 1e-3))
+        << "maxdiff=" << max_abs_diff(expect, out);
+  }
+}
 
 TEST(DirectTiled, OutputsStoredExactlyOnce) {
   const ConvShape s = shape(1, 8, 16, 8, 3, 1, 1);
@@ -211,7 +279,7 @@ TEST(DirectTiled, BeatsBaselinesOnIo) {
   Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
   const ConvConfig c = default_tiled_config(s, gpu.spec());
   const auto ours = direct_tiled_sim(gpu, prob.input, prob.weights, s, c, out);
-  const auto naive = direct_naive_sim(gpu, prob.input, prob.weights, s, out);
+  const auto naive = run_naive(gpu, prob, s, out);
   const auto i2c = im2col_sim(gpu, prob.input, prob.weights, s, out);
   EXPECT_LT(ours.bytes_total(), naive.bytes_total());
   EXPECT_LT(ours.bytes_total(), i2c.bytes_total());

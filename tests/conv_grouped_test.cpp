@@ -5,6 +5,8 @@
 #include "convbound/conv/reference.hpp"
 #include "convbound/nets/inference.hpp"
 #include "convbound/nets/models.hpp"
+#include "convbound/plan/executor.hpp"
+#include "convbound/plan/planner.hpp"
 
 namespace convbound {
 namespace {
@@ -112,7 +114,9 @@ TEST(GroupedNaive, MatchesReference) {
   const Tensor4<float> expect = conv2d_ref(prob.input, prob.weights, s);
   SimGpu gpu(MachineSpec::v100());
   Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
-  direct_naive_sim(gpu, prob.input, prob.weights, s, out);
+  const ConvPlan plan = Planner().plan_algorithm(
+      gpu, s, {ConvAlgorithm::kDirectNaive}, PlannerOptions{});
+  run_plan(gpu, plan, prob.input, prob.weights, out);
   EXPECT_TRUE(allclose(expect, out, 1e-3, 1e-3));
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "convbound/bounds/conv_bounds.hpp"
 #include "convbound/conv/reference.hpp"
 #include "convbound/nets/inference.hpp"
 #include "convbound/plan/executor.hpp"
@@ -254,6 +257,38 @@ TEST(RunPlan, DispatchesAllAlgorithms) {
   EXPECT_THROW(planner.plan_algorithm(gpu, shape(4, 10, 4, 3, 2, 1),
                                       {ConvAlgorithm::kWinogradFused}, opts),
                Error);
+}
+
+// The naive baseline is the tiled dataflow at a fixed tile: its plan (and
+// its candidate in a baseline ranking) carries that tile, and the Eq 20
+// prediction is evaluated at it.
+TEST(NaivePlan, CarriesFixedTileAndItsEquation20Prediction) {
+  SimGpu gpu(MachineSpec::v100());
+  Planner planner;
+  PlannerOptions analytic;
+  analytic.mode = PlanMode::kAnalytic;
+  analytic.candidates = CandidateSet::kBaseline;
+  for (const ConvShape& s : {shape(4, 10, 4, 3, 1, 1),     // 10x10 output
+                             shape(8, 5, 8, 3, 1, 1, 4),   // 5x5, grouped
+                             shape(16, 20, 32, 3, 2, 1)}) {  // stride 2
+    SCOPED_TRACE(s.to_string());
+    const ConvPlan plan = planner.plan_algorithm(
+        gpu, s, {ConvAlgorithm::kDirectNaive}, PlannerOptions{});
+    EXPECT_EQ(plan.config, naive_direct_config(s));
+    EXPECT_EQ(plan.config.threads(), 64);
+    EXPECT_EQ(plan.predicted_io_elems,
+              direct_dataflow_reads(s, std::min<std::int64_t>(8, s.hout()),
+                                    std::min<std::int64_t>(8, s.wout()), 1) +
+                  static_cast<double>(s.output_elems()));
+    int naive_candidates = 0;
+    for (const PlanCandidate& c : planner.enumerate(gpu, s, analytic)) {
+      if (c.plan.algorithm != ConvAlgorithm::kDirectNaive) continue;
+      ++naive_candidates;
+      EXPECT_EQ(c.plan.config, naive_direct_config(s));
+      EXPECT_EQ(c.plan.predicted_io_elems, plan.predicted_io_elems);
+    }
+    EXPECT_EQ(naive_candidates, 1);
+  }
 }
 
 // The paper's cuDNN baseline is a best-of over naive and im2col: the plan

@@ -390,17 +390,14 @@ int cmd_plan(const Args& a) {
              opts.mode == PlanMode::kAnalytic ? "roofline ms" : "measured ms",
              "note"});
     for (std::size_t i = 0; i < cands.size(); ++i) {
-      const auto& c = cands[i];
-      t.add_row({plan_label(c.algorithm, c.e, c.tuned), c.config.to_string(),
+      const ConvPlan& c = cands[i].plan;
+      t.add_row({c.label(), c.config.to_string(),
                  Table::fmt(mb(c.predicted_io_elems), 3),
                  Table::fmt(mb(c.lower_bound_elems), 3),
-                 Table::fmt(c.lower_bound_elems > 0
-                                ? c.predicted_io_elems / c.lower_bound_elems
-                                : 0.0,
-                            2),
+                 Table::fmt(c.bound_ratio(), 2),
                  Table::fmt(c.predicted_seconds * 1e3, 4),
-                 c.infeasible ? "infeasible"
-                              : (i == 0 ? "<- plan" : "")});
+                 cands[i].infeasible ? "infeasible"
+                                     : (i == 0 ? "<- plan" : "")});
     }
     std::printf("%s", t.to_string().c_str());
   }
