@@ -12,11 +12,10 @@
 // (bnb_configs_measured_ratio in the emitted JSON, gated in
 // bench/baselines/gates.json).
 //
-// All tuners run through the batched parallel measurement engine
-// (BatchMeasurer); the ATE method is additionally re-run through the serial
-// ConvMeasurer to report the batched-vs-serial wall-clock speedup and to
-// assert the two search traces are bit-identical. Results are emitted as
-// BENCH_fig11_tuning_curve.json for trajectory tracking.
+// All tuners measure through the counting BatchMeasurer; the ATE method is
+// additionally re-run through the executing ConvMeasurer to assert the two
+// search traces are bit-identical and to report both wall-clocks. Results
+// are emitted as BENCH_fig11_tuning_curve.json for trajectory tracking.
 #include "bench_util.hpp"
 
 #include "convbound/tune/batch_measure.hpp"
@@ -55,13 +54,11 @@ struct Curve {
 std::vector<Curve> g_curves;
 double g_baseline_gflops = 0;
 
-struct SerialVsBatched {
-  double serial_wall_s = 0;
-  double batched_wall_s = 0;
-  double speedup = 0;
+struct ExecutedVsCounted {
+  double executed_wall_s = 0;
+  double counted_wall_s = 0;
   bool histories_identical = false;
-  int workers = 0;
-} g_ate_parallel;
+} g_ate_check;
 
 struct BnbOutcome {
   TuneResult res;
@@ -164,26 +161,24 @@ void register_all() {
                            gpu.spec());
       run_tuner("random search (TVM-like)", rnd, full, gpu.spec());
 
-      // Batched-vs-serial: same seed, same tuner, the two measurement
-      // engines must produce bit-identical traces; only wall-clock differs.
+      // Executed-vs-counted: same seed, same tuner, the executing and the
+      // counting measurer must produce bit-identical traces; only
+      // wall-clock differs.
       {
-        ConvMeasurer serial(gpu, pruned, /*seed=*/7);
-        AteTuner ate_serial(7, ate_params);
-        WallTimer t_serial;
-        const TuneResult res_serial = ate_serial.run(serial, budget());
-        g_ate_parallel.serial_wall_s = t_serial.seconds();
+        ConvMeasurer executed(gpu, pruned, /*seed=*/7);
+        AteTuner ate_executed(7, ate_params);
+        WallTimer t_executed;
+        const TuneResult res_executed = ate_executed.run(executed, budget());
+        g_ate_check.executed_wall_s = t_executed.seconds();
 
-        BatchMeasurer batched(gpu.spec(), pruned, /*seed=*/7);
-        AteTuner ate_batched(7, ate_params);
-        WallTimer t_batched;
-        const TuneResult res_batched = ate_batched.run(batched, budget());
-        g_ate_parallel.batched_wall_s = t_batched.seconds();
+        BatchMeasurer counted(gpu.spec(), pruned, /*seed=*/7);
+        AteTuner ate_counted(7, ate_params);
+        WallTimer t_counted;
+        const TuneResult res_counted = ate_counted.run(counted, budget());
+        g_ate_check.counted_wall_s = t_counted.seconds();
 
-        g_ate_parallel.speedup =
-            g_ate_parallel.serial_wall_s / g_ate_parallel.batched_wall_s;
-        g_ate_parallel.histories_identical =
-            same_history(res_serial, res_batched);
-        g_ate_parallel.workers = batched.workers();
+        g_ate_check.histories_identical =
+            same_history(res_executed, res_counted);
       }
     }
   })->Iterations(1)->Unit(benchmark::kSecond);
@@ -217,11 +212,10 @@ void print_summary() {
     return row;
   }());
   std::printf("%s", t.to_string().c_str());
-  std::printf("\nbatched measurement engine: %d workers, %.2fs wall vs "
-              "%.2fs serial (%.2fx), traces identical: %s\n",
-              g_ate_parallel.workers, g_ate_parallel.batched_wall_s,
-              g_ate_parallel.serial_wall_s, g_ate_parallel.speedup,
-              g_ate_parallel.histories_identical ? "yes" : "NO  <-- bug!");
+  std::printf("\nate counted vs executed: %.3fs counted, %.2fs executed, "
+              "traces identical: %s\n",
+              g_ate_check.counted_wall_s, g_ate_check.executed_wall_s,
+              g_ate_check.histories_identical ? "yes" : "NO  <-- bug!");
 
   // The gated branch-and-bound claim: same best GFlops as the strongest
   // sampling method, with strictly fewer measured configurations (the rest
@@ -281,14 +275,12 @@ void print_summary() {
                    .add("leaves_opened", g_bnb.leaves_opened)
                    .add("proven_optimal", g_bnb.proven_optimal)
                    .to_string())
-      .add_raw("ate_parallel_measurement",
+      .add_raw("ate_counted_vs_executed",
                JsonObject()
-                   .add("workers", g_ate_parallel.workers)
-                   .add("serial_wall_seconds", g_ate_parallel.serial_wall_s)
-                   .add("batched_wall_seconds", g_ate_parallel.batched_wall_s)
-                   .add("speedup", g_ate_parallel.speedup)
+                   .add("executed_wall_seconds", g_ate_check.executed_wall_s)
+                   .add("counted_wall_seconds", g_ate_check.counted_wall_s)
                    .add("histories_identical",
-                        g_ate_parallel.histories_identical)
+                        g_ate_check.histories_identical)
                    .to_string());
   write_bench_json("fig11_tuning_curve", out);
 }

@@ -45,7 +45,9 @@ double direct_dataflow_io(const ConvShape& s, double S, int np);
 /// Rewriting (20) as reads = B*HWC_out*KKC_in*(1/(x*y) + 1/(R*z)) shows it
 /// is strictly decreasing in each of x, y and z, so the box minimum sits at
 /// the upper corner — an O(1) range query. Used by the branch-and-bound
-/// tuner as an admissible per-subtree I/O floor.
+/// tuner as an admissible per-subtree I/O floor. When the kernel is smaller
+/// than the stride, Eq 20's mu^2 input rows and columns per output overstate
+/// what a tile loads; the input term then uses min(mu,kh)*min(mu,kw).
 double direct_dataflow_reads_min(const ConvShape& s, std::int64_t x_max,
                                  std::int64_t y_max, std::int64_t z_max);
 

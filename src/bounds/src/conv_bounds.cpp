@@ -89,7 +89,22 @@ double direct_dataflow_reads_min(const ConvShape& s, std::int64_t x_max,
   // Equation (20) factors as B*HWC_out*KKC_in*(1/(x*y) + 1/(R*z)): both
   // summands shrink as any coordinate grows, so over a box the minimum is
   // attained at (x_max, y_max, z_max).
-  return direct_dataflow_reads(s, x_max, y_max, z_max);
+  if (s.kh >= s.stride && s.kw >= s.stride)
+    return direct_dataflow_reads(s, x_max, y_max, z_max);
+  // A kernel smaller than the stride skips input rows and columns: a tile
+  // loads (x-1)*mu + kh >= x*min(mu, kh) rows, not the x*mu of Eq 20's
+  // x'y' = mu^2*x*y, so the input term takes min(mu,kh)*min(mu,kw) for mu^2.
+  CB_CHECK(x_max > 0 && y_max > 0 && z_max > 0);
+  const double x = static_cast<double>(x_max), y = static_cast<double>(y_max),
+               z = static_cast<double>(z_max);
+  const double input_per_output =
+      static_cast<double>(std::min(s.stride, s.kh) * std::min(s.stride, s.kw));
+  const double out_blocks =
+      static_cast<double>(s.hout() * s.wout() * s.cout) / (x * y * z);
+  const double per_block =
+      static_cast<double>(s.cin_per_group()) *
+      (static_cast<double>(s.kh * s.kw) * z + input_per_output * x * y);
+  return static_cast<double>(s.batch) * out_blocks * per_block;
 }
 
 // -------------------------------------------------------------- winograd --

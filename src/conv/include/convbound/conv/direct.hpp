@@ -20,6 +20,14 @@ LaunchStats direct_tiled_sim(SimGpu& gpu, const Tensor4<float>& input,
                              const ConvShape& s, const ConvConfig& cfg,
                              Tensor4<float>& out);
 
+/// The LaunchStats direct_tiled_sim returns for `cfg` on an input stored in
+/// `input`, in closed form: the same launch geometry, the counted traffic
+/// and flops summed per grid axis, and model_time on `spec`. Throws Error
+/// exactly where the launch would (S_b above S_sm, a clamped-tile footprint
+/// above a nonzero smem_budget, threads out of range, a bad shape or tile).
+LaunchStats direct_tiled_count(const MachineSpec& spec, const ConvShape& s,
+                               const ConvConfig& cfg, Layout input);
+
 /// im2col + blocked GEMM, the path cuDNN usually prefers for direct
 /// convolution (paper Section 7). The column matrix is materialised in
 /// global memory (counted), then multiplied by the weight matrix.

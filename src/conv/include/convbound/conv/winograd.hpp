@@ -30,6 +30,13 @@ LaunchStats winograd_fused_sim(SimGpu& gpu, const Tensor4<float>& input,
                                const ConvShape& s, std::int64_t e,
                                const ConvConfig& cfg, Tensor4<float>& out);
 
+/// The LaunchStats winograd_fused_sim returns for `cfg` on an input stored
+/// in `input`, in closed form, throwing Error exactly where the launch
+/// would (see direct_tiled_count).
+LaunchStats winograd_fused_count(const MachineSpec& spec, const ConvShape& s,
+                                 std::int64_t e, const ConvConfig& cfg,
+                                 Layout input);
+
 /// cuDNN-style phased Winograd: four separate kernels materialising the
 /// transformed kernels U, transformed inputs V and products M in global
 /// memory, with a batched GEMM per transformed-tile position.

@@ -49,4 +49,9 @@ std::uint64_t wino_sandwich(const double* M, std::int64_t rows,
                             std::int64_t inner, const float* D, float* out,
                             float* scratch);
 
+/// The multiply-add count wino_sandwich returns for `M`, without the
+/// product: nnz(M) * (rows + inner).
+std::uint64_t wino_sandwich_macs(const double* M, std::int64_t rows,
+                                 std::int64_t inner);
+
 }  // namespace convbound

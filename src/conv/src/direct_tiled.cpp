@@ -47,38 +47,90 @@ std::int64_t direct_tiled_smem_bytes(const ConvShape& s,
   return floats * static_cast<std::int64_t>(sizeof(float));
 }
 
+namespace {
+
+// The launch direct_tiled_sim makes and direct_tiled_count prices: the tile
+// clamped to the output (z snapped to the channel group), the grid, and the
+// shared memory the clamped tile needs (checked against the declared S_b).
+struct TiledGeometry {
+  std::int64_t x, y, z;
+  std::int64_t nx, ny, nz;
+  std::int64_t footprint;
+  LaunchConfig lc;
+};
+
+TiledGeometry tiled_geometry(const ConvShape& s, const ConvConfig& cfg) {
+  s.validate();
+  CB_CHECK(cfg.x > 0 && cfg.y > 0 && cfg.z > 0);
+  TiledGeometry g;
+  g.x = std::min(cfg.x, s.hout());
+  g.y = std::min(cfg.y, s.wout());
+  // Grouped convolution: a z-tile must not straddle a channel group, so the
+  // clamped z is snapped down to a divisor of cout_per_group.
+  g.z = std::min(cfg.z, s.cout_per_group());
+  while (s.cout_per_group() % g.z != 0) --g.z;
+  g.nx = ceil_div(s.hout(), g.x);
+  g.ny = ceil_div(s.wout(), g.y);
+  g.nz = ceil_div(s.cout, g.z);
+  g.footprint = direct_tiled_smem_bytes(s, ConvConfig{g.x, g.y, g.z});
+  g.lc.num_blocks = s.batch * g.nz * g.nx * g.ny;
+  g.lc.threads_per_block = cfg.threads();
+  g.lc.smem_bytes_per_block =
+      cfg.smem_budget > 0 ? cfg.smem_budget : g.footprint;
+  // The block's allocations sum to the footprint, so a smaller declared S_b
+  // overflows in the launch; fail before it, and in the count alike.
+  CB_CHECK_MSG(g.footprint <= g.lc.smem_bytes_per_block,
+               "shared memory overflow: need " << g.footprint << " B, have "
+                                               << g.lc.smem_bytes_per_block
+                                               << " B");
+  return g;
+}
+
+}  // namespace
+
+LaunchStats direct_tiled_count(const MachineSpec& spec, const ConvShape& s,
+                               const ConvConfig& cfg, Layout input) {
+  const TiledGeometry g = tiled_geometry(s, cfg);
+  const auto u = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  const std::uint64_t cpg = u(s.cin_per_group());
+  // Per (block, channel step): the input tile's in-range part, and z kernel
+  // slices for every output channel of the block.
+  const std::uint64_t rows = detail::in_range_extent_sum(
+      s.hout(), g.x, s.stride, s.kh, s.pad, s.hin);
+  const std::uint64_t cols = detail::in_range_extent_sum(
+      s.wout(), g.y, s.stride, s.kw, s.pad, s.win);
+  LaunchStats st;
+  st.bytes_loaded = u(s.batch) * u(g.nz) * cpg * rows * cols *
+                        detail::input_elem_bytes(s, input) +
+                    sizeof(float) * u(s.batch) * u(g.nx * g.ny) *
+                        u(s.weight_elems());
+  st.bytes_stored = sizeof(float) * u(s.output_elems());
+  st.flops = u(s.flops());
+  st.num_blocks = u(g.lc.num_blocks);
+  st.num_launches = 1;
+  st.sim_time = model_time(spec, g.lc, st.bytes_total(), st.flops);
+  return st;
+}
+
 LaunchStats direct_tiled_sim(SimGpu& gpu, const Tensor4<float>& input,
                              const Tensor4<float>& weights,
                              const ConvShape& s, const ConvConfig& cfg,
                              Tensor4<float>& out) {
-  s.validate();
-  CB_CHECK(cfg.x > 0 && cfg.y > 0 && cfg.z > 0);
+  const TiledGeometry g = tiled_geometry(s, cfg);
   CB_CHECK(input.n() == s.batch && input.c() == s.cin &&
            input.h() == s.hin && input.w() == s.win);
   CB_CHECK(out.n() == s.batch && out.c() == s.cout &&
            out.h() == s.hout() && out.w() == s.wout());
 
   const std::int64_t hout = s.hout(), wout = s.wout();
-  const std::int64_t x = std::min(cfg.x, hout), y = std::min(cfg.y, wout);
-  // Grouped convolution: a z-tile must not straddle a channel group, so the
-  // clamped z is snapped down to a divisor of cout_per_group.
-  std::int64_t z = std::min(cfg.z, s.cout_per_group());
-  while (s.cout_per_group() % z != 0) --z;
+  const std::int64_t x = g.x, y = g.y, z = g.z;
+  const std::int64_t nx = g.nx, ny = g.ny, nz = g.nz;
   const std::int64_t cpg = s.cin_per_group();
-  const std::int64_t nx = ceil_div(hout, x), ny = ceil_div(wout, y),
-                     nz = ceil_div(s.cout, z);
   const std::int64_t in_rows = (x - 1) * s.stride + s.kh;
   const std::int64_t in_cols = (y - 1) * s.stride + s.kw;
   const std::int64_t kker = s.kh * s.kw;
 
-  LaunchConfig lc;
-  lc.num_blocks = s.batch * nz * nx * ny;
-  lc.threads_per_block = cfg.threads();
-  lc.smem_bytes_per_block =
-      cfg.smem_budget > 0 ? cfg.smem_budget
-                          : direct_tiled_smem_bytes(s, ConvConfig{x, y, z});
-
-  return gpu.launch(lc, [&, x, y, z](BlockContext& ctx) {
+  return gpu.launch(g.lc, [&, x, y, z](BlockContext& ctx) {
     // Decode block -> (batch, z-block, x-block, y-block).
     std::int64_t id = ctx.block_id();
     const std::int64_t iy = id % ny; id /= ny;

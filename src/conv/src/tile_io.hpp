@@ -1,12 +1,14 @@
 // Internal helpers for moving 2-D tiles between global tensors and shared
 // memory with exact I/O accounting (padding reads are free: real kernels
-// synthesise zeros on chip).
+// synthesise zeros on chip), and the closed form of that accounting that
+// the *_count functions sum without moving any data.
 #pragma once
 
 #include <algorithm>
 #include <cstring>
 
 #include "convbound/machine/sim_gpu.hpp"
+#include "convbound/tensor/conv_shape.hpp"
 #include "convbound/tensor/tensor.hpp"
 
 namespace convbound::detail {
@@ -42,6 +44,31 @@ inline void load_input_tile(BlockContext& ctx, const Tensor4<float>& in,
       ctx.load_gather(src, st.w, drow + lo, static_cast<std::size_t>(hi - lo));
     }
   }
+}
+
+/// Bytes load_input_tile counts per in-range element of an input of shape
+/// `s` stored in `layout`.
+inline std::uint64_t input_elem_bytes(const ConvShape& s, Layout layout) {
+  const Strides4 st = make_strides(layout, s.batch, s.cin, s.hin, s.win);
+  return BlockContext::gather_cost_bytes<float>(st.w, 1);
+}
+
+/// The closed form of load_input_tile's extents along one axis: the sum,
+/// over the tiles of `tile` outputs that cover `out` outputs, of how many of
+/// the tile's (extent - 1) * mu + k input positions, starting at
+/// o0 * mu - pad, lie inside [0, in). Rows and columns factor, so a grid's
+/// counted input elements are the product of the two axis sums.
+inline std::uint64_t in_range_extent_sum(std::int64_t out, std::int64_t tile,
+                                         std::int64_t mu, std::int64_t k,
+                                         std::int64_t pad, std::int64_t in) {
+  std::uint64_t sum = 0;
+  for (std::int64_t o0 = 0; o0 < out; o0 += tile) {
+    const std::int64_t lo = o0 * mu - pad;
+    const std::int64_t hi = lo + (std::min(tile, out - o0) - 1) * mu + k;
+    sum += static_cast<std::uint64_t>(std::max<std::int64_t>(
+        0, std::min(hi, in) - std::max<std::int64_t>(lo, 0)));
+  }
+  return sum;
 }
 
 /// Stores a packed rows*cols tile into out(b, c, h0:, w0:), clipped to the

@@ -19,45 +19,112 @@ std::int64_t winograd_fused_smem_bytes(const ConvShape& s, std::int64_t e,
   return floats * static_cast<std::int64_t>(sizeof(float));
 }
 
-LaunchStats winograd_fused_sim(SimGpu& gpu, const Tensor4<float>& input,
-                               const Tensor4<float>& weights,
-                               const ConvShape& s, std::int64_t e,
-                               const ConvConfig& cfg, Tensor4<float>& out) {
+namespace {
+
+// The launch winograd_fused_sim makes and winograd_fused_count prices: the
+// transform, the tile rounded to multiples of e and clamped to the output,
+// the grid of Winograd tiles, and the shared memory the clamped tile needs
+// (checked against the declared S_b).
+struct FusedGeometry {
+  WinogradTransform t;
+  std::int64_t x, y, z;
+  std::int64_t tbx, tby;            // Winograd tiles per block
+  std::int64_t total_th, total_tw;  // Winograd tiles over the output
+  std::int64_t nbx, nby, nbz;
+  std::int64_t footprint;
+  LaunchConfig lc;
+};
+
+FusedGeometry fused_geometry(const ConvShape& s, std::int64_t e,
+                             const ConvConfig& cfg) {
   s.validate();
   CB_CHECK_MSG(s.groups == 1, "grouped convolution: use the tiled direct kernel");
   CB_CHECK(s.kh == s.kw && s.stride == 1);
+  CB_CHECK(cfg.x > 0 && cfg.y > 0 && cfg.z > 0);
   const std::int64_t r = s.kh;
   CB_CHECK_MSG(e + r - 1 <= kMaxFusedWinogradTile,
                "fused Winograd F(" << e << "," << r << ") needs a = "
                                    << e + r - 1 << " <= "
                                    << kMaxFusedWinogradTile);
-  const auto t = make_winograd_transform(e, r);
-  const std::int64_t a = t.a, a2 = a * a, r2 = r * r;
-
+  FusedGeometry g;
+  g.t = make_winograd_transform(e, r);
   const std::int64_t hout = s.hout(), wout = s.wout();
-  // Tile dims rounded to multiples of e and clamped to the output.
-  const std::int64_t x =
-      std::clamp<std::int64_t>(round_up(cfg.x, e), e, round_up(hout, e));
-  const std::int64_t y =
-      std::clamp<std::int64_t>(round_up(cfg.y, e), e, round_up(wout, e));
-  const std::int64_t z = std::min(cfg.z, s.cout);
-  const std::int64_t tbx = x / e, tby = y / e;  // winograd tiles per block
-  const std::int64_t total_th = ceil_div(hout, e), total_tw = ceil_div(wout, e);
-  const std::int64_t nbx = ceil_div(total_th, tbx),
-                     nby = ceil_div(total_tw, tby),
-                     nbz = ceil_div(s.cout, z);
+  g.x = std::clamp<std::int64_t>(round_up(cfg.x, e), e, round_up(hout, e));
+  g.y = std::clamp<std::int64_t>(round_up(cfg.y, e), e, round_up(wout, e));
+  g.z = std::min(cfg.z, s.cout);
+  g.tbx = g.x / e;
+  g.tby = g.y / e;
+  g.total_th = ceil_div(hout, e);
+  g.total_tw = ceil_div(wout, e);
+  g.nbx = ceil_div(g.total_th, g.tbx);
+  g.nby = ceil_div(g.total_tw, g.tby);
+  g.nbz = ceil_div(s.cout, g.z);
+  g.footprint = winograd_fused_smem_bytes(s, e, ConvConfig{g.x, g.y, g.z});
+  g.lc.num_blocks = s.batch * g.nbz * g.nbx * g.nby;
+  g.lc.threads_per_block = cfg.threads();
+  g.lc.smem_bytes_per_block =
+      cfg.smem_budget > 0 ? cfg.smem_budget : g.footprint;
+  // The block's allocations sum to the footprint, so a smaller declared S_b
+  // overflows in the launch; fail before it, and in the count alike.
+  CB_CHECK_MSG(g.footprint <= g.lc.smem_bytes_per_block,
+               "shared memory overflow: need " << g.footprint << " B, have "
+                                               << g.lc.smem_bytes_per_block
+                                               << " B");
+  return g;
+}
 
+}  // namespace
+
+LaunchStats winograd_fused_count(const MachineSpec& spec, const ConvShape& s,
+                                 std::int64_t e, const ConvConfig& cfg,
+                                 Layout input) {
+  const FusedGeometry g = fused_geometry(s, e, cfg);
+  const auto u = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  const std::int64_t r = s.kh, a = g.t.a;
+  const std::uint64_t b = u(s.batch), cin = u(s.cin), cout = u(s.cout);
+  const std::uint64_t tiles = u(g.total_th * g.total_tw);
+  // Per (block, channel step): the input region's in-range part and z
+  // kernel slices.
+  const std::uint64_t rows = detail::in_range_extent_sum(
+      g.total_th * e, g.x, 1, r, s.pad, s.hin);
+  const std::uint64_t cols = detail::in_range_extent_sum(
+      g.total_tw * e, g.y, 1, r, s.pad, s.win);
+  // Per channel step, every block transforms its z kernel slices, V of each
+  // of its tiles, and multiplies each (tile, channel) pair; the inverse
+  // transforms run once per (tile, channel) at the end.
+  const std::uint64_t g_macs = wino_sandwich_macs(g.t.G.data(), a, r);
+  const std::uint64_t v_macs = wino_sandwich_macs(g.t.BT.data(), a, a);
+  const std::uint64_t y_macs = wino_sandwich_macs(g.t.AT.data(), e, a);
+  LaunchStats st;
+  st.bytes_loaded =
+      b * u(g.nbz) * cin * rows * cols * detail::input_elem_bytes(s, input) +
+      sizeof(float) * b * u(g.nbx * g.nby) * u(s.weight_elems());
+  st.bytes_stored = sizeof(float) * u(s.output_elems());
+  st.flops = 2 * b *
+             (cin * (u(g.nbx * g.nby) * cout * g_macs +
+                     tiles * u(g.nbz) * v_macs + tiles * cout * u(a * a)) +
+              tiles * cout * y_macs);
+  st.num_blocks = u(g.lc.num_blocks);
+  st.num_launches = 1;
+  st.sim_time = model_time(spec, g.lc, st.bytes_total(), st.flops);
+  return st;
+}
+
+LaunchStats winograd_fused_sim(SimGpu& gpu, const Tensor4<float>& input,
+                               const Tensor4<float>& weights,
+                               const ConvShape& s, std::int64_t e,
+                               const ConvConfig& cfg, Tensor4<float>& out) {
+  const FusedGeometry g = fused_geometry(s, e, cfg);
+  const WinogradTransform& t = g.t;
+  const std::int64_t r = s.kh;
+  const std::int64_t a = t.a, a2 = a * a, r2 = r * r;
+  const std::int64_t x = g.x, y = g.y, z = g.z;
+  const std::int64_t tbx = g.tbx, tby = g.tby;
+  const std::int64_t total_th = g.total_th, total_tw = g.total_tw;
+  const std::int64_t nbx = g.nbx, nby = g.nby, nbz = g.nbz;
   const std::int64_t in_rows = x + r - 1, in_cols = y + r - 1;
 
-  LaunchConfig lc;
-  lc.num_blocks = s.batch * nbz * nbx * nby;
-  lc.threads_per_block = cfg.threads();
-  lc.smem_bytes_per_block =
-      cfg.smem_budget > 0
-          ? cfg.smem_budget
-          : winograd_fused_smem_bytes(s, e, ConvConfig{x, y, z});
-
-  return gpu.launch(lc, [&, x, y, z](BlockContext& ctx) {
+  return gpu.launch(g.lc, [&, x, y, z](BlockContext& ctx) {
     std::int64_t id = ctx.block_id();
     const std::int64_t iby = id % nby; id /= nby;
     const std::int64_t ibx = id % nbx; id /= nbx;

@@ -1,5 +1,6 @@
 #include "convbound/conv/winograd_transform.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -161,6 +162,13 @@ std::uint64_t wino_sandwich(const double* M, std::int64_t rows,
     }
   }
   return macs;
+}
+
+std::uint64_t wino_sandwich_macs(const double* M, std::int64_t rows,
+                                 std::int64_t inner) {
+  const std::uint64_t nnz = static_cast<std::uint64_t>(
+      std::count_if(M, M + rows * inner, [](double m) { return m != 0.0; }));
+  return nnz * static_cast<std::uint64_t>(rows + inner);
 }
 
 }  // namespace convbound

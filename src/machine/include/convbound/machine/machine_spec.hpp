@@ -89,6 +89,7 @@ struct LaunchStats {
     sim_time += o.sim_time;
     return *this;
   }
+  bool operator==(const LaunchStats&) const = default;
 };
 
 /// Deterministic roofline timing model.

@@ -158,8 +158,7 @@ enum class ExecMode {
   /// Blocks cut into contiguous chunks (about four per pool thread) that
   /// the pool workers and the calling thread claim dynamically, so a launch
   /// from inside a pool task is safe. Default; right for running a single
-  /// kernel as fast as possible. BatchMeasurer's replicas use it too, so
-  /// idle threads help with whichever candidates are still running.
+  /// kernel as fast as possible.
   kStriped,
   /// All blocks drained on the calling thread. Used by the serving
   /// sessions, where each in-flight batch owns one worker thread, by
@@ -181,7 +180,6 @@ class SimGpu {
 
   const MachineSpec& spec() const { return spec_; }
   ExecMode exec_mode() const { return mode_; }
-  ThreadPool* pool() const { return pool_; }
 
   using Kernel = std::function<void(BlockContext&)>;
 

@@ -62,8 +62,6 @@ struct PlannerOptions {
   int tune_budget = 32;
   /// Seed for dry-run problem data and autotuning.
   std::uint64_t seed = 42;
-  /// Parallel measurement workers for autotuning (0 = one per hw thread).
-  int workers = 0;
   /// Pin the Winograd variant F(e, r); 0 = bound-guided choice.
   std::int64_t force_e = 0;
 };

@@ -200,7 +200,6 @@ PlanCandidate Planner::make_candidate(SimGpu& gpu, const ConvShape& s,
         aopts.seed = opts.seed;
         aopts.winograd = wino;
         aopts.e = e;
-        aopts.workers = opts.workers;
         const AutotuneOutcome outcome = autotune_conv(gpu, s, aopts);
         if (outcome.result.best_seconds < 1e30) {
           p.config = outcome.result.best;

@@ -2,7 +2,7 @@
 //
 // A ServeSession owns everything one in-flight micro-batch needs — a
 // serial-mode SimGpu (batch-level parallelism lives in the server's worker
-// pool, mirroring the batched measurement engine), a Planner with memoised
+// pool), a Planner with memoised
 // per-layer plans at the bucket's batch size, and a Workspace arena warmed
 // over every activation geometry — so steady-state serving performs zero
 // planning and zero workspace allocation. The SessionPool hands sessions

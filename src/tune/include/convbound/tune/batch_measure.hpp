@@ -1,34 +1,25 @@
-// Batch-oriented, thread-pool-parallel measurement engine.
+// The measurer every tuner runs on: it counts candidates instead of
+// executing them.
 //
-// The serial ConvMeasurer measures one candidate at a time, so tuning
-// wall-clock scales linearly with the trial budget. BatchMeasurer adds a
-// second parallelism axis: tuners hand over a whole proposal batch, and up to
-// `workers` candidates are in flight at once, each with a private scratch
-// output, over shared immutable problem tensors and one striped SimGpu on
-// the measurer's pool (launches keep their mutable state on the stack).
-// Slots claim candidates dynamically, and each candidate's block chunks go
-// to whichever pool threads are idle, so a batch narrower than the pool
-// (ATE's rounds often are) or one slow candidate still keeps every core
-// busy. Counted traffic is an exact integer sum and results align with the
-// proposal order by index, which keeps search traces bit-identical across
-// worker counts.
+// A simulated measurement is model_time of the launch geometry and the
+// counted traffic and flops, and for the two tunable dataflows all of these
+// are closed-form functions of (shape, config, input layout):
+// direct_tiled_count and winograd_fused_count. So BatchMeasurer runs no
+// kernel, needs no problem tensors and no threads, and still returns
+// exactly what the executing ConvMeasurer returns, field for field and
+// sim_time bit for bit (tune_parallel_test and fuzz_test's CountFuzz check
+// it; ConvMeasurer remains the oracle).
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <vector>
-
 #include "convbound/tune/measure.hpp"
-#include "convbound/util/thread_pool.hpp"
 
 namespace convbound {
 
 class BatchMeasurer : public Measurer {
  public:
-  /// `workers` = number of measurement replicas, the most candidates in
-  /// flight at once; 0 means one per pool thread, negative throws Error.
-  /// `pool` (default: the process-global pool) runs both the candidate slots
-  /// and each replica's striped launches.
+  /// `seed`, `workers` and `pool` are unused: a count reads no problem data
+  /// and runs on the calling thread. They keep the constructor that callers
+  /// of the former executing engine were written against.
   BatchMeasurer(const MachineSpec& spec, const SearchDomain& domain,
                 std::uint64_t seed = 42, int workers = 0,
                 ThreadPool* pool = nullptr);
@@ -37,22 +28,12 @@ class BatchMeasurer : public Measurer {
       const std::vector<ConvConfig>& cfgs) override;
 
   const SearchDomain& domain() const override { return domain_; }
-  std::uint64_t trials() const override {
-    return trials_.load(std::memory_order_relaxed);
-  }
-  int workers() const { return static_cast<int>(outs_.size()); }
+  std::uint64_t trials() const override { return trials_; }
 
  private:
+  MachineSpec spec_;
   SearchDomain domain_;
-  std::shared_ptr<const MeasureInputs> inputs_;
-  ThreadPool* pool_;
-  SimGpu gpu_;
-  // Per-slot scratch outputs; everything a candidate evaluation writes.
-  // One heap object each: freed side by side, contiguous outputs coalesce
-  // and glibc returns them to the OS, so the next measurer page-faults them
-  // afresh (tune setup 13 -> 21 ms on a 4-core host).
-  std::vector<std::unique_ptr<Tensor4<float>>> outs_;
-  std::atomic<std::uint64_t> trials_{0};
+  std::uint64_t trials_ = 0;
 };
 
 }  // namespace convbound

@@ -1,6 +1,6 @@
 // One-call auto-tuning entry point (the paper's Section 6.3 loop), now a
 // thin driver over the stepwise Tuner API: pick a strategy from the
-// registry, step it against the batched measurer, and optionally persist a
+// registry, step it against the counting measurer, and optionally persist a
 // resumable checkpoint after every measured batch.
 #pragma once
 
@@ -18,11 +18,6 @@ struct AutotuneOptions {
   bool winograd = false;
   std::int64_t e = 2;
   bool prune_with_optimality = true;
-  /// Most candidates the batched measurer has in flight at once; 0 = one
-  /// per thread of the SimGpu's pool, negative throws Error. Idle pool
-  /// threads also take block chunks of running candidates. The search trace
-  /// is identical for any value — workers only change wall-clock.
-  int workers = 0;
   /// Strategy id for make_tuner: "ate" (default) | "bnb" | "sa" | "ga" |
   /// "random".
   std::string tuner = "ate";

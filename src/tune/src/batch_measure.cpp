@@ -1,47 +1,31 @@
 #include "convbound/tune/batch_measure.hpp"
 
-#include <algorithm>
-
-#include "convbound/util/check.hpp"
-
 namespace convbound {
 
 BatchMeasurer::BatchMeasurer(const MachineSpec& spec,
-                             const SearchDomain& domain, std::uint64_t seed,
-                             int workers, ThreadPool* pool)
-    : domain_(domain),
-      inputs_(MeasureInputs::create(domain, seed)),
-      pool_(pool != nullptr ? pool : &ThreadPool::global()),
-      gpu_(spec, pool_, ExecMode::kStriped) {
-  CB_CHECK_MSG(workers >= 0, "measurement workers must be >= 0 (0 = one per "
-                             "pool thread), got " << workers);
-  const std::size_t n = workers > 0 ? static_cast<std::size_t>(workers)
-                                    : pool_->num_threads();
-  const ConvShape& s = domain_.shape();
-  outs_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    outs_.push_back(
-        std::make_unique<Tensor4<float>>(s.batch, s.cout, s.hout(), s.wout()));
-}
+                             const SearchDomain& domain,
+                             std::uint64_t /*seed*/, int /*workers*/,
+                             ThreadPool* /*pool*/)
+    : spec_(spec), domain_(domain) {}
 
 std::vector<Measurement> BatchMeasurer::measure_batch(
     const std::vector<ConvConfig>& cfgs) {
+  const ConvShape& s = domain_.shape();
+  const DomainOptions& opts = domain_.options();
   std::vector<Measurement> results(cfgs.size());
-  if (cfgs.empty()) return results;
-
-  // One slot per replica in flight; each slot claims the next unmeasured
-  // candidate until none is left, so an expensive candidate does not hold
-  // back a static slice. Every result lands at its candidate's index, so the
-  // outcome is independent of which slot measured what. A slot's striped
-  // launches hand block chunks to whichever pool threads are idle.
-  std::atomic<std::size_t> next{0};
-  const std::size_t slots = std::min(outs_.size(), cfgs.size());
-  pool_->parallel_for(0, slots, [&](std::size_t w) {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < cfgs.size(); i = next.fetch_add(1, std::memory_order_relaxed))
-      results[i] = measure_config(gpu_, domain_, *inputs_, *outs_[w], cfgs[i]);
-  });
-  trials_.fetch_add(cfgs.size(), std::memory_order_relaxed);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    try {
+      const LaunchStats st =
+          opts.winograd ? winograd_fused_count(spec_, s, opts.e, cfgs[i],
+                                               cfgs[i].layout)
+                        : direct_tiled_count(spec_, s, cfgs[i],
+                                             cfgs[i].layout);
+      results[i] = {st.sim_time, st, true};
+    } catch (const Error&) {
+      // The launch would have failed (S_b overflow, thread limit...).
+    }
+  }
+  trials_ += cfgs.size();
   return results;
 }
 

@@ -15,13 +15,9 @@ AutotuneOutcome autotune_conv(SimGpu& gpu, const ConvShape& shape,
   const std::string key =
       TuneCache::make_key(gpu.spec(), shape, opts.winograd, opts.e);
 
-  // Batched evaluation pipeline: up to `workers` machine replicas measure a
-  // proposal batch concurrently, and their striped launches spread each
-  // candidate's blocks, all on the caller's pool (so a bounded SimGpu pool
-  // still caps CPU use). Traces are identical to the serial ConvMeasurer
-  // path for the same seed.
-  BatchMeasurer measurer(gpu.spec(), domain, opts.seed, opts.workers,
-                         gpu.pool());
+  // Candidates are counted, not executed: the same measurements as the
+  // executing ConvMeasurer, so the same trace for the same seed.
+  BatchMeasurer measurer(gpu.spec(), domain);
 
   TunerOptions topts;
   topts.seed = opts.seed;

@@ -1,45 +1,6 @@
 #include "convbound/tune/measure.hpp"
 
-#include "convbound/conv/reference.hpp"
-
 namespace convbound {
-
-std::shared_ptr<const MeasureInputs> MeasureInputs::create(
-    const SearchDomain& domain, std::uint64_t seed) {
-  const ConvShape& s = domain.shape();
-  auto mi = std::make_shared<MeasureInputs>();
-  mi->weights = Tensor4<float>(s.cout, s.cin_per_group(), s.kh, s.kw);
-  Rng rng(seed);
-  Tensor4<float> base(s.batch, s.cin, s.hin, s.win);
-  base.fill_random(rng);
-  mi->weights.fill_random(rng);
-  mi->inputs.reserve(kAllLayouts.size());
-  for (Layout l : kAllLayouts) mi->inputs.push_back(base.to_layout(l));
-  return mi;
-}
-
-Measurement measure_config(SimGpu& gpu, const SearchDomain& domain,
-                           const MeasureInputs& inputs, Tensor4<float>& out,
-                           const ConvConfig& cfg) {
-  Measurement m;
-  const ConvShape& s = domain.shape();
-  const Tensor4<float>& input =
-      inputs.inputs[static_cast<std::size_t>(cfg.layout)];
-  try {
-    if (domain.options().winograd) {
-      m.stats = winograd_fused_sim(gpu, input, inputs.weights, s,
-                                   domain.options().e, cfg, out);
-    } else {
-      m.stats = direct_tiled_sim(gpu, input, inputs.weights, s, cfg, out);
-    }
-    m.seconds = m.stats.sim_time;
-    m.valid = true;
-  } catch (const Error&) {
-    // Configuration does not physically fit (S_b overflow, thread limit...).
-    m.valid = false;
-  }
-  return m;
-}
 
 Measurement Measurer::measure(const ConvConfig& cfg) {
   return measure_batch({cfg}).front();
@@ -48,13 +9,36 @@ Measurement Measurer::measure(const ConvConfig& cfg) {
 ConvMeasurer::ConvMeasurer(SimGpu& gpu, const SearchDomain& domain,
                            std::uint64_t seed)
     : gpu_(gpu), domain_(domain),
-      inputs_(MeasureInputs::create(domain, seed)),
+      weights_(domain.shape().cout, domain.shape().cin_per_group(),
+               domain.shape().kh, domain.shape().kw),
       out_(domain.shape().batch, domain.shape().cout, domain.shape().hout(),
-           domain.shape().wout()) {}
+           domain.shape().wout()) {
+  const ConvShape& s = domain.shape();
+  Rng rng(seed);
+  Tensor4<float> base(s.batch, s.cin, s.hin, s.win);
+  base.fill_random(rng);
+  weights_.fill_random(rng);
+  inputs_.reserve(kAllLayouts.size());
+  for (Layout l : kAllLayouts) inputs_.push_back(base.to_layout(l));
+}
 
 Measurement ConvMeasurer::measure(const ConvConfig& cfg) {
   ++trials_;
-  return measure_config(gpu_, domain_, *inputs_, out_, cfg);
+  Measurement m;
+  const ConvShape& s = domain_.shape();
+  const Tensor4<float>& input = inputs_[static_cast<std::size_t>(cfg.layout)];
+  try {
+    // Through a local: a launch that throws must leave m untouched.
+    const LaunchStats st =
+        domain_.options().winograd
+            ? winograd_fused_sim(gpu_, input, weights_, s,
+                                 domain_.options().e, cfg, out_)
+            : direct_tiled_sim(gpu_, input, weights_, s, cfg, out_);
+    m = {st.sim_time, st, true};
+  } catch (const Error&) {
+    // Configuration does not physically fit (S_b overflow, thread limit...).
+  }
+  return m;
 }
 
 std::vector<Measurement> ConvMeasurer::measure_batch(

@@ -3,11 +3,15 @@
 // are fixed, so failures replay deterministically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "convbound/bounds/conv_bounds.hpp"
 #include "convbound/conv/algorithms.hpp"
 #include "convbound/conv/reference.hpp"
 #include "convbound/pebble/game.hpp"
 #include "convbound/pebble/generators.hpp"
+#include "convbound/tune/batch_measure.hpp"
+#include "convbound/tune/bnb.hpp"
 #include "convbound/tune/domain.hpp"
 
 namespace convbound {
@@ -205,6 +209,136 @@ TEST_P(BoundFuzz, BoundsPositiveMonotoneAndRespected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundFuzz, ::testing::Range(0, 12));
+
+/// The counting measurer against the executing one: every LaunchStats field
+/// and the validity agree, in and out of the domain, and the
+/// branch-and-bound bound of each sampled configuration's singleton box
+/// never exceeds its counted runtime.
+struct CountCase {
+  ConvShape shape;
+  std::int64_t e = 0;  // Winograd F(e, r); 0 = direct tiled
+};
+
+ConvShape make_shape(std::int64_t batch, std::int64_t cin, std::int64_t in,
+                     std::int64_t cout, std::int64_t k, std::int64_t stride,
+                     std::int64_t pad, std::int64_t groups = 1) {
+  ConvShape s;
+  s.batch = batch;
+  s.cin = cin;
+  s.hin = s.win = in;
+  s.cout = cout;
+  s.kh = s.kw = k;
+  s.stride = stride;
+  s.pad = pad;
+  s.groups = groups;
+  s.validate();
+  return s;
+}
+
+CountCase count_case(int i) {
+  const std::vector<std::pair<ConvShape, std::int64_t>> cases = {
+      {make_shape(1, 32, 14, 32, 3, 1, 1, 32), 0},  // depthwise
+      {make_shape(1, 12, 13, 24, 5, 2, 2, 3), 0},   // grouped 5x5
+      {make_shape(1, 3, 227, 96, 11, 4, 0), 0},     // AlexNet conv1
+      {make_shape(1, 32, 28, 32, 1, 1, 0), 0},      // 1x1
+      {make_shape(1, 32, 28, 32, 1, 2, 0), 0},      // 1x1 s2: kernel < stride
+      {make_shape(2, 8, 15, 16, 3, 2, 1), 0},       // batch 2
+      {make_shape(1, 16, 14, 16, 3, 1, 1), 2},      // F(2,3)
+      {make_shape(1, 16, 14, 16, 3, 1, 1), 3},      // F(3,3)
+      {make_shape(1, 16, 14, 16, 3, 1, 1), 4},      // F(4,3)
+      {make_shape(1, 8, 13, 8, 5, 1, 2), 2},        // F(2,5)
+  };
+  return {cases[static_cast<std::size_t>(i)].first,
+          cases[static_cast<std::size_t>(i)].second};
+}
+
+/// The singleton box holding `c`'s (x, y, z, S_b) lattice point.
+DomainBox singleton_box(const SearchDomain& d, const ConvConfig& c) {
+  auto index = [](const std::vector<std::int64_t>& v, std::int64_t value) {
+    return static_cast<std::size_t>(
+        std::find(v.begin(), v.end(), value) - v.begin());
+  };
+  DomainBox b;
+  b.x_lo = index(d.xs(), c.x);
+  b.y_lo = index(d.ys(), c.y);
+  b.z_lo = index(d.zs(), c.z);
+  b.s_lo = index(d.smem_choices(), c.smem_budget);
+  b.x_hi = b.x_lo + 1;
+  b.y_hi = b.y_lo + 1;
+  b.z_hi = b.z_lo + 1;
+  b.s_hi = b.s_lo + 1;
+  return b;
+}
+
+/// Configurations outside the domain: an S_b below the tile's footprint,
+/// an S_b above S_sm, more threads than a block may have, and a tile far
+/// larger than the output (clamped by the kernel).
+std::vector<ConvConfig> out_of_domain(const ConvConfig& c,
+                                      const MachineSpec& spec) {
+  ConvConfig tiny = c;
+  tiny.smem_budget = sizeof(float);
+  ConvConfig huge = c;
+  huge.smem_budget = spec.shared_mem_per_sm + 4;
+  ConvConfig threads = c;
+  threads.nxt = spec.max_threads_per_block;
+  threads.nyt = 2;
+  ConvConfig wide = c;
+  wide.x *= 64;
+  wide.y *= 64;
+  wide.z *= 64;
+  wide.smem_budget = 0;
+  return {tiny, huge, threads, wide};
+}
+
+class CountFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(CountFuzz, CountEqualsExecutionInEveryField) {
+  const CountCase cc = count_case(GetParam());
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 17);
+  SimGpu gpu(MachineSpec::v100());
+  for (bool prune : {true, false}) {
+    DomainOptions opts;
+    opts.prune_with_optimality = prune;
+    opts.winograd = cc.e > 0;
+    opts.e = cc.e > 0 ? cc.e : 2;
+    const auto domain = SearchDomain::build(cc.shape, gpu.spec(), opts);
+    ASSERT_GT(domain.size(), 0u) << cc.shape.to_string();
+    ConvMeasurer executed(gpu, domain, rng());
+    BatchMeasurer counted(gpu.spec(), domain);
+
+    std::vector<ConvConfig> cfgs;
+    for (int i = 0; i < 6; ++i) cfgs.push_back(domain.sample(rng));
+    const std::size_t sampled = cfgs.size();
+    for (const ConvConfig& c : out_of_domain(cfgs.front(), gpu.spec()))
+      cfgs.push_back(c);
+
+    const std::vector<Measurement> counts = counted.measure_batch(cfgs);
+    int invalid = 0;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      SCOPED_TRACE(cc.shape.to_string() + " e=" + std::to_string(cc.e) +
+                   (prune ? " pruned " : " full ") + cfgs[i].to_string());
+      const Measurement run = executed.measure(cfgs[i]);
+      const Measurement& count = counts[i];
+      EXPECT_EQ(count.valid, run.valid);
+      EXPECT_EQ(count.seconds, run.seconds);
+      EXPECT_EQ(count.stats.bytes_loaded, run.stats.bytes_loaded);
+      EXPECT_EQ(count.stats.bytes_stored, run.stats.bytes_stored);
+      EXPECT_EQ(count.stats.flops, run.stats.flops);
+      EXPECT_EQ(count.stats.num_blocks, run.stats.num_blocks);
+      EXPECT_EQ(count.stats.num_launches, run.stats.num_launches);
+      EXPECT_EQ(count.stats.sim_time, run.stats.sim_time);
+      invalid += run.valid ? 0 : 1;
+      if (i < sampled && count.valid) {
+        EXPECT_LE(subtree_lower_seconds(domain, singleton_box(domain, cfgs[i])),
+                  count.seconds);
+      }
+    }
+    // The S_b overflow, S_b above S_sm and thread-limit variants never run.
+    EXPECT_GE(invalid, 3);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, CountFuzz, ::testing::Range(0, 10));
 
 }  // namespace
 }  // namespace convbound

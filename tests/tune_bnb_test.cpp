@@ -136,9 +136,10 @@ TEST(BnbBound, AdmissibleOnEveryFirstAndSecondLevelBox) {
 }
 
 void run_certificate(const MachineSpec& spec, const DomainOptions& dopts,
-                     bool expect_pruning) {
+                     bool expect_pruning,
+                     const ConvShape& shape = tiny_shape()) {
   SimGpu gpu(spec);
-  const auto domain = SearchDomain::build(tiny_shape(), gpu.spec(), dopts);
+  const auto domain = SearchDomain::build(shape, gpu.spec(), dopts);
   ASSERT_GT(domain.size(), 0u);
   ASSERT_LE(domain.size(), 60000u) << "domain too large to certify in-test";
 
@@ -194,6 +195,22 @@ TEST(BnbCertificate, WinogradDomainMatchesExhaustiveSearch) {
   dopts.winograd = true;
   dopts.e = 2;
   run_certificate(MachineSpec::v100(), dopts, /*expect_pruning=*/false);
+}
+
+// ResNet-18 layer2.0.downsample: a 1x1 kernel under stride 2 loads one
+// input row and column per output, not Eq 20's mu = 2, so Eq 20's input term
+// overstates every tile's reads. Bounded with it, the search pruned the true
+// optimum and certified a slower configuration.
+TEST(BnbCertificate, KernelSmallerThanStrideMatchesExhaustiveSearch) {
+  ConvShape s;
+  s.cin = 64;
+  s.hin = s.win = 56;
+  s.cout = 128;
+  s.kh = s.kw = 1;
+  s.stride = 2;
+  s.pad = 0;
+  run_certificate(MachineSpec::v100(), DomainOptions{},
+                  /*expect_pruning=*/false, s);
 }
 
 // Seeds are measured first and only tighten the search: a seeded run still

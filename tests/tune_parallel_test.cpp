@@ -1,13 +1,11 @@
-// The batched measurement engine's contract: candidate-level parallelism
-// must never change what the tuner searches. Same seed => bit-identical
-// TuneResult.history whether measurements run serially (ConvMeasurer) or
-// through BatchMeasurer with any worker count.
+// The counting measurer's contract: BatchMeasurer counts exactly what the
+// executing ConvMeasurer measures, so it never changes what a tuner
+// searches. Same seed => bit-identical TuneResult.history on either
+// measurer, and every counted field equals its executed counterpart.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <future>
 #include <memory>
 
 #include "convbound/conv/algorithms.hpp"
@@ -54,47 +52,46 @@ std::unique_ptr<Tuner> make_tuner(const std::string& kind,
   return std::make_unique<AteTuner>(seed);
 }
 
-class ParallelDeterminism : public ::testing::TestWithParam<std::string> {};
+class CountingTrace : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(ParallelDeterminism, HistoryIndependentOfWorkerCount) {
+TEST_P(CountingTrace, HistoryEqualsExecutedHistory) {
   const int kBudget = 32;
   const std::uint64_t kSeed = 11;
   SimGpu gpu(MachineSpec::v100());
   const auto domain = SearchDomain::build(small_shape(), gpu.spec());
 
-  // Reference: the serial measurement path.
-  ConvMeasurer serial(gpu, domain, kSeed);
-  const TuneResult ref = make_tuner(GetParam(), kSeed)->run(serial, kBudget);
+  ConvMeasurer executed(gpu, domain, kSeed);
+  const TuneResult ref = make_tuner(GetParam(), kSeed)->run(executed, kBudget);
   ASSERT_EQ(ref.history.size(), static_cast<std::size_t>(kBudget));
 
-  for (int workers : {1, 2, 8}) {
-    BatchMeasurer batched(gpu.spec(), domain, kSeed, workers);
-    EXPECT_EQ(batched.workers(), workers);
-    const TuneResult res =
-        make_tuner(GetParam(), kSeed)->run(batched, kBudget);
-    expect_identical(ref, res,
-                     GetParam() + " @" + std::to_string(workers) + "w");
-  }
+  BatchMeasurer counted(gpu.spec(), domain);
+  const TuneResult res = make_tuner(GetParam(), kSeed)->run(counted, kBudget);
+  expect_identical(ref, res, GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllTuners, ParallelDeterminism,
+INSTANTIATE_TEST_SUITE_P(AllTuners, CountingTrace,
                          ::testing::Values("random", "sa", "ga", "ate"));
 
-// Every batched measurement equals its serial ConvMeasurer counterpart.
-void expect_matches_serial(BatchMeasurer& batched, ConvMeasurer& serial,
-                           const std::vector<ConvConfig>& cfgs) {
-  const std::uint64_t trials_before = batched.trials();
-  const auto ms = batched.measure_batch(cfgs);
+// Every counted measurement equals its executed ConvMeasurer counterpart,
+// in every LaunchStats field.
+void expect_counts_match_execution(BatchMeasurer& counted,
+                                   ConvMeasurer& executed,
+                                   const std::vector<ConvConfig>& cfgs) {
+  const std::uint64_t trials_before = counted.trials();
+  const auto ms = counted.measure_batch(cfgs);
   ASSERT_EQ(ms.size(), cfgs.size());
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    const Measurement ref = serial.measure(cfgs[i]);
-    EXPECT_EQ(ms[i].valid, ref.valid) << i;
-    EXPECT_EQ(ms[i].seconds, ref.seconds) << i;
+    const Measurement ref = executed.measure(cfgs[i]);
+    EXPECT_EQ(ms[i].valid, ref.valid) << cfgs[i].to_string();
+    EXPECT_EQ(ms[i].seconds, ref.seconds) << cfgs[i].to_string();
     EXPECT_EQ(ms[i].stats.bytes_loaded, ref.stats.bytes_loaded) << i;
     EXPECT_EQ(ms[i].stats.bytes_stored, ref.stats.bytes_stored) << i;
     EXPECT_EQ(ms[i].stats.flops, ref.stats.flops) << i;
+    EXPECT_EQ(ms[i].stats.num_blocks, ref.stats.num_blocks) << i;
+    EXPECT_EQ(ms[i].stats.num_launches, ref.stats.num_launches) << i;
+    EXPECT_EQ(ms[i].stats.sim_time, ref.stats.sim_time) << i;
   }
-  EXPECT_EQ(batched.trials() - trials_before, cfgs.size());
+  EXPECT_EQ(counted.trials() - trials_before, cfgs.size());
 }
 
 // A config whose tile overflows its declared shared memory.
@@ -105,32 +102,32 @@ ConvConfig overflowing_config() {
   return bad;
 }
 
-TEST(BatchMeasurer, MatchesSerialMeasurementsExactly) {
+TEST(BatchMeasurer, MatchesExecutedMeasurementsExactly) {
   SimGpu gpu(MachineSpec::v100());
   const auto domain = SearchDomain::build(small_shape(), gpu.spec());
-  ConvMeasurer serial(gpu, domain, 5);
-  BatchMeasurer batched(gpu.spec(), domain, 5, 4);
+  ConvMeasurer executed(gpu, domain, 5);
+  BatchMeasurer counted(gpu.spec(), domain);
 
   Rng rng(9);
   std::vector<ConvConfig> cfgs;
   for (int i = 0; i < 12; ++i) cfgs.push_back(domain.sample(rng));
-  expect_matches_serial(batched, serial, cfgs);
+  expect_counts_match_execution(counted, executed, cfgs);
 }
 
-// Batches narrower than, equal to and one wider than the slot count, with
-// candidates whose costs differ widely, on both kernel families.
-TEST(BatchMeasurer, NarrowMixedAndWinogradBatchesMatchSerial) {
+// The smallest and largest tiles with an invalid config in one batch, in
+// every input layout, on both kernel families.
+TEST(BatchMeasurer, MixedAndWinogradBatchesMatchExecution) {
   SimGpu gpu(MachineSpec::v100());
   const auto direct = SearchDomain::build(small_shape(), gpu.spec());
   DomainOptions wopts;
   wopts.winograd = true;
   wopts.e = 2;
   const auto winograd = SearchDomain::build(small_shape(), gpu.spec(), wopts);
-  ConvMeasurer direct_serial(gpu, direct, 5);
-  ConvMeasurer winograd_serial(gpu, winograd, 5);
+  ConvMeasurer direct_executed(gpu, direct, 5);
+  ConvMeasurer winograd_executed(gpu, winograd, 5);
+  BatchMeasurer direct_counted(gpu.spec(), direct);
+  BatchMeasurer winograd_counted(gpu.spec(), winograd);
 
-  // Direct configs ordered by tile volume, so alternating picks from both
-  // ends mix the cheapest-per-block and the largest tiles in one batch.
   Rng rng(21);
   std::vector<ConvConfig> by_tile;
   for (int i = 0; i < 64; ++i) by_tile.push_back(direct.sample(rng));
@@ -139,52 +136,26 @@ TEST(BatchMeasurer, NarrowMixedAndWinogradBatchesMatchSerial) {
               return a.tile_elems() < b.tile_elems();
             });
   ASSERT_LT(by_tile.front().tile_elems(), by_tile.back().tile_elems());
-  ASSERT_FALSE(direct_serial.measure(overflowing_config()).valid);
+  ASSERT_FALSE(direct_executed.measure(overflowing_config()).valid);
 
-  for (int workers : {1, 2, 8}) {
-    SCOPED_TRACE(workers);
-    const std::size_t wider = static_cast<std::size_t>(workers) + 1;
-    BatchMeasurer batched(gpu.spec(), direct, 5, workers);
-    expect_matches_serial(batched, direct_serial, {by_tile.back()});
-
-    std::vector<ConvConfig> mixed = {overflowing_config()};
-    for (std::size_t k = 0; mixed.size() < wider; ++k)
-      mixed.push_back(k % 2 == 0 ? by_tile[by_tile.size() - 1 - k / 2]
-                                 : by_tile[k / 2]);
-    expect_matches_serial(batched, direct_serial, mixed);
-
-    BatchMeasurer wbatched(gpu.spec(), winograd, 5, workers);
-    std::vector<ConvConfig> wcfgs;
-    while (wcfgs.size() < wider) wcfgs.push_back(winograd.sample(rng));
-    expect_matches_serial(wbatched, winograd_serial, wcfgs);
+  std::vector<ConvConfig> mixed = {overflowing_config(), by_tile.front(),
+                                   by_tile[by_tile.size() / 2],
+                                   by_tile.back()};
+  std::vector<ConvConfig> wcfgs = {overflowing_config()};
+  for (int i = 0; i < 4; ++i) wcfgs.push_back(winograd.sample(rng));
+  for (Layout l : kAllLayouts) {
+    SCOPED_TRACE(to_string(l));
+    for (ConvConfig& c : mixed) c.layout = l;
+    for (ConvConfig& c : wcfgs) c.layout = l;
+    expect_counts_match_execution(direct_counted, direct_executed, mixed);
+    expect_counts_match_execution(winograd_counted, winograd_executed, wcfgs);
   }
-
-  // Replicas on a caller's private pool: the default slot count follows that
-  // pool, and the results do not change.
-  ThreadPool pool(2);
-  BatchMeasurer pooled(gpu.spec(), direct, 5, 0, &pool);
-  EXPECT_EQ(pooled.workers(), 2);
-  std::vector<ConvConfig> cfgs(by_tile.begin(), by_tile.begin() + 3);
-  cfgs.push_back(by_tile.back());
-  expect_matches_serial(pooled, direct_serial, cfgs);
-}
-
-TEST(BatchMeasurer, NegativeWorkerCountThrows) {
-  SimGpu gpu(MachineSpec::v100());
-  const auto domain = SearchDomain::build(small_shape(), gpu.spec());
-  EXPECT_THROW(BatchMeasurer(gpu.spec(), domain, 5, -1), Error);
-  EXPECT_THROW(BatchMeasurer(gpu.spec(), domain, 5, -3), Error);
-
-  AutotuneOptions opts;
-  opts.budget = 4;
-  opts.workers = -3;
-  EXPECT_THROW(autotune_conv(gpu, small_shape(), opts), Error);
 }
 
 TEST(BatchMeasurer, InvalidConfigsComeBackInvalidInBatch) {
   SimGpu gpu(MachineSpec::v100());
   const auto domain = SearchDomain::build(small_shape(), gpu.spec());
-  BatchMeasurer batched(gpu.spec(), domain, 5, 2);
+  BatchMeasurer batched(gpu.spec(), domain);
 
   Rng rng(3);
   const std::vector<ConvConfig> cfgs = {
@@ -260,48 +231,23 @@ TEST(SimGpuExecMode, SerialAndStripedCountIdentically) {
   }
 }
 
-TEST(Engine, BatchedAutotuneDeterministicAcrossWorkerCounts) {
+// autotune_conv counts its candidates; its trace equals the same search run
+// on the executing measurer.
+TEST(Engine, AutotuneTraceEqualsExecutedTrace) {
   SimGpu gpu(MachineSpec::v100());
   AutotuneOptions opts;
   opts.budget = 24;
   opts.seed = 4;
+  const AutotuneOutcome outcome = autotune_conv(gpu, small_shape(), opts);
+  EXPECT_GT(outcome.best_gflops, 0);
 
-  opts.workers = 1;
-  const AutotuneOutcome one = autotune_conv(gpu, small_shape(), opts);
-  opts.workers = 8;
-  const AutotuneOutcome eight = autotune_conv(gpu, small_shape(), opts);
-  expect_identical(one.result, eight.result, "engine");
-  EXPECT_EQ(one.best_gflops, eight.best_gflops);
-  EXPECT_GT(one.best_gflops, 0);
-}
-
-// The tuned warm-up chain: a pool task runs the tuner, whose candidate slots
-// run on that same pool, and each slot's striped launches nest once more.
-// It completes only if every level drains work on its own thread.
-TEST(Engine, AutotuneNestsInsidePoolTask) {
-  AutotuneOptions opts;
-  opts.budget = 8;
-  opts.seed = 6;
-  SimGpu ref_gpu(MachineSpec::v100());
-  opts.workers = 1;
-  const AutotuneOutcome ref = autotune_conv(ref_gpu, small_shape(), opts);
-  opts.workers = 0;
-
-  for (std::size_t threads : {1, 3}) {
-    SCOPED_TRACE(threads);
-    auto pool = std::make_unique<ThreadPool>(threads);
-    SimGpu gpu(MachineSpec::v100(), pool.get());
-    auto fut =
-        pool->submit([&] { return autotune_conv(gpu, small_shape(), opts); });
-    if (fut.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
-      // The worker is stuck for good: joining it would hang teardown, so the
-      // pool is leaked and the process exits around it.
-      static_cast<void>(pool.release());
-      FAIL() << "autotune inside a pool task did not complete within 5 s";
-    }
-    const AutotuneOutcome out = fut.get();
-    expect_identical(ref.result, out.result, "nested");
-  }
+  TunerOptions topts;
+  topts.seed = opts.seed;
+  topts.seeds.push_back(default_tiled_config(small_shape(), gpu.spec()));
+  ConvMeasurer executed(gpu, outcome.domain, opts.seed);
+  const TuneResult ref =
+      convbound::make_tuner(opts.tuner, topts)->run(executed, opts.budget);
+  expect_identical(ref, outcome.result, "engine");
 }
 
 TEST(ConvConfigHash, ConsistentWithEquality) {

@@ -160,8 +160,8 @@ TEST(ThreadPool, SubmitFromParallelForBody) {
 
 TEST(ThreadPool, NestedParallelForOnTheSamePoolCompletes) {
   // More outer tasks than workers, each running an inner parallel_for on
-  // the same pool: the shape of serving warm-up (sessions on the global
-  // pool) autotuning through a BatchMeasurer (trials on the global pool).
+  // the same pool: the shape of a striped SimGpu launch issued from inside
+  // a pool task.
   // Waiting on inner chunks queued behind the waiting outer tasks used to
   // deadlock here.
   for (std::size_t threads : {1u, 2u}) {

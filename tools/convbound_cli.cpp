@@ -6,11 +6,11 @@
 //   run    --cin N --in N --cout N [...] [--machine NAME] [--algo NAME]
 //       Execute one convolution on the simulated machine and report stats.
 //   tune   --cin N --in N --cout N [...] [--budget N] [--cache FILE]
-//          [--workers N] [--tuner bnb|ate|sa|ga|random]
-//          [--checkpoint FILE] [--resume 1]
-//       Auto-tune the dataflow with the batched parallel measurement
-//       engine (--workers 0 = one per hardware thread); optionally
-//       persist the result to a cache. --checkpoint writes the resumable
+//          [--tuner bnb|ate|sa|ga|random] [--checkpoint FILE] [--resume 1]
+//       Auto-tune the dataflow on the counting measurer, then re-execute
+//       the winner on the simulated machine (exit 1 with `error:` when its
+//       executed stats differ from the count); optionally persist the
+//       result to a cache. --checkpoint writes the resumable
 //       search state after every measured batch; --resume 1 continues a
 //       checkpointed search bit-identically up to --budget total trials
 //       (see docs/tuning.md). The bnb tuner prints its pruning stats and
@@ -32,8 +32,9 @@
 //       predicted I/O, lower bound and counted traffic, counted flops,
 //       modelled ms, host wall ms (min over --reps, default 3) and host
 //       GFLOP/s; then totals by algorithm. Exits 1 with `error:` when a
-//       layer's counted traffic is below its Thm 4.12/4.20 bound or its
-//       output differs from conv2d_ref.
+//       layer's counted traffic is below its Thm 4.12/4.20 bound, its
+//       output differs from conv2d_ref, or (direct and fused Winograd) its
+//       executed LaunchStats differ from the closed-form count.
 //   serve  [--machine NAME] [--serve-workers N] [--replicas N] [--queue N]
 //          [shared load flags]
 //   cluster [--devices CSV] [--policy bound|rr|least] [--dev-workers N]
@@ -100,6 +101,7 @@
 
 #include "convbound/convbound.hpp"
 #include "convbound/serve/obs_export.hpp"
+#include "convbound/tune/batch_measure.hpp"
 #include "convbound/tune/cache.hpp"
 #include "convbound/util/timer.hpp"
 
@@ -243,7 +245,6 @@ int cmd_tune(const Args& a) {
   opts.budget = static_cast<int>(a.geti("budget", 64));
   opts.winograd = a.geti("winograd", 0) != 0;
   opts.seed = static_cast<std::uint64_t>(a.geti("seed", 1));
-  opts.workers = static_cast<int>(a.geti("workers", 0));
   opts.tuner = a.gets("tuner", "ate");
   opts.checkpoint = a.gets("checkpoint", "");
   opts.resume = a.geti("resume", 0) != 0;
@@ -280,6 +281,19 @@ int cmd_tune(const Args& a) {
   if (outcome.proven_optimal)
     std::printf("  certified optimal: every unmeasured configuration was "
                 "pruned by an admissible bound\n");
+  // The search counted its candidates; the winner must execute to exactly
+  // the stats it was counted at.
+  if (outcome.result.best_seconds < 1e30) {
+    SimGpu serial(gpu.spec(), nullptr, ExecMode::kSerial);
+    ConvMeasurer executed(serial, outcome.domain, opts.seed);
+    BatchMeasurer counted(gpu.spec(), outcome.domain);
+    const Measurement run = executed.measure(outcome.result.best);
+    if (!run.valid || run.seconds != outcome.result.best_seconds ||
+        run.stats != counted.measure(outcome.result.best).stats)
+      throw Error("the best configuration executed to different LaunchStats "
+                  "than it was counted at: " +
+                  outcome.result.best.to_string());
+  }
   if (!cache_path.empty()) {
     cache.put(key, {outcome.result.best, outcome.best_gflops});
     cache.save(cache_path);
@@ -330,8 +344,21 @@ PlannerOptions planner_options_from(const Args& a) {
       set == "ours" ? CandidateSet::kOurs : CandidateSet::kBaseline;
   opts.tune_budget = static_cast<int>(a.geti("budget", 32));
   opts.seed = static_cast<std::uint64_t>(a.geti("seed", 42));
-  opts.workers = static_cast<int>(a.geti("workers", 0));
   return opts;
+}
+
+/// True for the kernels that read a plan's config: the direct dataflow
+/// (tiled, and naive at its fixed tile) and fused Winograd. They are also
+/// the kernels with a closed-form count.
+bool reads_config(const ConvPlan& p) {
+  return p.algorithm == ConvAlgorithm::kDirectTiled ||
+         p.algorithm == ConvAlgorithm::kDirectNaive ||
+         p.algorithm == ConvAlgorithm::kWinogradFused;
+}
+
+/// The config cell: "-" for a kernel that reads no config.
+std::string config_cell(const ConvPlan& p) {
+  return reads_config(p) ? p.config.to_string() : "-";
 }
 
 /// The leading per-layer cells `plan --model` and `profile` share.
@@ -343,7 +370,7 @@ std::vector<std::string> plan_cells(const ConvLayer& layer,
   return {layer.name,
           layer.shape.to_string(),
           p.label(),
-          p.config.to_string(),
+          config_cell(p),
           Table::fmt(p.predicted_io_elems * 4e-6, 3),
           Table::fmt(p.lower_bound_elems * 4e-6, 3)};
 }
@@ -391,7 +418,7 @@ int cmd_plan(const Args& a) {
              "note"});
     for (std::size_t i = 0; i < cands.size(); ++i) {
       const ConvPlan& c = cands[i].plan;
-      t.add_row({c.label(), c.config.to_string(),
+      t.add_row({c.label(), config_cell(c),
                  Table::fmt(mb(c.predicted_io_elems), 3),
                  Table::fmt(mb(c.lower_bound_elems), 3),
                  Table::fmt(c.bound_ratio(), 2),
@@ -450,6 +477,16 @@ int cmd_profile(const Args& a) {
                        "Thm 4.12/4.20 lower bound");
     if (!allclose(conv2d_ref(prob.input, prob.weights, s), out, 1e-3, 1e-3))
       errors.push_back(layer.name + ": output differs from conv2d_ref");
+    if (reads_config(p)) {
+      const Layout in = prob.input.layout();
+      const LaunchStats count =
+          p.algorithm == ConvAlgorithm::kWinogradFused
+              ? winograd_fused_count(gpu.spec(), s, p.e, p.config, in)
+              : direct_tiled_count(gpu.spec(), s, p.config, in);
+      if (st != count)
+        errors.push_back(layer.name + ": executed LaunchStats differ from " +
+                         "the closed-form count");
+    }
 
     std::vector<std::string> row = plan_cells(layer, p);
     row.insert(row.end(),
