@@ -8,10 +8,10 @@
 //                   / bucket(d, m)
 //
 // where batch_seconds(d, m) is the predicted whole-batch time of model m's
-// chosen bucket on device d, read from the plan layer at warm time (SimGpu
-// dry-run predictions under kMeasured/kTuned planning, pure Eq 20/22
-// dataflow I/O + roofline under kAnalytic; the bucket itself comes from
-// choose_batch_bucket against each device's spec) and
+// chosen bucket on device d, read from the plan layer at warm time (the
+// modelled time of counted launches under kMeasured/kTuned planning, pure
+// Eq 20/22 dataflow I/O + roofline under kAnalytic; the bucket itself comes
+// from choose_batch_bucket against each device's spec) and
 // virtual_seconds(d) is d's virtual clock: the predicted busy time of
 // everything ever placed on it. Greedily equalising predicted finish times
 // is classic list scheduling on the modelled makespan — fast devices take

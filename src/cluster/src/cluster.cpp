@@ -49,10 +49,10 @@ void ClusterServer::start() {
 
   // The Router's cost table comes from the plan layer at warm time: for
   // every (device, model), the predicted whole-batch time of the bucket
-  // choose_batch_bucket picked against that device's spec — SimGpu dry-run
-  // predictions under the default kMeasured planning, pure Eq 20/22 +
-  // roofline under kAnalytic. Routing itself never measures anything; it
-  // reads these per-device predictions.
+  // choose_batch_bucket picked against that device's spec — the modelled
+  // time of counted launches under the default kMeasured planning, pure
+  // Eq 20/22 + roofline under kAnalytic. Routing itself never measures
+  // anything; it reads these per-device predictions.
   std::vector<Router::DeviceEntry> entries;
   for (auto& d : devices_) {
     Router::DeviceEntry e;

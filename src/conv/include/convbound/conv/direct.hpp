@@ -35,4 +35,11 @@ LaunchStats im2col_sim(SimGpu& gpu, const Tensor4<float>& input,
                        const Tensor4<float>& weights, const ConvShape& s,
                        Tensor4<float>& out);
 
+/// The LaunchStats im2col_sim returns on an input stored in `input`, in
+/// closed form: per image, the expand launch then the GEMM launch, summed
+/// in that order. Throws Error exactly where the launches would (the expand
+/// block's kh input rows plus one output row above S_sm, a grouped shape).
+LaunchStats im2col_count(const MachineSpec& spec, const ConvShape& s,
+                         Layout input);
+
 }  // namespace convbound

@@ -45,4 +45,11 @@ LaunchStats winograd_phased_sim(SimGpu& gpu, const Tensor4<float>& input,
                                 const ConvShape& s, std::int64_t e,
                                 Tensor4<float>& out);
 
+/// The LaunchStats winograd_phased_sim returns on an input stored in
+/// `input`, in closed form: the kernel transform, then per image the input
+/// transform, a^2 GEMMs and the inverse transform, summed in that order.
+/// Throws Error exactly where the launches would.
+LaunchStats winograd_phased_count(const MachineSpec& spec, const ConvShape& s,
+                                  std::int64_t e, Layout input);
+
 }  // namespace convbound

@@ -99,17 +99,12 @@ LaunchStats direct_tiled_count(const MachineSpec& spec, const ConvShape& s,
       s.hout(), g.x, s.stride, s.kh, s.pad, s.hin);
   const std::uint64_t cols = detail::in_range_extent_sum(
       s.wout(), g.y, s.stride, s.kw, s.pad, s.win);
-  LaunchStats st;
-  st.bytes_loaded = u(s.batch) * u(g.nz) * cpg * rows * cols *
-                        detail::input_elem_bytes(s, input) +
-                    sizeof(float) * u(s.batch) * u(g.nx * g.ny) *
-                        u(s.weight_elems());
-  st.bytes_stored = sizeof(float) * u(s.output_elems());
-  st.flops = u(s.flops());
-  st.num_blocks = u(g.lc.num_blocks);
-  st.num_launches = 1;
-  st.sim_time = model_time(spec, g.lc, st.bytes_total(), st.flops);
-  return st;
+  return launch_stats(
+      spec, g.lc,
+      u(s.batch) * u(g.nz) * cpg * rows * cols *
+              detail::input_elem_bytes(s, input) +
+          sizeof(float) * u(s.batch) * u(g.nx * g.ny) * u(s.weight_elems()),
+      sizeof(float) * u(s.output_elems()), u(s.flops()));
 }
 
 LaunchStats direct_tiled_sim(SimGpu& gpu, const Tensor4<float>& input,

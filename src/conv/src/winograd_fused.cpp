@@ -95,19 +95,15 @@ LaunchStats winograd_fused_count(const MachineSpec& spec, const ConvShape& s,
   const std::uint64_t g_macs = wino_sandwich_macs(g.t.G.data(), a, r);
   const std::uint64_t v_macs = wino_sandwich_macs(g.t.BT.data(), a, a);
   const std::uint64_t y_macs = wino_sandwich_macs(g.t.AT.data(), e, a);
-  LaunchStats st;
-  st.bytes_loaded =
+  return launch_stats(
+      spec, g.lc,
       b * u(g.nbz) * cin * rows * cols * detail::input_elem_bytes(s, input) +
-      sizeof(float) * b * u(g.nbx * g.nby) * u(s.weight_elems());
-  st.bytes_stored = sizeof(float) * u(s.output_elems());
-  st.flops = 2 * b *
-             (cin * (u(g.nbx * g.nby) * cout * g_macs +
-                     tiles * u(g.nbz) * v_macs + tiles * cout * u(a * a)) +
-              tiles * cout * y_macs);
-  st.num_blocks = u(g.lc.num_blocks);
-  st.num_launches = 1;
-  st.sim_time = model_time(spec, g.lc, st.bytes_total(), st.flops);
-  return st;
+          sizeof(float) * b * u(g.nbx * g.nby) * u(s.weight_elems()),
+      sizeof(float) * u(s.output_elems()),
+      2 * b *
+          (cin * (u(g.nbx * g.nby) * cout * g_macs +
+                  tiles * u(g.nbz) * v_macs + tiles * cout * u(a * a)) +
+           tiles * cout * y_macs));
 }
 
 LaunchStats winograd_fused_sim(SimGpu& gpu, const Tensor4<float>& input,

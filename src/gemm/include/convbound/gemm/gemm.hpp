@@ -32,4 +32,13 @@ LaunchStats gemm_sim(SimGpu& gpu, const float* a, const float* b, float* c,
                      std::int64_t m, std::int64_t k, std::int64_t n,
                      const GemmConfig& cfg = {});
 
+/// The LaunchStats gemm_sim returns for (m, k, n, cfg), in closed form: the
+/// same launch geometry, every block streaming its A row slice and B column
+/// slice once and storing its C tile once, and model_time on `spec`. Throws
+/// Error exactly where the launch would (tiles above S_sm, threads out of
+/// range, an empty dimension).
+LaunchStats gemm_count(const MachineSpec& spec, std::int64_t m,
+                       std::int64_t k, std::int64_t n,
+                       const GemmConfig& cfg = {});
+
 }  // namespace convbound

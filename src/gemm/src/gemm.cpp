@@ -19,23 +19,55 @@ void gemm_ref(const float* a, const float* b, float* c, std::int64_t m,
   }
 }
 
+namespace {
+
+// The launch gemm_sim makes and gemm_count prices: tiles clamped to the
+// matrix, the grid over C, and the staged A, B and C tiles as S_b.
+struct GemmGeometry {
+  std::int64_t tm, tn, tk;
+  std::int64_t grid_m, grid_n;
+  LaunchConfig lc;
+};
+
+GemmGeometry gemm_geometry(std::int64_t m, std::int64_t k, std::int64_t n,
+                           const GemmConfig& cfg) {
+  CB_CHECK(m > 0 && k > 0 && n > 0);
+  GemmGeometry g;
+  g.tm = std::min(cfg.tile_m, m);
+  g.tn = std::min(cfg.tile_n, n);
+  g.tk = std::min(cfg.tile_k, k);
+  g.grid_m = ceil_div(m, g.tm);
+  g.grid_n = ceil_div(n, g.tn);
+  g.lc.num_blocks = g.grid_m * g.grid_n;
+  g.lc.threads_per_block = cfg.threads_per_block;
+  g.lc.smem_bytes_per_block = static_cast<std::int64_t>(
+      (g.tm * g.tk + g.tk * g.tn + g.tm * g.tn) * sizeof(float));
+  return g;
+}
+
+}  // namespace
+
+LaunchStats gemm_count(const MachineSpec& spec, std::int64_t m,
+                       std::int64_t k, std::int64_t n,
+                       const GemmConfig& cfg) {
+  const GemmGeometry g = gemm_geometry(m, k, n, cfg);
+  const auto u = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  // Each block reads its row slice of A and column slice of B once: A is
+  // read once per grid column, B once per grid row.
+  return launch_stats(
+      spec, g.lc,
+      sizeof(float) * (u(m) * u(k) * u(g.grid_n) + u(k) * u(n) * u(g.grid_m)),
+      sizeof(float) * u(m) * u(n), 2 * u(m) * u(n) * u(k));
+}
+
 LaunchStats gemm_sim(SimGpu& gpu, const float* a, const float* b, float* c,
                      std::int64_t m, std::int64_t k, std::int64_t n,
                      const GemmConfig& cfg) {
-  CB_CHECK(m > 0 && k > 0 && n > 0);
-  const std::int64_t tm = std::min(cfg.tile_m, m);
-  const std::int64_t tn = std::min(cfg.tile_n, n);
-  const std::int64_t tk = std::min(cfg.tile_k, k);
-  const std::int64_t grid_m = ceil_div(m, tm);
-  const std::int64_t grid_n = ceil_div(n, tn);
+  const GemmGeometry g = gemm_geometry(m, k, n, cfg);
+  const std::int64_t tm = g.tm, tn = g.tn, tk = g.tk;
+  const std::int64_t grid_n = g.grid_n;
 
-  LaunchConfig lc;
-  lc.num_blocks = grid_m * grid_n;
-  lc.threads_per_block = cfg.threads_per_block;
-  lc.smem_bytes_per_block =
-      static_cast<std::int64_t>((tm * tk + tk * tn + tm * tn) * sizeof(float));
-
-  return gpu.launch(lc, [&, tm, tn, tk](BlockContext& ctx) {
+  return gpu.launch(g.lc, [&, tm, tn, tk](BlockContext& ctx) {
     const std::int64_t bm = (ctx.block_id() / grid_n) * tm;
     const std::int64_t bn = (ctx.block_id() % grid_n) * tn;
     const std::int64_t em = std::min(tm, m - bm);  // effective tile dims

@@ -102,4 +102,12 @@ struct LaunchStats {
 double model_time(const MachineSpec& spec, const LaunchConfig& cfg,
                   std::uint64_t bytes, std::uint64_t flops);
 
+/// The LaunchStats of one launch of `cfg` that counted this traffic and
+/// arithmetic: SimGpu::launch returns it after running the blocks, and the
+/// closed-form *_count functions return it without running anything.
+/// Throws where model_time does.
+LaunchStats launch_stats(const MachineSpec& spec, const LaunchConfig& cfg,
+                         std::uint64_t bytes_loaded,
+                         std::uint64_t bytes_stored, std::uint64_t flops);
+
 }  // namespace convbound

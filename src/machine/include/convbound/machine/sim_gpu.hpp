@@ -161,9 +161,8 @@ enum class ExecMode {
   /// kernel as fast as possible.
   kStriped,
   /// All blocks drained on the calling thread. Used by the serving
-  /// sessions, where each in-flight batch owns one worker thread, by
-  /// ServeEngine's plan lookup, which executes nothing, and as the serial
-  /// oracle that tests and benchmarks re-measure against.
+  /// sessions, where each in-flight batch owns one worker thread, and as
+  /// the serial oracle that tests and benchmarks re-measure against.
   kSerial,
 };
 

@@ -142,4 +142,17 @@ double model_time(const MachineSpec& spec, const LaunchConfig& cfg,
   return spec.launch_overhead + std::max(t_mem, t_cmp);
 }
 
+LaunchStats launch_stats(const MachineSpec& spec, const LaunchConfig& cfg,
+                         std::uint64_t bytes_loaded,
+                         std::uint64_t bytes_stored, std::uint64_t flops) {
+  LaunchStats st;
+  st.bytes_loaded = bytes_loaded;
+  st.bytes_stored = bytes_stored;
+  st.flops = flops;
+  st.num_blocks = static_cast<std::uint64_t>(cfg.num_blocks);
+  st.num_launches = 1;
+  st.sim_time = model_time(spec, cfg, st.bytes_total(), flops);
+  return st;
+}
+
 }  // namespace convbound

@@ -48,10 +48,8 @@ LaunchStats SimGpu::launch(const LaunchConfig& cfg, const Kernel& kernel) {
     });
     for (const LaunchStats& c : chunks) stats += c;
   }
-  stats.num_blocks = static_cast<std::uint64_t>(cfg.num_blocks);
-  stats.num_launches = 1;
-  stats.sim_time = model_time(spec_, cfg, stats.bytes_total(), stats.flops);
-  return stats;
+  return launch_stats(spec_, cfg, stats.bytes_loaded, stats.bytes_stored,
+                      stats.flops);
 }
 
 }  // namespace convbound

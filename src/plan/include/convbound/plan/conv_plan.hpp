@@ -33,9 +33,10 @@ struct ConvPlan {
   /// Best applicable I/O lower bound for the algorithm's family (elements).
   double lower_bound_elems = 0;
   /// Score used to rank this plan: roofline estimate in analytic planning,
-  /// measured dry-run sim time otherwise.
+  /// otherwise the modelled time of its counted launches (count_plan).
   double predicted_seconds = 0;
-  /// True when predicted_seconds is a SimGpu dry-run measurement.
+  /// True when predicted_seconds is the count_plan sim time: exactly what
+  /// executing the plan on a SimGpu reports.
   bool measured = false;
 
   /// Output elements the executor leases from the workspace per execution.
@@ -63,5 +64,12 @@ struct ConvPlan {
     return "plan[" + label() + " " + config.to_string() + "]";
   }
 };
+
+/// The LaunchStats run_plan (executor.hpp) returns for `plan` on an input
+/// stored in `input`, in closed form: one dispatch onto each kernel's count,
+/// so nothing executes. Throws Error exactly where run_plan would. Defined
+/// beside run_plan; declared here so planning depends on counting only.
+LaunchStats count_plan(const MachineSpec& spec, const ConvPlan& plan,
+                       Layout input);
 
 }  // namespace convbound

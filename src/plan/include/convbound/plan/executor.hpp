@@ -8,7 +8,7 @@ namespace convbound {
 
 /// Stateless plan dispatch, the one place an algorithm meets its kernel:
 /// runs plan.algorithm with plan.config / plan.e on `gpu`, writing into the
-/// caller-shaped `out`.
+/// caller-shaped `out`. count_plan (conv_plan.hpp) is its closed-form twin.
 LaunchStats run_plan(SimGpu& gpu, const ConvPlan& plan,
                      const Tensor4<float>& input,
                      const Tensor4<float>& weights, Tensor4<float>& out);

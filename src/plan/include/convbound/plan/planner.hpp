@@ -4,17 +4,18 @@
 // The Planner enumerates the algorithms eligible for a shape through the
 // centralized capability query (`algorithm_supports`), scores each candidate
 // with the bounds layer (dataflow I/O predictions against the Thm 4.12/4.20
-// lower bounds) and, when asked, SimGpu dry-run measurements, consults the
-// TuneCache for tuned configurations (falling back to the analytic Section 5
-// defaults), and emits an immutable ConvPlan for the executor. Plans are
-// memoised per (machine, shape, options), so callers plan once and execute
-// many times.
+// lower bounds) and, when asked, the modelled time of its counted launches
+// (count_plan: the LaunchStats the SimGpu would report, in closed form; no
+// kernel runs), consults the TuneCache for tuned configurations (falling
+// back to the analytic Section 5 defaults), and emits an immutable ConvPlan
+// for the executor. Plans are memoised per (machine, shape, options), so
+// callers plan once and execute many times.
 //
 // Concurrency: plan()/enumerate() are safe to call from several threads on
 // one Planner (the memo is mutex-guarded and the TuneCache is thread-safe);
 // concurrent cold misses may plan the same shape twice, but the first
-// memoised plan wins and every caller receives it. A shared SimGpu is safe
-// too — launches keep all mutable state on the stack.
+// memoised plan wins and every caller receives it. Planning reads only the
+// SimGpu's MachineSpec, so a shared SimGpu is safe too.
 #pragma once
 
 #include <map>
@@ -34,8 +35,9 @@ enum class PlanMode {
   /// Bounds-layer predictions only; nothing is executed. Right for "what
   /// would run" tables (CLI `plan`) and very cheap planning.
   kAnalytic,
-  /// Dry-run every candidate once on the SimGpu and pick the lowest
-  /// simulated time, with analytic default configurations.
+  /// Score every candidate by the modelled time of its counted launches
+  /// (count_plan, what a SimGpu run would report) and pick the lowest,
+  /// with analytic default configurations.
   kMeasured,
   /// Like kMeasured, but tunable algorithms take their configuration from
   /// the TuneCache (autotuning on a miss and caching the result).
@@ -60,7 +62,7 @@ struct PlannerOptions {
   CandidateSet candidates = CandidateSet::kOurs;
   /// Autotune measurement budget on a TuneCache miss (kTuned only).
   int tune_budget = 32;
-  /// Seed for dry-run problem data and autotuning.
+  /// Seed for autotuning (kTuned cache misses).
   std::uint64_t seed = 42;
   /// Pin the Winograd variant F(e, r); 0 = bound-guided choice.
   std::int64_t force_e = 0;
@@ -70,8 +72,8 @@ struct PlannerOptions {
 /// ranking, not just the winner.
 struct PlanCandidate {
   ConvPlan plan;
-  /// Candidate failed its dry run (e.g. configuration exceeds shared
-  /// memory); never selected.
+  /// Candidate's launch cannot run (count_plan throws, e.g. its
+  /// configuration exceeds shared memory); never selected.
   bool infeasible = false;
 };
 
@@ -103,10 +105,10 @@ class Planner {
 
   /// Plans the given algorithms instead of competing a CandidateSet (the
   /// per-panel benches, CLI `run`); not memoised. One algorithm is planned
-  /// as asked, with no dry run; it must support `s`. Several are a best-of
-  /// such as kCudnnBaselinePair, as cuDNN's find phase does: the ones that
-  /// support `s` are dry-run unless opts.mode is kAnalytic, and the lowest
-  /// time wins, the earlier algorithm on ties.
+  /// as asked, unscored by count; it must support `s`. Several are a
+  /// best-of such as kCudnnBaselinePair, as cuDNN's find phase does: the
+  /// ones that support `s` are counted unless opts.mode is kAnalytic, and
+  /// the lowest modelled time wins, the earlier algorithm on ties.
   ConvPlan plan_algorithm(SimGpu& gpu, const ConvShape& s,
                           const std::vector<ConvAlgorithm>& algos,
                           const PlannerOptions& opts);
@@ -117,13 +119,13 @@ class Planner {
  private:
   PlanCandidate make_candidate(SimGpu& gpu, const ConvShape& s,
                                ConvAlgorithm algo, std::int64_t e,
-                               const PlannerOptions& opts, bool dry_run);
+                               const PlannerOptions& opts, bool measure);
   /// The one best-of: scores every algorithm of `algos` that supports `s`,
   /// best first (stable, so earlier algorithms win ties); infeasible
   /// candidates sort last.
   std::vector<PlanCandidate> rank(SimGpu& gpu, const ConvShape& s,
                                   const std::vector<ConvAlgorithm>& algos,
-                                  const PlannerOptions& opts, bool dry_run);
+                                  const PlannerOptions& opts, bool measure);
 
   TuneCache* cache_;
   mutable Mutex memo_mu_;

@@ -33,6 +33,23 @@ LaunchStats dispatch_plan(SimGpu& gpu, const ConvPlan& plan,
 
 }  // namespace
 
+LaunchStats count_plan(const MachineSpec& spec, const ConvPlan& plan,
+                       Layout input) {
+  const ConvShape& s = plan.shape;
+  switch (plan.algorithm) {
+    case ConvAlgorithm::kDirectTiled:
+    case ConvAlgorithm::kDirectNaive:
+      return direct_tiled_count(spec, s, plan.config, input);
+    case ConvAlgorithm::kIm2col:
+      return im2col_count(spec, s, input);
+    case ConvAlgorithm::kWinogradFused:
+      return winograd_fused_count(spec, s, plan.e, plan.config, input);
+    case ConvAlgorithm::kWinogradPhased:
+      return winograd_phased_count(spec, s, plan.e, input);
+  }
+  return {};  // unreachable: every ConvAlgorithm has a count
+}
+
 LaunchStats run_plan(SimGpu& gpu, const ConvPlan& plan,
                      const Tensor4<float>& input,
                      const Tensor4<float>& weights, Tensor4<float>& out) {

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "convbound/bounds/conv_bounds.hpp"
-#include "convbound/conv/reference.hpp"
-#include "convbound/plan/executor.hpp"
 #include "convbound/tune/engine.hpp"
 
 namespace convbound {
@@ -170,7 +168,7 @@ std::int64_t winograd_e(const ConvShape& s, const MachineSpec& spec,
 PlanCandidate Planner::make_candidate(SimGpu& gpu, const ConvShape& s,
                                       ConvAlgorithm algo, std::int64_t e,
                                       const PlannerOptions& opts,
-                                      bool dry_run) {
+                                      bool measure) {
   const MachineSpec& spec = gpu.spec();
   PlanCandidate c;
   ConvPlan& p = c.plan;
@@ -219,13 +217,9 @@ PlanCandidate Planner::make_candidate(SimGpu& gpu, const ConvShape& s,
                            : static_cast<double>(s.flops());
   p.predicted_seconds = roofline_seconds(spec, p.predicted_io_elems, flops);
 
-  if (dry_run) {
-    const ConvProblem prob = make_problem(s, opts.seed);
-    Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
+  if (measure) {
     try {
-      const LaunchStats stats =
-          run_plan(gpu, p, prob.input, prob.weights, out);
-      p.predicted_seconds = stats.sim_time;
+      p.predicted_seconds = count_plan(spec, p, Layout::kNCHW).sim_time;
       p.measured = true;
     } catch (const Error&) {
       // Configuration does not physically fit (e.g. shared-memory
@@ -238,13 +232,13 @@ PlanCandidate Planner::make_candidate(SimGpu& gpu, const ConvShape& s,
 
 std::vector<PlanCandidate> Planner::rank(
     SimGpu& gpu, const ConvShape& s, const std::vector<ConvAlgorithm>& algos,
-    const PlannerOptions& opts, bool dry_run) {
+    const PlannerOptions& opts, bool measure) {
   std::vector<PlanCandidate> cands;
   for (ConvAlgorithm algo : algos) {
     if (!algorithm_supports(algo, s)) continue;
     const std::int64_t e =
         is_winograd(algo) ? winograd_e(s, gpu.spec(), opts.force_e) : 2;
-    cands.push_back(make_candidate(gpu, s, algo, e, opts, dry_run));
+    cands.push_back(make_candidate(gpu, s, algo, e, opts, measure));
   }
   std::stable_sort(cands.begin(), cands.end(),
                    [](const PlanCandidate& a, const PlanCandidate& b) {
@@ -269,7 +263,7 @@ ConvPlan Planner::plan(SimGpu& gpu, const ConvShape& s,
     MutexLock lock(memo_mu_);
     if (const auto it = memo_.find(key); it != memo_.end()) return it->second;
   }
-  // Planning (dry runs, autotuning) happens outside the lock; when two
+  // Planning (counting, autotuning) happens outside the lock; when two
   // threads race on the same cold shape, the first emplace wins and both
   // return the memoised plan.
   const ConvPlan p = best_plan(s, enumerate(gpu, s, opts));

@@ -121,9 +121,9 @@ class ServeEngine {
   const std::vector<std::int64_t>& exec_buckets(const std::string& name) const;
 
   /// Predicted whole-batch time of `name`'s chosen bucket on this device:
-  /// the sum of the warm sessions' per-layer plan predictions (SimGpu
-  /// dry-run measurements under the default kMeasured/kTuned planning,
-  /// bounds-layer roofline under kAnalytic). Every plan() call here hits
+  /// the sum of the warm sessions' per-layer plan predictions (the modelled
+  /// time of the counted launches under the default kMeasured/kTuned
+  /// planning, bounds-layer roofline under kAnalytic). Every plan() call here hits
   /// the warm memo, so this never plans after warm() — the cluster Router
   /// reads it once at start to build its cost table.
   double predicted_batch_seconds(const std::string& name);

@@ -255,10 +255,9 @@ double ServeEngine::predicted_batch_seconds(const std::string& name) {
                  "no planner for '" << name << "' (engine not warmed)");
     planner = &it->second;
   }
-  // Matches the sessions' SimGpu setup, although nothing executes: every
-  // shape below was planned during warm() with the same options, so each
-  // plan() is a memo hit.
-  SimGpu gpu(machine_, &ThreadPool::global(), ExecMode::kSerial);
+  // Every shape below was planned during warm() with the same options, so
+  // each plan() is a memo hit; planning reads only the spec.
+  SimGpu gpu(machine_);
   double seconds = 0;
   for (const auto& layer : m.layers)
     seconds += planner

@@ -8,6 +8,7 @@
 #include "convbound/bounds/conv_bounds.hpp"
 #include "convbound/conv/algorithms.hpp"
 #include "convbound/conv/reference.hpp"
+#include "convbound/gemm/gemm.hpp"
 #include "convbound/pebble/game.hpp"
 #include "convbound/pebble/generators.hpp"
 #include "convbound/tune/batch_measure.hpp"
@@ -290,6 +291,16 @@ std::vector<ConvConfig> out_of_domain(const ConvConfig& c,
   return {tiny, huge, threads, wide};
 }
 
+/// Every LaunchStats field of a count equals the executed launch's.
+void expect_same_stats(const LaunchStats& count, const LaunchStats& run) {
+  EXPECT_EQ(count.bytes_loaded, run.bytes_loaded);
+  EXPECT_EQ(count.bytes_stored, run.bytes_stored);
+  EXPECT_EQ(count.flops, run.flops);
+  EXPECT_EQ(count.num_blocks, run.num_blocks);
+  EXPECT_EQ(count.num_launches, run.num_launches);
+  EXPECT_EQ(count.sim_time, run.sim_time);
+}
+
 class CountFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(CountFuzz, CountEqualsExecutionInEveryField) {
@@ -321,12 +332,7 @@ TEST_P(CountFuzz, CountEqualsExecutionInEveryField) {
       const Measurement& count = counts[i];
       EXPECT_EQ(count.valid, run.valid);
       EXPECT_EQ(count.seconds, run.seconds);
-      EXPECT_EQ(count.stats.bytes_loaded, run.stats.bytes_loaded);
-      EXPECT_EQ(count.stats.bytes_stored, run.stats.bytes_stored);
-      EXPECT_EQ(count.stats.flops, run.stats.flops);
-      EXPECT_EQ(count.stats.num_blocks, run.stats.num_blocks);
-      EXPECT_EQ(count.stats.num_launches, run.stats.num_launches);
-      EXPECT_EQ(count.stats.sim_time, run.stats.sim_time);
+      expect_same_stats(count.stats, run.stats);
       invalid += run.valid ? 0 : 1;
       if (i < sampled && count.valid) {
         EXPECT_LE(subtree_lower_seconds(domain, singleton_box(domain, cfgs[i])),
@@ -339,6 +345,99 @@ TEST_P(CountFuzz, CountEqualsExecutionInEveryField) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, CountFuzz, ::testing::Range(0, 10));
+
+/// The baseline kernels' counts against execution: gemm_count, im2col_count
+/// and winograd_phased_count return every LaunchStats field their launches
+/// count, on every input layout, and throw exactly where the launches throw.
+struct BaselineCase {
+  ConvShape shape;
+  std::int64_t e = 0;  // phased Winograd F(e, r); 0 = im2col + GEMM
+};
+
+BaselineCase baseline_case(int i) {
+  const std::vector<BaselineCase> cases = {
+      {make_shape(2, 5, 13, 7, 3, 1, 1), 0},    // batch 2
+      {make_shape(1, 6, 15, 9, 3, 2, 1), 0},    // stride 2
+      {make_shape(1, 70, 9, 66, 1, 1, 0), 0},   // 1x1: GEMM edge tiles in m, k, n
+      {make_shape(1, 4, 17, 5, 1, 2, 0), 0},    // 1x1 stride 2
+      {make_shape(1, 6, 13, 5, 3, 1, 1), 2},    // F(2,3): edge tiles, 49 tiles
+      {make_shape(2, 4, 18, 6, 3, 1, 1), 4},    // F(4,3), batch 2: 25 tiles
+      {make_shape(1, 3, 13, 4, 5, 1, 2), 2},    // F(2,5)
+      {make_shape(1, 2, 21, 70, 3, 1, 1), 2},   // 121 tiles: a partial chunk
+  };
+  return cases[static_cast<std::size_t>(i)];
+}
+
+class BaselineCountFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(BaselineCountFuzz, CountEqualsExecutionInEveryField) {
+  const BaselineCase bc = baseline_case(GetParam());
+  const ConvShape& s = bc.shape;
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
+  SimGpu gpu(MachineSpec::v100());
+  for (Layout layout : kAllLayouts) {
+    SCOPED_TRACE(s.to_string() + " e=" + std::to_string(bc.e) + " " +
+                 to_string(layout));
+    const ConvProblem p = make_problem(s, rng(), layout);
+    Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
+    if (bc.e == 0) {
+      expect_same_stats(im2col_count(gpu.spec(), s, layout),
+                        im2col_sim(gpu, p.input, p.weights, s, out));
+    } else {
+      expect_same_stats(
+          winograd_phased_count(gpu.spec(), s, bc.e, layout),
+          winograd_phased_sim(gpu, p.input, p.weights, s, bc.e, out));
+    }
+  }
+
+  // The GEMM on its own: random sizes around the 64x64x32 default tile and
+  // a small custom tiling.
+  const std::int64_t m = rng.range(1, 140), k = rng.range(1, 100);
+  const std::int64_t n = rng.range(1, 140);
+  std::vector<float> a(static_cast<std::size_t>(m * k), 1.0f);
+  std::vector<float> b(static_cast<std::size_t>(k * n), 1.0f);
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  for (const GemmConfig& cfg : {GemmConfig{}, GemmConfig{16, 24, 8, 64}}) {
+    SCOPED_TRACE("gemm " + std::to_string(m) + "x" + std::to_string(k) + "x" +
+                 std::to_string(n) + " tile_m=" + std::to_string(cfg.tile_m));
+    expect_same_stats(
+        gemm_count(gpu.spec(), m, k, n, cfg),
+        gemm_sim(gpu, a.data(), b.data(), c.data(), m, k, n, cfg));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, BaselineCountFuzz, ::testing::Range(0, 8));
+
+// Where a launch cannot run, the count throws too: an im2col block staging
+// kh rows of a 6200-wide input exceeds S_sm, and on the 4 KiB test machine
+// the phased input transform's 64-tile chunk and a full GEMM tile overflow.
+TEST(BaselineCountFuzz, CountThrowsWhereTheLaunchThrows) {
+  SimGpu v100(MachineSpec::v100());
+  ConvShape wide = make_shape(1, 1, 3, 2, 3, 1, 1);
+  wide.win = 6200;
+  wide.validate();
+  ASSERT_GT((wide.kh * (wide.wout() + wide.kw - 1) + wide.wout()) *
+                static_cast<std::int64_t>(sizeof(float)),
+            v100.spec().shared_mem_per_sm);
+  const ConvProblem pw = make_problem(wide, 5);
+  Tensor4<float> out_w(1, wide.cout, wide.hout(), wide.wout());
+  EXPECT_THROW(im2col_count(v100.spec(), wide, Layout::kNCHW), Error);
+  EXPECT_THROW(im2col_sim(v100, pw.input, pw.weights, wide, out_w), Error);
+
+  SimGpu small(MachineSpec::test_machine());
+  const ConvShape s = make_shape(1, 2, 9, 2, 3, 1, 1);
+  const ConvProblem p = make_problem(s, 6);
+  Tensor4<float> out(1, s.cout, s.hout(), s.wout());
+  EXPECT_THROW(winograd_phased_count(small.spec(), s, 2, Layout::kNCHW),
+               Error);
+  EXPECT_THROW(winograd_phased_sim(small, p.input, p.weights, s, 2, out),
+               Error);
+
+  std::vector<float> a(64 * 64, 1.0f), b(64 * 64, 1.0f), c(64 * 64);
+  EXPECT_THROW(gemm_count(small.spec(), 64, 64, 64), Error);
+  EXPECT_THROW(gemm_sim(small, a.data(), b.data(), c.data(), 64, 64, 64),
+               Error);
+}
 
 }  // namespace
 }  // namespace convbound

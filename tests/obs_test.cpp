@@ -571,5 +571,30 @@ TEST(ObsServe, TracedLoadIsCorrelated) {
   }
 }
 
+// Warm-up traces only real work: planning counts its candidates and
+// executes none, so the one throwaway pass each warm session runs is the
+// only execution, and each leaves one layer_exec span per layer.
+TEST(ObsServe, WarmupTracesOneLayerExecPerSessionLayer) {
+  ObsRegistry::global().clear();
+  ObsRegistry::set_enabled(true);
+  std::vector<ServedModel> models = {one_tiny_model()};
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.replicas = 2;
+  opts.force_bucket = 4;
+  ClusterServer cluster(models, opts.cluster_options());
+  cluster.start();  // warms every session; no request is submitted
+  ObsRegistry::set_enabled(false);
+  const std::size_t sessions =
+      cluster.device(0).engine().exec_buckets("tiny").size() *
+      static_cast<std::size_t>(opts.replicas);
+  cluster.stop();
+  std::size_t layer_execs = 0;
+  for (const TraceEvent& e : ObsRegistry::global().drain())
+    layer_execs += e.stage == TraceStage::kLayerExec ? 1 : 0;
+  EXPECT_EQ(sessions, 6u);  // buckets 1, 2, 4 x 2 replicas
+  EXPECT_EQ(layer_execs, sessions * models[0].layers.size());
+}
+
 }  // namespace
 }  // namespace convbound

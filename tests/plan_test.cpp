@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 
 #include "convbound/bounds/conv_bounds.hpp"
 #include "convbound/conv/reference.hpp"
@@ -171,6 +173,43 @@ TEST(Planner, MemoisesPlans) {
   EXPECT_EQ(planner.plans_memoised(), n);  // hit, not a new entry
 }
 
+// Measured planning counts its candidates instead of executing them: for
+// every layer of two models and both candidate sets, each candidate's score
+// and feasibility are bit for bit what executing its plan reports.
+TEST(Planner, MeasuredPlansAreCounted) {
+  SimGpu gpu(MachineSpec::v100());
+  Planner planner;
+  std::set<std::string> seen;
+  for (const auto& layers : {resnet18(1), mobilenet_v1(1)}) {
+    for (const ConvLayer& layer : layers) {
+      const ConvShape& s = layer.shape;
+      if (!seen.insert(s.to_string()).second) continue;
+      const ConvProblem prob = make_problem(s, 11);
+      for (CandidateSet set : {CandidateSet::kOurs, CandidateSet::kBaseline}) {
+        PlannerOptions opts;
+        opts.mode = PlanMode::kMeasured;
+        opts.candidates = set;
+        for (const PlanCandidate& c : planner.enumerate(gpu, s, opts)) {
+          SCOPED_TRACE(layer.name + " " + c.plan.to_string());
+          Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
+          LaunchStats run;
+          bool threw = false;
+          try {
+            run = run_plan(gpu, c.plan, prob.input, prob.weights, out);
+          } catch (const Error&) {
+            threw = true;
+          }
+          EXPECT_EQ(c.infeasible, threw);
+          EXPECT_EQ(c.plan.measured, !threw);
+          if (!threw) {
+            EXPECT_EQ(c.plan.predicted_seconds, run.sim_time);
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------- workspace -------
 
 TEST(Workspace, PoolsByGeometryAndCountsReuse) {
@@ -245,12 +284,14 @@ TEST(RunPlan, DispatchesAllAlgorithms) {
         ConvAlgorithm::kWinogradPhased}) {
     const ConvPlan plan = planner.plan_algorithm(gpu, s, {algo}, opts);
     EXPECT_EQ(plan.algorithm, algo);
-    EXPECT_FALSE(plan.measured) << to_string(algo);  // no dry run
+    EXPECT_FALSE(plan.measured) << to_string(algo);  // not scored
     Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
     const LaunchStats stats =
         run_plan(gpu, plan, prob.input, prob.weights, out);
     EXPECT_TRUE(allclose(expect, out, 1e-3, 1e-3)) << to_string(algo);
     EXPECT_GT(stats.sim_time, 0) << to_string(algo);
+    EXPECT_EQ(count_plan(gpu.spec(), plan, Layout::kNCHW), stats)
+        << to_string(algo);
   }
   // A single algorithm that cannot run the shape is an error, not a
   // fallback.

@@ -22,8 +22,10 @@
 //          [--budget N] [--cache FILE] [--machine NAME]
 //       Bound-guided planning. With --model, print the per-layer plan table
 //       (algorithm, config, predicted I/O vs the I/O lower bound); with a
-//       single shape, print the full candidate ranking. --mode tuned
-//       consults/fills the tune cache; analytic (default) executes nothing.
+//       single shape, print the full candidate ranking. analytic (default)
+//       scores by the bounds layer, measured by the modelled time of each
+//       candidate's counted launches; --mode tuned also consults/fills the
+//       tune cache. No mode executes a kernel.
 //   profile --model NAME [--batch N] [--reps N] [--seed N]
 //           [--mode analytic|measured|tuned] [--set ours|baseline]
 //           [--machine NAME]
@@ -33,8 +35,8 @@
 //       modelled ms, host wall ms (min over --reps, default 3) and host
 //       GFLOP/s; then totals by algorithm. Exits 1 with `error:` when a
 //       layer's counted traffic is below its Thm 4.12/4.20 bound, its
-//       output differs from conv2d_ref, or (direct and fused Winograd) its
-//       executed LaunchStats differ from the closed-form count.
+//       output differs from conv2d_ref, or its executed LaunchStats differ
+//       from the closed-form count (count_plan), for every algorithm.
 //   serve  [--machine NAME] [--serve-workers N] [--replicas N] [--queue N]
 //          [shared load flags]
 //   cluster [--devices CSV] [--policy bound|rr|least] [--dev-workers N]
@@ -82,6 +84,9 @@
 //                       text exposition (counters, gauges, and the
 //                       per-stage latency histograms).
 //
+// Every command takes `--flag value` pairs and rejects a flag it does not
+// read, or one without a value: exit 1 with `error: unknown flag --x`.
+//
 // Machines: 1080ti, titanx, v100 (default), gfx906, hbm, dense, test.
 // Models: squeezenet, vgg-19, resnet-18, resnet-34, inception-v3, mobilenet.
 // Algorithms (run --algo): tiled (default), naive, im2col, winograd, phased,
@@ -95,6 +100,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,11 +154,17 @@ bool cache_file_exists(const std::string& path) {
   return !path.empty() && std::ifstream(path).good();
 }
 
-Args parse(int argc, char** argv, int start) {
+/// `--flag value` pairs. A flag the command does not read, or one without
+/// a value, is an error: a misspelt or removed flag must not run with its
+/// default in silence.
+Args parse(int argc, char** argv, int start,
+           const std::set<std::string>& known) {
   Args a;
-  for (int i = start; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
+  for (int i = start; i < argc; i += 2) {
+    const std::string key = argv[i];
     CB_CHECK_MSG(key.rfind("--", 0) == 0, "expected --flag, got " << key);
+    if (known.count(key.substr(2)) == 0) throw Error("unknown flag " + key);
+    if (i + 1 == argc) throw Error(key + " expects a value");
     a.kv[key.substr(2)] = argv[i + 1];
   }
   return a;
@@ -348,8 +360,7 @@ PlannerOptions planner_options_from(const Args& a) {
 }
 
 /// True for the kernels that read a plan's config: the direct dataflow
-/// (tiled, and naive at its fixed tile) and fused Winograd. They are also
-/// the kernels with a closed-form count.
+/// (tiled, and naive at its fixed tile) and fused Winograd.
 bool reads_config(const ConvPlan& p) {
   return p.algorithm == ConvAlgorithm::kDirectTiled ||
          p.algorithm == ConvAlgorithm::kDirectNaive ||
@@ -477,16 +488,9 @@ int cmd_profile(const Args& a) {
                        "Thm 4.12/4.20 lower bound");
     if (!allclose(conv2d_ref(prob.input, prob.weights, s), out, 1e-3, 1e-3))
       errors.push_back(layer.name + ": output differs from conv2d_ref");
-    if (reads_config(p)) {
-      const Layout in = prob.input.layout();
-      const LaunchStats count =
-          p.algorithm == ConvAlgorithm::kWinogradFused
-              ? winograd_fused_count(gpu.spec(), s, p.e, p.config, in)
-              : direct_tiled_count(gpu.spec(), s, p.config, in);
-      if (st != count)
-        errors.push_back(layer.name + ": executed LaunchStats differ from " +
-                         "the closed-form count");
-    }
+    if (st != count_plan(gpu.spec(), p, prob.input.layout()))
+      errors.push_back(layer.name + ": executed LaunchStats differ from " +
+                       "the closed-form count");
 
     std::vector<std::string> row = plan_cells(layer, p);
     row.insert(row.end(),
@@ -877,6 +881,52 @@ int cmd_models(const Args& a) {
   return 0;
 }
 
+/// A command and every flag it reads.
+struct Command {
+  int (*run)(const Args&);
+  std::set<std::string> flags;
+};
+
+std::set<std::string> flag_set(
+    std::initializer_list<std::vector<std::string>> groups) {
+  std::set<std::string> out;
+  for (const auto& g : groups) out.insert(g.begin(), g.end());
+  return out;
+}
+
+const std::map<std::string, Command>& commands() {
+  const std::vector<std::string> shape = {"batch", "cin",    "in",  "cout",
+                                          "ker",   "stride", "pad", "groups"};
+  const std::vector<std::string> planning = {"machine", "mode", "set",
+                                             "budget", "seed"};
+  const std::vector<std::string> load = {
+      "models",  "layers",    "chan-cap",   "spatial-cap", "queue",
+      "shards",  "delay-us",  "bucket",     "max-bucket",  "mode",
+      "budget",  "classes",   "congestion", "kill",        "kill-after-ms",
+      "revive",  "clients",   "producers",  "requests",    "trace-out",
+      "metrics-out"};
+  static const std::map<std::string, Command> table = {
+      {"bound", {cmd_bound, flag_set({shape, {"smem"}})}},
+      {"run", {cmd_run, flag_set({shape, {"machine", "algo", "seed"}})}},
+      {"tune",
+       {cmd_tune, flag_set({shape,
+                            {"machine", "budget", "winograd", "seed", "tuner",
+                             "checkpoint", "resume", "cache"}})}},
+      {"plan", {cmd_plan, flag_set({shape, planning, {"model", "cache"}})}},
+      {"profile",
+       {cmd_profile, flag_set({planning, {"model", "batch", "reps"}})}},
+      {"models", {cmd_models, flag_set({{"machine", "batch"}})}},
+      {"serve",
+       {[](const Args& a) { return cmd_load(a, false); },
+        flag_set({load, {"machine", "serve-workers", "replicas"}})}},
+      {"cluster",
+       {[](const Args& a) { return cmd_load(a, true); },
+        flag_set({load, {"devices", "policy", "dev-workers", "replicas",
+                         "pending"}})}},
+  };
+  return table;
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: convbound-cli <bound|run|tune|plan|profile|models|"
@@ -889,18 +939,11 @@ int usage() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string cmd = argv[1];
+  const auto& table = commands();
+  const auto it = table.find(argv[1]);
+  if (it == table.end()) return usage();
   try {
-    const Args a = parse(argc, argv, 2);
-    if (cmd == "bound") return cmd_bound(a);
-    if (cmd == "run") return cmd_run(a);
-    if (cmd == "tune") return cmd_tune(a);
-    if (cmd == "plan") return cmd_plan(a);
-    if (cmd == "profile") return cmd_profile(a);
-    if (cmd == "models") return cmd_models(a);
-    if (cmd == "serve" || cmd == "cluster")
-      return cmd_load(a, cmd == "cluster");
-    return usage();
+    return it->second.run(parse(argc, argv, 2, it->second.flags));
   } catch (const convbound::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
