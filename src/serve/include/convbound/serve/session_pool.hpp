@@ -3,9 +3,10 @@
 // A ServeSession owns everything one in-flight micro-batch needs — a
 // serial-mode SimGpu (batch-level parallelism lives in the server's worker
 // pool), a Planner with memoised
-// per-layer plans at the bucket's batch size, and a Workspace arena warmed
-// over every activation geometry — so steady-state serving performs zero
-// planning and zero workspace allocation. The SessionPool hands sessions
+// per-layer plans at the bucket's batch size, and a Workspace arena that
+// already holds every activation buffer a batch leases — so steady-state
+// serving performs zero planning and zero workspace allocation, and warming
+// a session runs no kernel. The SessionPool hands sessions
 // out under exclusive leases; workers block when every replica of a key is
 // busy, which bounds memory instead of growing cold sessions under load.
 #pragma once
@@ -35,9 +36,12 @@ class ServeSession {
                const MachineSpec& spec, Planner& planner,
                const PlannerOptions& plan_opts);
 
-  /// Plans every layer at the bucket's batch size and runs one throwaway
-  /// batch so the workspace has seen every geometry. After warm(), serving
-  /// this session allocates nothing and never plans.
+  /// Plans every layer at the bucket's batch size, then leases every
+  /// workspace buffer run() leases (input, layer outputs, adapter buffers)
+  /// in run()'s order and with its overlapping lifetimes, executing
+  /// nothing. After warm(), serving this session allocates nothing and
+  /// never plans. Counted planning (kMeasured, kTuned) throws Error for a
+  /// layer with no feasible plan, so start-up still rejects one.
   void warm();
 
   struct BatchResult {

@@ -34,13 +34,22 @@ void ServeSession::warm() {
   for (const auto& layer : model_->layers)
     plans_.push_back(planner_->plan(gpu_, shape_at_batch(layer.shape, bucket_),
                                     plan_opts_));
-  // One throwaway pass touches every workspace geometry (layer outputs and
-  // adapter staging buffers), so serving starts allocation-free.
+  // Lease every geometry run() leases, in its order and with its
+  // overlapping lifetimes (the batch input; each layer output, held while
+  // the next layer's adapter buffer is leased), so the workspace grows to
+  // exactly what serving needs without running a kernel.
   Workspace::Lease in = workspace_.acquire(bucket_, model_->input_c(),
                                            model_->input_h(),
                                            model_->input_w());
-  in.tensor().fill(0.0f);
-  (void)run(in.tensor());
+  Workspace::Lease cur;
+  for (std::size_t i = 0; i < plans_.size(); ++i) {
+    const ConvShape& s = plans_[i].shape;
+    Workspace::Lease out =
+        workspace_.acquire(s.batch, s.cout, s.hout(), s.wout());
+    if (i + 1 == plans_.size()) break;
+    const ConvShape& next = model_->layers[i + 1].shape;
+    cur = workspace_.acquire(bucket_, next.cin, next.hin, next.win);
+  }
 }
 
 ServeSession::BatchResult ServeSession::run(

@@ -9,6 +9,7 @@
 #include "convbound/serve/model.hpp"
 #include "convbound/serve/sharded_queue.hpp"
 #include "convbound/serve/server.hpp"
+#include "convbound/serve/session_pool.hpp"
 #include "convbound/util/rng.hpp"
 
 namespace convbound {
@@ -251,6 +252,62 @@ TEST(Serve, MultiThreadedStressMatchesReferenceWithZeroPlanMisses) {
   }
   EXPECT_EQ(grouped, s.completed);
   server.stop();
+}
+
+// warm() leases every workspace geometry run() leases, with the same
+// overlapping lifetimes, and runs no kernel: afterwards, serving grows the
+// workspace by no buffer and no byte, and every lease is a reuse. Covers
+// the perfbench-scale served models and a tiny pipeline with two adapters:
+// one keeps its producer's output geometry (so two buffers of that shape
+// are live at once), the other changes channels and size.
+TEST(ServeSession, WarmLeasesEveryGeometryRunLeases) {
+  ServedModelOptions scale;
+  scale.max_layers = 3;
+  scale.channel_cap = 16;
+  scale.spatial_cap = 28;
+  const auto conv = [](std::int64_t cin, std::int64_t hw, std::int64_t cout,
+                       std::int64_t stride) {
+    ConvShape s;
+    s.cin = cin;
+    s.hin = s.win = hw;
+    s.cout = cout;
+    s.kh = s.kw = 3;
+    s.stride = stride;
+    s.pad = 1;
+    return s;
+  };
+  const std::vector<ServedModel> models = {
+      make_served_model("squeezenet", squeezenet_v10(1), scale),
+      make_served_model("resnet-18", resnet18(1), scale),
+      make_served_model("adapters", {{"l0", conv(3, 10, 4, 1)},
+                                     {"l1", conv(4, 10, 2, 1)},
+                                     {"l2", conv(6, 5, 2, 2)}})};
+  for (const ServedModel& m : models) {
+    Planner planner;
+    for (std::int64_t bucket : {1, 2, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << m.name << " bucket " << bucket);
+      ServeSession session(m, bucket, MachineSpec::v100(), planner,
+                           PlannerOptions{});
+      session.warm();
+      Workspace& ws = session.workspace();
+      const std::size_t buffers = ws.buffers();
+      const std::uint64_t bytes = ws.bytes_reserved();
+      const std::uint64_t acquires = ws.acquires();
+      const std::uint64_t reuses = ws.reuses();
+      for (int pass = 0; pass < 2; ++pass) {
+        // As the engine does: the batch input is leased from the session.
+        Workspace::Lease in =
+            ws.acquire(bucket, m.input_c(), m.input_h(), m.input_w());
+        in.tensor().fill(0.0f);
+        const ServeSession::BatchResult res = session.run(in.tensor());
+        EXPECT_TRUE(res.output);
+      }
+      EXPECT_EQ(ws.buffers(), buffers);
+      EXPECT_EQ(ws.bytes_reserved(), bytes);
+      EXPECT_GT(ws.acquires(), acquires);
+      EXPECT_EQ(ws.reuses() - reuses, ws.acquires() - acquires);
+    }
+  }
 }
 
 // ------------------------------------------------ backpressure & stop ----

@@ -17,11 +17,12 @@
 //       reports when the result is a certified optimum.
 //   models [--machine NAME]
 //       Compare baseline vs our dataflows across the CNN model zoo.
-//   plan   --model NAME | --cin N --in N --cout N [...]
+//   plan   --model NAME [--batch N] | --cin N --in N --cout N [...]
 //          [--mode analytic|measured|tuned] [--set ours|baseline]
 //          [--budget N] [--cache FILE] [--machine NAME]
 //       Bound-guided planning. With --model, print the per-layer plan table
-//       (algorithm, config, predicted I/O vs the I/O lower bound); with a
+//       (algorithm, config, predicted I/O vs the I/O lower bound; a shape
+//       flag other than --batch is an error there); with a
 //       single shape, print the full candidate ranking. analytic (default)
 //       scores by the bounds layer, measured by the modelled time of each
 //       candidate's counted launches; --mode tuned also consults/fills the
@@ -399,6 +400,11 @@ int cmd_plan(const Args& a) {
   auto mb = [](double elems) { return elems * 4e-6; };
   const std::string model_name = a.gets("model", "");
   if (!model_name.empty()) {
+    // The model fixes every layer's geometry; only --batch reaches it.
+    for (const char* flag :
+         {"cin", "in", "cout", "ker", "stride", "pad", "groups"})
+      if (a.kv.count(flag) != 0)
+        throw Error(std::string("--") + flag + " has no effect with --model");
     const auto layers = model_by_name(model_name, a.geti("batch", 1));
     std::vector<std::string> cols = kPlanColumns;
     cols.push_back("ratio");
@@ -666,9 +672,10 @@ int cmd_load(const Args& a, bool fleet) {
                     " workers)";
   if (fleet)
     device_names += std::string("; ") + to_string(opts.policy) + " routing";
-  std::printf("started: %zu models on %s, warmup %.2fs "
-              "(planning + workspace warm; serving does neither)\n\n",
-              models.size(), device_names.c_str(), warm_timer.seconds());
+  std::printf("started: %zu models on %s, warmup %.1f ms "
+              "(planning + workspace leases; no kernel runs)\n\n",
+              models.size(), device_names.c_str(),
+              warm_timer.seconds() * 1e3);
 
   // The bound-guided bucket of each model on each device: the scored
   // candidates, and the chosen bucket's predicted batch time — the cost
