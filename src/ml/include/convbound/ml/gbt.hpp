@@ -5,6 +5,16 @@
 // L2 leaf regularisation. Training sets are small (hundreds to a few
 // thousand configurations), so exact sorted-scan split search is used
 // instead of histograms.
+//
+// The split search is XGBoost's exact greedy algorithm (Chen & Guestrin,
+// KDD 2016): a fit presorts the row indices of each feature once, and every
+// split stably partitions each presorted list (and a row-order list) into
+// its two children. A node then scans only its own rows, in its features'
+// sorted order, so one tree level reads n·d list entries and a tree costs
+// O(depth·n·d) after the one O(d·n log n) presort. A feature constant over
+// a node is skipped; it has no split. Sums run in the same order as a scan
+// of the whole presorted list would visit the node's rows, so the model
+// does not depend on how the rows are partitioned.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +34,8 @@ struct GbtParams {
 class Gbt {
  public:
   /// Trains from scratch (drops any previous model). All rows must share
-  /// the same feature arity. Throws on empty or ragged input.
+  /// the same feature arity. Throws on empty or ragged input, and on a
+  /// non-finite feature or target.
   void fit(const std::vector<std::vector<double>>& X,
            const std::vector<double>& y, const GbtParams& params = {});
 
@@ -49,9 +60,8 @@ class Gbt {
     double eval(const std::vector<double>& x) const;
   };
 
-  Tree fit_tree(const std::vector<std::vector<double>>& X,
-                const std::vector<double>& residual,
-                const std::vector<std::vector<std::int32_t>>& sorted_idx,
+  struct FitWork;  // column-major X and the node-partitioned row lists
+  Tree fit_tree(FitWork& fw, const std::vector<double>& residual,
                 const GbtParams& params) const;
 
   std::vector<Tree> trees_;

@@ -17,32 +17,26 @@ struct Split {
   double gain = 0;
 };
 
-/// Best squared-error split of `rows` on one feature, given globally sorted
-/// indices for that feature. O(n) scan of prefix sums.
-Split best_split_on_feature(const std::vector<std::vector<double>>& X,
+/// Best squared-error split of one node on one feature. `order` holds the
+/// node's `count` rows in the feature's presorted order and `col` is the
+/// feature's column. O(count) scan of prefix sums.
+Split best_split_on_feature(const double* col,
                             const std::vector<double>& residual,
-                            const std::vector<std::int32_t>& order,
-                            const std::vector<std::uint8_t>& in_node,
+                            const std::int32_t* order, std::int64_t count,
                             int feature, int min_leaf) {
-  // Collect node rows in sorted-feature order.
-  double total = 0;
-  std::int64_t count = 0;
-  for (std::int32_t i : order) {
-    if (!in_node[static_cast<std::size_t>(i)]) continue;
-    total += residual[static_cast<std::size_t>(i)];
-    ++count;
-  }
   Split best;
-  if (count < 2 * min_leaf) return best;
+  // A constant feature has no two distinct values to split between.
+  if (col[order[0]] == col[order[count - 1]]) return best;
+  double total = 0;
+  for (std::int64_t k = 0; k < count; ++k) total += residual[order[k]];
 
   const double parent_score = total * total / static_cast<double>(count);
   double left_sum = 0;
   std::int64_t left_cnt = 0;
   double prev_val = std::numeric_limits<double>::quiet_NaN();
-  for (std::int32_t i : order) {
-    if (!in_node[static_cast<std::size_t>(i)]) continue;
-    const double v = X[static_cast<std::size_t>(i)]
-                      [static_cast<std::size_t>(feature)];
+  for (std::int64_t k = 0; k < count; ++k) {
+    const std::int32_t i = order[k];
+    const double v = col[i];
     // A split is only valid *between* distinct feature values.
     if (left_cnt >= min_leaf && count - left_cnt >= min_leaf &&
         v != prev_val) {
@@ -57,7 +51,7 @@ Split best_split_on_feature(const std::vector<std::vector<double>>& X,
         best.gain = gain;
       }
     }
-    left_sum += residual[static_cast<std::size_t>(i)];
+    left_sum += residual[i];
     ++left_cnt;
     prev_val = v;
   }
@@ -65,6 +59,21 @@ Split best_split_on_feature(const std::vector<std::vector<double>>& X,
 }
 
 }  // namespace
+
+/// Training buffers shared by every tree of one fit. `lists` holds d + 1
+/// row-index lists of n entries each: list f < d is the rows in feature f's
+/// presorted order, list d the rows in index order. A node owns the same
+/// segment [begin, end) of every list, and a split stably partitions that
+/// segment of each list into its two children, so every list keeps its own
+/// order within every node.
+struct Gbt::FitWork {
+  std::size_t n = 0, d = 0;
+  std::vector<double> cols;          ///< column-major X: cols[f * n + i]
+  std::vector<std::int32_t> sorted;  ///< the d + 1 lists at the root
+  std::vector<std::int32_t> lists;   ///< the same, partitioned per node
+  std::vector<std::int32_t> spill;   ///< right-child scratch of a partition
+  std::vector<std::uint8_t> left;    ///< per row: routed to the left child
+};
 
 double Gbt::Tree::eval(const std::vector<double>& x) const {
   int n = 0;
@@ -76,47 +85,43 @@ double Gbt::Tree::eval(const std::vector<double>& x) const {
   return nodes[static_cast<std::size_t>(n)].value;
 }
 
-Gbt::Tree Gbt::fit_tree(
-    const std::vector<std::vector<double>>& X,
-    const std::vector<double>& residual,
-    const std::vector<std::vector<std::int32_t>>& sorted_idx,
-    const GbtParams& params) const {
+Gbt::Tree Gbt::fit_tree(FitWork& fw, const std::vector<double>& residual,
+                        const GbtParams& params) const {
   Tree tree;
-  const std::size_t n = X.size();
-  const int d = static_cast<int>(X[0].size());
+  const std::size_t n = fw.n;
+  const std::size_t d = fw.d;
+  fw.lists = fw.sorted;
+  std::int32_t* const rows = fw.lists.data() + d * n;
 
   struct Work {
     int node;
     int depth;
-    std::vector<std::uint8_t> in_node;  // membership mask
+    std::size_t begin, end;  // the node's segment of every list
   };
   std::vector<Work> stack;
   tree.nodes.emplace_back();
-  stack.push_back({0, 0, std::vector<std::uint8_t>(n, 1)});
+  stack.push_back({0, 0, 0, n});
 
   while (!stack.empty()) {
-    Work w = std::move(stack.back());
+    const Work w = stack.back();
     stack.pop_back();
+    const auto cnt = static_cast<std::int64_t>(w.end - w.begin);
 
     double sum = 0;
-    std::int64_t cnt = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (w.in_node[i]) {
-        sum += residual[i];
-        ++cnt;
-      }
-    }
+    for (std::size_t k = w.begin; k < w.end; ++k) sum += residual[rows[k]];
     Node& node = tree.nodes[static_cast<std::size_t>(w.node)];
     node.value = sum / (static_cast<double>(cnt) + params.lambda);
 
-    if (w.depth >= params.max_depth || cnt < 2 * params.min_samples_leaf)
+    // Fewer than two rows never split: there are no two distinct values.
+    if (w.depth >= params.max_depth || cnt < 2 ||
+        cnt < 2 * params.min_samples_leaf)
       continue;
 
     Split best;
-    for (int f = 0; f < d; ++f) {
+    for (std::size_t f = 0; f < d; ++f) {
       const Split s = best_split_on_feature(
-          X, residual, sorted_idx[static_cast<std::size_t>(f)], w.in_node, f,
-          params.min_samples_leaf);
+          fw.cols.data() + f * n, residual, fw.lists.data() + f * n + w.begin,
+          cnt, static_cast<int>(f), params.min_samples_leaf);
       if (s.gain > best.gain) best = s;
     }
     if (best.feature < 0 || best.gain <= 1e-12) continue;
@@ -129,15 +134,32 @@ Gbt::Tree Gbt::fit_tree(
     tree.nodes[static_cast<std::size_t>(w.node)].left = li;
     tree.nodes[static_cast<std::size_t>(w.node)].right = li + 1;
 
-    std::vector<std::uint8_t> left_mask(n, 0), right_mask(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!w.in_node[i]) continue;
-      const double v =
-          X[i][static_cast<std::size_t>(best.feature)];
-      (v <= best.threshold ? left_mask : right_mask)[i] = 1;
+    const double* col =
+        fw.cols.data() + static_cast<std::size_t>(best.feature) * n;
+    std::size_t n_left = 0;
+    for (std::size_t k = w.begin; k < w.end; ++k) {
+      const bool l = col[rows[k]] <= best.threshold;
+      fw.left[static_cast<std::size_t>(rows[k])] = l;
+      n_left += l;
     }
-    stack.push_back({li, w.depth + 1, std::move(left_mask)});
-    stack.push_back({li + 1, w.depth + 1, std::move(right_mask)});
+    // Children at max_depth are leaves and read only the row list.
+    const bool leaves = w.depth + 1 >= params.max_depth;
+    for (std::size_t f = leaves ? d : 0; f <= d; ++f) {
+      std::int32_t* list = fw.lists.data() + f * n;
+      std::size_t l = w.begin, r = 0;
+      for (std::size_t k = w.begin; k < w.end; ++k) {
+        const std::int32_t i = list[k];
+        if (fw.left[static_cast<std::size_t>(i)]) {
+          list[l++] = i;
+        } else {
+          fw.spill[r++] = i;
+        }
+      }
+      std::copy(fw.spill.data(), fw.spill.data() + r, list + l);
+    }
+    const std::size_t mid = w.begin + n_left;
+    stack.push_back({li, w.depth + 1, w.begin, mid});
+    stack.push_back({li + 1, w.depth + 1, mid, w.end});
   }
   return tree;
 }
@@ -147,8 +169,13 @@ void Gbt::fit(const std::vector<std::vector<double>>& X,
   CB_CHECK_MSG(!X.empty() && X.size() == y.size(),
                "gbt: need non-empty, aligned X/y");
   arity_ = X[0].size();
-  for (const auto& row : X)
-    CB_CHECK_MSG(row.size() == arity_, "gbt: ragged feature matrix");
+  for (std::size_t i = 0; i < X.size(); ++i) {
+    CB_CHECK_MSG(X[i].size() == arity_, "gbt: ragged feature matrix");
+    // A NaN would break the presort's strict weak ordering.
+    for (double v : X[i])
+      CB_CHECK_MSG(std::isfinite(v), "gbt: non-finite feature in row " << i);
+    CB_CHECK_MSG(std::isfinite(y[i]), "gbt: non-finite target in row " << i);
+  }
 
   trees_.clear();
   learning_rate_ = params.learning_rate;
@@ -156,23 +183,33 @@ void Gbt::fit(const std::vector<std::vector<double>>& X,
           static_cast<double>(y.size());
   base_set_ = true;
 
-  // Pre-sort row indices per feature once.
-  std::vector<std::vector<std::int32_t>> sorted_idx(arity_);
-  for (std::size_t f = 0; f < arity_; ++f) {
-    auto& idx = sorted_idx[f];
-    idx.resize(X.size());
-    std::iota(idx.begin(), idx.end(), 0);
-    std::sort(idx.begin(), idx.end(), [&](std::int32_t a, std::int32_t b) {
-      return X[static_cast<std::size_t>(a)][f] <
-             X[static_cast<std::size_t>(b)][f];
+  FitWork fw;
+  fw.n = X.size();
+  fw.d = arity_;
+  const std::size_t n = fw.n;
+  fw.cols.resize(fw.d * n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t f = 0; f < fw.d; ++f) fw.cols[f * n + i] = X[i][f];
+
+  // Pre-sort row indices per feature once; the last list is row order.
+  fw.sorted.resize((fw.d + 1) * n);
+  for (std::size_t f = 0; f <= fw.d; ++f) {
+    std::int32_t* idx = fw.sorted.data() + f * n;
+    std::iota(idx, idx + n, 0);
+    if (f == fw.d) continue;
+    const double* col = fw.cols.data() + f * n;
+    std::sort(idx, idx + n, [col](std::int32_t a, std::int32_t b) {
+      return col[a] < col[b];
     });
   }
+  fw.spill.resize(n);
+  fw.left.resize(n);
 
   std::vector<double> pred(y.size(), base_);
   std::vector<double> residual(y.size());
   for (int t = 0; t < params.num_trees; ++t) {
     for (std::size_t i = 0; i < y.size(); ++i) residual[i] = y[i] - pred[i];
-    Tree tree = fit_tree(X, residual, sorted_idx, params);
+    Tree tree = fit_tree(fw, residual, params);
     if (tree.nodes.size() == 1 && std::abs(tree.nodes[0].value) < 1e-15)
       break;  // nothing left to learn
     for (std::size_t i = 0; i < y.size(); ++i)

@@ -130,6 +130,10 @@ void Tuner::load_state(const SearchDomain& domain, const std::string& text) {
     std::string tok;
     is >> tok;
     const double seconds = tunestate::parse_f64(tok);
+    // A measured time is positive, or +inf for an invalid config; ate
+    // trains on its log.
+    CB_CHECK_MSG(seconds > 0, "trial " << i << " has time " << tok
+                                       << ", not > 0");
     Measurement m;
     m.seconds = seconds;
     m.valid = std::isfinite(seconds);

@@ -135,6 +135,33 @@ TEST(TunerState, RejectsForeignTunerState) {
   EXPECT_THROW(sa->load_state(domain, random->save_state()), Error);
 }
 
+// A trial time is positive, or +inf for an invalid config. ate refits its
+// cost model on the log of every finite time when it resumes, so a zero,
+// negative or NaN time is a malformed checkpoint, not a trial.
+TEST(TunerState, RejectsNonPositiveTrialTime) {
+  SimGpu gpu(MachineSpec::v100());
+  const auto domain = SearchDomain::build(small_shape(), gpu.spec());
+  BatchMeasurer m(gpu.spec(), domain, /*seed=*/5);
+  auto ate = make_tuner("ate", options_for(domain));
+  ate->run(m, 8);
+  const std::string state = ate->save_state();
+  // Replace the seconds token that ends the first trial line.
+  auto with_first_time = [&](const std::string& tok) {
+    const std::size_t line = state.find("\nt ") + 1;
+    const std::size_t eol = state.find('\n', line);
+    const std::size_t sp = state.rfind(' ', eol);
+    return state.substr(0, sp + 1) + tok + state.substr(eol);
+  };
+  for (const char* bad : {"-0x1p+0", "0x0p+0", "-0x0p+0", "nan", "-inf"}) {
+    auto fresh = make_tuner("ate", options_for(domain));
+    EXPECT_THROW(fresh->load_state(domain, with_first_time(bad)), Error)
+        << bad;
+  }
+  auto fresh = make_tuner("ate", options_for(domain));
+  EXPECT_NO_THROW(fresh->load_state(domain, with_first_time("inf")));
+  EXPECT_NO_THROW(fresh->load_state(domain, state));
+}
+
 TEST(CheckpointFile, RoundTripAndDomainValidation) {
   constexpr int kBudget = 32;
   SimGpu gpu(MachineSpec::v100());
