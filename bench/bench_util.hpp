@@ -1,15 +1,21 @@
 // Shared plumbing for the benchmark harness.
 //
-// Each bench binary registers one google-benchmark per experimental point
-// (run exactly once — the simulator is deterministic, so repetition adds
-// nothing), collects the results in a registry, and prints the paper-style
-// summary table after benchmark::RunSpecifiedBenchmarks().
+// The paper-figure benches (fig09, fig10, fig12, fig13, table2, the
+// optimality ablation) model every number as a closed-form count: each
+// point plans or tunes its kernel and counts the launch (count_plan,
+// direct_tiled_count, the counting BatchMeasurer), the LaunchStats the
+// SimGpu would report if the kernel ran, so no kernel executes. A count
+// takes microseconds, so these benches compute their points and print the
+// paper-style summary directly. The benches that time real work (fig11's
+// tuners, the serving and cluster load generators) register single-
+// iteration google-benchmarks (the simulator is deterministic, so
+// repetition adds nothing) and print their summary after
+// benchmark::RunSpecifiedBenchmarks() (run_all).
 //
 // Problem sizes are scaled down from the paper's (C_in 256 -> 64, image
-// sizes capped at 112) so the whole harness executes real arithmetic in
-// minutes on a CPU; EXPERIMENTS.md records the mapping. The *shapes* of the
-// results (who wins, how speedups trend with H_in / mu / C_out) are the
-// reproduction target, not absolute GFlops.
+// sizes capped at 112); each bench's header records its scaled shapes. The
+// *shapes* of the results (who wins, how speedups trend with H_in / mu /
+// C_out) are the reproduction target, not absolute GFlops.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -19,7 +25,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -132,50 +137,6 @@ inline void write_bench_json(const std::string& bench_name,
   std::printf("wrote %s\n", path.c_str());
 }
 
-/// Result sink shared between registered benchmarks and the summary
-/// printer. Keyed by an experiment-specific label.
-class Registry {
- public:
-  void put(const std::string& key, double value) { values_[key] = value; }
-  double get(const std::string& key) const {
-    const auto it = values_.find(key);
-    CB_CHECK_MSG(it != values_.end(), "missing bench result '" << key << "'");
-    return it->second;
-  }
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
-
-  static Registry& instance() {
-    static Registry r;
-    return r;
-  }
-
- private:
-  std::map<std::string, double> values_;
-};
-
-/// Registers a single-iteration benchmark whose body runs `fn` once and
-/// reports the returned stats as counters.
-inline void register_point(const std::string& name,
-                           std::function<LaunchStats()> fn) {
-  benchmark::RegisterBenchmark(name.c_str(),
-                               [fn = std::move(fn), name](benchmark::State& st) {
-                                 LaunchStats stats;
-                                 for (auto _ : st) stats = fn();
-                                 st.counters["sim_ms"] = stats.sim_time * 1e3;
-                                 st.counters["GFlops"] = stats.gflops();
-                                 st.counters["io_MB"] =
-                                     static_cast<double>(stats.bytes_total()) /
-                                     1e6;
-                                 Registry::instance().put(name + "/time",
-                                                          stats.sim_time);
-                                 Registry::instance().put(
-                                     name + "/io",
-                                     static_cast<double>(stats.bytes_total()));
-                               })
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-}
-
 inline ConvShape make_shape(std::int64_t batch, std::int64_t cin,
                             std::int64_t hw, std::int64_t cout,
                             std::int64_t k, std::int64_t stride,
@@ -193,17 +154,14 @@ inline ConvShape make_shape(std::int64_t batch, std::int64_t cin,
 }
 
 /// Plans `algos` on `gpu` (one algorithm, or a best-of such as
-/// kCudnnBaselinePair) and executes the plan on problem data drawn from
-/// `seed`: the same plan-then-run_plan path as the API and model inference.
+/// kCudnnBaselinePair) and counts the plan on NCHW input: the LaunchStats
+/// run_plan would return, as model inference reports them.
 inline LaunchStats run_planned(SimGpu& gpu, const ConvShape& s,
                                const std::vector<ConvAlgorithm>& algos,
-                               std::uint64_t seed,
                                const PlannerOptions& opts = {}) {
   Planner planner;
   const ConvPlan plan = planner.plan_algorithm(gpu, s, algos, opts);
-  const ConvProblem p = make_problem(s, seed);
-  Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
-  return run_plan(gpu, plan, p.input, p.weights, out);
+  return count_plan(gpu.spec(), plan, Layout::kNCHW);
 }
 
 /// Standard bench main: run all registered benchmarks, then the summary.

@@ -5,13 +5,20 @@
 // {128, 256, 512, 1024}, C_in = 256, 3x3 kernels; panels for direct
 // convolution at mu in {1, 2, 4} and for Winograd.
 // Scaled grid here: H_in in {14, 28, 56, 112}, C_out in {32, 64, 128, 256},
-// C_in = 64 (see EXPERIMENTS.md); the comparison structure is identical.
+// C_in = 64; the comparison structure is identical.
 //
 // Every point goes through the plan layer: the Planner plans each algorithm
-// (the baseline as the kCudnnBaselinePair best-of) and run_plan executes it,
-// the same path as the API and model inference. e is pinned to 2 to match
-// the paper's F(2x2, 3x3) Winograd panels.
+// (the baseline as the kCudnnBaselinePair best-of) and count_plan counts
+// it, the same path as model inference. e is pinned to 2 to match the
+// paper's F(2x2, 3x3) Winograd panels. A count takes microseconds, so there
+// is nothing to time: the figure prints its panels directly.
+//
+// Emits BENCH_fig09_dataflow_vs_cudnn.json: each panel's geometric-mean and
+// minimum speedup, and the grid's geometric mean.
 #include "bench_util.hpp"
+
+#include <algorithm>
+#include <limits>
 
 namespace convbound::bench {
 namespace {
@@ -20,84 +27,73 @@ const std::vector<std::int64_t> kHin = {14, 28, 56, 112};
 const std::vector<std::int64_t> kCout = {32, 64, 128, 256};
 constexpr std::int64_t kCin = 64;
 
-LaunchStats run_point(const ConvShape& s,
-                      const std::vector<ConvAlgorithm>& algos) {
+double seconds(const ConvShape& s, const std::vector<ConvAlgorithm>& algos) {
   SimGpu gpu(MachineSpec::gtx1080ti());
   PlannerOptions opts;
   opts.force_e = 2;  // the paper's F(2x2, 3x3) panels
-  return run_planned(gpu, s, algos, 1, opts);
+  return run_planned(gpu, s, algos, opts).sim_time;
 }
 
-std::string key(const char* panel, std::int64_t hin, std::int64_t cout,
-                const char* impl) {
-  return std::string("fig09/") + panel + "/hin" + std::to_string(hin) +
-         "/cout" + std::to_string(cout) + "/" + impl;
-}
+struct Panel {
+  const char* name;
+  std::int64_t stride;
+  bool winograd;
+  const char* geomean_key;  // gated JSON keys
+  const char* min_key;
+};
 
-void register_direct_panel(std::int64_t mu) {
-  const std::string panel = "mu" + std::to_string(mu);
-  for (std::int64_t cout : kCout) {
-    for (std::int64_t hin : kHin) {
-      const ConvShape s = make_shape(1, kCin, hin, cout, 3, mu, 1);
-      register_point(key(panel.c_str(), hin, cout, "ours"), [s] {
-        return run_point(s, {ConvAlgorithm::kDirectTiled});
-      });
-      register_point(key(panel.c_str(), hin, cout, "cudnn"), [s] {
-        return run_point(s, kCudnnBaselinePair);
-      });
-    }
-  }
-}
-
-void register_winograd_panel() {
-  for (std::int64_t cout : kCout) {
-    for (std::int64_t hin : kHin) {
-      const ConvShape s = make_shape(1, kCin, hin, cout, 3, 1, 1);
-      register_point(key("wino", hin, cout, "ours"), [s] {
-        return run_point(s, {ConvAlgorithm::kWinogradFused});
-      });
-      register_point(key("wino", hin, cout, "cudnn"), [s] {
-        return run_point(s, {ConvAlgorithm::kWinogradPhased});
-      });
-    }
-  }
-}
-
-void print_summary() {
-  auto& reg = Registry::instance();
+void print_figure() {
+  JsonObject json;
+  json.add("bench", "fig09_dataflow_vs_cudnn").add("machine", "gtx1080ti");
   double product = 1;
   int n = 0;
-  for (const char* panel : {"mu1", "mu2", "mu4", "wino"}) {
+  for (const Panel& panel :
+       {Panel{"mu1", 1, false, "mu1_geomean_speedup", "mu1_min_speedup"},
+        Panel{"mu2", 2, false, "mu2_geomean_speedup", "mu2_min_speedup"},
+        Panel{"mu4", 4, false, "mu4_geomean_speedup", "mu4_min_speedup"},
+        Panel{"wino", 1, true, "wino_geomean_speedup", "wino_min_speedup"}}) {
     std::printf("\n=== Figure 9 panel: %s (speedup of ours over cuDNN-like "
                 "baseline) ===\n",
-                panel);
+                panel.name);
     Table t({"Cout \\ Hin", "14", "28", "56", "112"});
+    double panel_product = 1;
+    double panel_min = std::numeric_limits<double>::infinity();
     for (std::int64_t cout : kCout) {
       std::vector<std::string> row{std::to_string(cout)};
       for (std::int64_t hin : kHin) {
-        const double ours = reg.get(key(panel, hin, cout, "ours") + "/time");
-        const double base = reg.get(key(panel, hin, cout, "cudnn") + "/time");
-        row.push_back(Table::fmt(base / ours, 2));
-        product *= base / ours;
+        const ConvShape s = make_shape(1, kCin, hin, cout, 3, panel.stride, 1);
+        const double ours =
+            seconds(s, {panel.winograd ? ConvAlgorithm::kWinogradFused
+                                       : ConvAlgorithm::kDirectTiled});
+        const double base =
+            panel.winograd ? seconds(s, {ConvAlgorithm::kWinogradPhased})
+                           : seconds(s, kCudnnBaselinePair);
+        const double speedup = base / ours;
+        row.push_back(Table::fmt(speedup, 2));
+        product *= speedup;
         ++n;
+        panel_product *= speedup;
+        panel_min = std::min(panel_min, speedup);
       }
       t.add_row(std::move(row));
     }
     std::printf("%s", t.to_string().c_str());
+    const double cells = static_cast<double>(kCout.size() * kHin.size());
+    json.add(panel.geomean_key, std::pow(panel_product, 1.0 / cells))
+        .add(panel.min_key, panel_min);
   }
+  const double geomean = std::pow(product, 1.0 / n);
   std::printf("\ngeometric-mean speedup across the grid: %.2fx "
               "(paper: 3.32x average on the unscaled grid)\n",
-              std::pow(product, 1.0 / n));
+              geomean);
+  json.add("geomean_speedup", geomean);
+  write_bench_json("fig09_dataflow_vs_cudnn", json);
 }
 
 }  // namespace
 }  // namespace convbound::bench
 
-int main(int argc, char** argv) {
-  using namespace convbound::bench;
-  register_direct_panel(1);
-  register_direct_panel(2);
-  register_direct_panel(4);
-  register_winograd_panel();
-  return run_all(argc, argv, print_summary);
+int main() {
+  convbound::bench::print_figure();
+  return 0;
 }

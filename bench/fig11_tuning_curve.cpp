@@ -128,7 +128,7 @@ void register_all() {
       const ConvShape s = conv1();
 
       // cuDNN-like baseline reference line.
-      const LaunchStats base = run_planned(gpu, s, kCudnnBaselinePair, 7);
+      const LaunchStats base = run_planned(gpu, s, kCudnnBaselinePair);
       g_baseline_gflops = static_cast<double>(s.flops()) / base.sim_time / 1e9;
 
       DomainOptions ours_opts;   // pruned

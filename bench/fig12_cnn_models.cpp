@@ -6,8 +6,9 @@
 // {tiled direct, fused Winograd} with analytically derived configurations
 // (the tuner's starting point — tuning every layer of five models is left
 // to examples/autotune_layer to keep this bench fast). Each model reuses an
-// InferenceSession, so layers are planned once and executed through the
-// shared workspace arena.
+// InferenceSession, so each layer is planned once; its time is the
+// closed-form count of its plan (run_model). No kernel executes and there
+// is nothing to time: the figure prints its rows directly.
 //
 // Emits BENCH_fig12_cnn_models.json (per-model seconds per strategy +
 // speedup) so the perf trajectory covers end-to-end inference, not just
@@ -17,64 +18,42 @@
 namespace convbound::bench {
 namespace {
 
-struct ModelRow {
-  std::string name;
-  double conv_gflop = 0;
-  double base_ms = 0, ours_ms = 0;
-};
-std::vector<ModelRow> g_rows;
-
-void register_all() {
-  for (const auto& [name, layers] : model_zoo(1)) {
-    benchmark::RegisterBenchmark(
-        ("fig12/" + name).c_str(),
-        [name = name, layers = layers](benchmark::State& st) {
-          for (auto _ : st) {
-            SimGpu gpu(MachineSpec::v100());
-            InferenceSession session;
-            const ModelReport base = run_model(
-                gpu, name, layers, ModelStrategy::kBaseline, session);
-            const ModelReport ours = run_model(
-                gpu, name, layers, ModelStrategy::kOursDefault, session);
-            g_rows.push_back({name,
-                              static_cast<double>(model_flops(layers)) / 1e9,
-                              base.total_seconds * 1e3,
-                              ours.total_seconds * 1e3});
-          }
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kSecond);
-  }
-}
-
-void print_summary() {
+void print_figure() {
   std::printf("\n=== Figure 12: end-to-end conv inference time (ms), V100 "
               "model ===\n");
   Table t({"model", "cuDNN-like (ms)", "ours (ms)", "speedup"});
   double product = 1;
-  for (const auto& r : g_rows) {
-    t.add_row({r.name, Table::fmt(r.base_ms, 2), Table::fmt(r.ours_ms, 2),
-               Table::fmt(r.base_ms / r.ours_ms, 2)});
-    product *= r.base_ms / r.ours_ms;
+  std::vector<std::string> models;
+  const auto zoo = model_zoo(1);
+  for (const auto& [name, layers] : zoo) {
+    SimGpu gpu(MachineSpec::v100());
+    InferenceSession session;
+    const double base_ms =
+        run_model(gpu, name, layers, ModelStrategy::kBaseline, session)
+            .total_seconds *
+        1e3;
+    const double ours_ms =
+        run_model(gpu, name, layers, ModelStrategy::kOursDefault, session)
+            .total_seconds *
+        1e3;
+    t.add_row({name, Table::fmt(base_ms, 2), Table::fmt(ours_ms, 2),
+               Table::fmt(base_ms / ours_ms, 2)});
+    product *= base_ms / ours_ms;
+    models.push_back(
+        JsonObject()
+            .add("name", name)
+            .add("conv_gflop", static_cast<double>(model_flops(layers)) / 1e9)
+            .add("baseline_seconds", base_ms * 1e-3)
+            .add("ours_default_seconds", ours_ms * 1e-3)
+            .add("speedup", base_ms / ours_ms)
+            .to_string());
   }
   const double geomean =
-      g_rows.empty() ? 0.0
-                     : std::pow(product, 1.0 / static_cast<double>(
-                                              g_rows.size()));
+      std::pow(product, 1.0 / static_cast<double>(zoo.size()));
   std::printf("%s", t.to_string().c_str());
   std::printf("\npaper reference points: SqueezeNet 2.67x, Vgg-19 1.09x, "
               "ResNet-18 1.02x, ResNet-34 1.09x, Inception-v3 1.23x.\n");
 
-  std::vector<std::string> models;
-  for (const auto& r : g_rows) {
-    models.push_back(JsonObject()
-                         .add("name", r.name)
-                         .add("conv_gflop", r.conv_gflop)
-                         .add("baseline_seconds", r.base_ms * 1e-3)
-                         .add("ours_default_seconds", r.ours_ms * 1e-3)
-                         .add("speedup", r.base_ms / r.ours_ms)
-                         .to_string());
-  }
   JsonObject out;
   out.add("bench", "fig12_cnn_models")
       .add("machine", "v100")
@@ -86,8 +65,7 @@ void print_summary() {
 }  // namespace
 }  // namespace convbound::bench
 
-int main(int argc, char** argv) {
-  convbound::bench::register_all();
-  return convbound::bench::run_all(argc, argv,
-                                   convbound::bench::print_summary);
+int main() {
+  convbound::bench::print_figure();
+  return 0;
 }

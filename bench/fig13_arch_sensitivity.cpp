@@ -3,10 +3,15 @@
 // configuration and (c) the vendor-library-like baseline, across three
 // machine models (1080Ti / Titan X / gfx906) on the paper's four cases.
 //
-// Paper shapes use C_in = 512; scaled here to C_in = 128, C_out = 64
-// (EXPERIMENTS.md records the mapping).
+// Paper shapes use C_in = 512; scaled here to C_in = 128, C_out = 64.
+//
+// Both tuners search on the counting BatchMeasurer and the vendor-like
+// baseline is a counted plan, so no kernel executes and the whole figure
+// takes well under a second; it prints each cell as it is computed. Emits
+// BENCH_fig13_arch_sensitivity.json: every cell's three GFLOP/s figures.
 #include "bench_util.hpp"
 
+#include "convbound/tune/batch_measure.hpp"
 #include "convbound/tune/tuners.hpp"
 
 namespace convbound::bench {
@@ -20,10 +25,21 @@ struct Case {
   bool winograd;
 };
 
-struct Cell {
-  double ours = 0, tvm = 0, vendor = 0;
-};
-std::map<std::string, Cell> g_cells;  // key: case|machine
+// Gated JSON keys, [case][machine] like cases() x machines(), each
+// {ours, TVM-like, vendor-like} GFLOP/s.
+const char* const kCellKeys[4][3][3] = {
+    {{"d28_1080ti_ours", "d28_1080ti_tvm", "d28_1080ti_vendor"},
+     {"d28_titanx_ours", "d28_titanx_tvm", "d28_titanx_vendor"},
+     {"d28_gfx906_ours", "d28_gfx906_tvm", "d28_gfx906_vendor"}},
+    {{"d112_1080ti_ours", "d112_1080ti_tvm", "d112_1080ti_vendor"},
+     {"d112_titanx_ours", "d112_titanx_tvm", "d112_titanx_vendor"},
+     {"d112_gfx906_ours", "d112_gfx906_tvm", "d112_gfx906_vendor"}},
+    {{"d112s2_1080ti_ours", "d112s2_1080ti_tvm", "d112s2_1080ti_vendor"},
+     {"d112s2_titanx_ours", "d112s2_titanx_tvm", "d112s2_titanx_vendor"},
+     {"d112s2_gfx906_ours", "d112s2_gfx906_tvm", "d112s2_gfx906_vendor"}},
+    {{"wino112_1080ti_ours", "wino112_1080ti_tvm", "wino112_1080ti_vendor"},
+     {"wino112_titanx_ours", "wino112_titanx_tvm", "wino112_titanx_vendor"},
+     {"wino112_gfx906_ours", "wino112_gfx906_tvm", "wino112_gfx906_vendor"}}};
 
 std::vector<Case> cases() {
   return {
@@ -39,81 +55,71 @@ std::vector<MachineSpec> machines() {
           MachineSpec::gfx906()};
 }
 
-double tuned_gflops(SimGpu& gpu, const Case& c, bool prune) {
+double tuned_gflops(const MachineSpec& spec, const Case& c, bool prune) {
   DomainOptions opts;
   opts.winograd = c.winograd;
   opts.prune_with_optimality = prune;
-  const auto domain = SearchDomain::build(c.shape, gpu.spec(), opts);
-  ConvMeasurer m(gpu, domain, 5);
+  const auto domain = SearchDomain::build(c.shape, spec, opts);
+  BatchMeasurer m(spec, domain, 5);
   AteTuner::Params params;
   if (prune) {
     // Our engine starts from the template's analytic default schedule.
     params.seeds.push_back(c.winograd
-                               ? default_winograd_config(c.shape, 2, gpu.spec())
-                               : default_tiled_config(c.shape, gpu.spec()));
+                               ? default_winograd_config(c.shape, 2, spec)
+                               : default_tiled_config(c.shape, spec));
   }
   AteTuner tuner(5, params);
   const TuneResult r = tuner.run(m, kBudget);
   return m.gflops(r.best_seconds);
 }
 
-double vendor_gflops(SimGpu& gpu, const Case& c) {
+double vendor_gflops(const MachineSpec& spec, const Case& c) {
+  SimGpu gpu(spec);
   PlannerOptions opts;
   opts.force_e = 2;
   const LaunchStats stats = run_planned(
       gpu, c.shape,
       c.winograd ? std::vector<ConvAlgorithm>{ConvAlgorithm::kWinogradPhased}
                  : kCudnnBaselinePair,
-      5, opts);
+      opts);
   return static_cast<double>(c.shape.flops()) / stats.sim_time / 1e9;
 }
 
-void register_all() {
-  for (const Case& c : cases()) {
-    for (const MachineSpec& spec : machines()) {
-      const std::string key = c.name + "|" + spec.name;
-      benchmark::RegisterBenchmark(
-          ("fig13/" + key).c_str(), [c, spec, key](benchmark::State& st) {
-            for (auto _ : st) {
-              SimGpu gpu(spec);
-              Cell cell;
-              cell.ours = tuned_gflops(gpu, c, /*prune=*/true);
-              cell.tvm = tuned_gflops(gpu, c, /*prune=*/false);
-              cell.vendor = vendor_gflops(gpu, c);
-              g_cells[key] = cell;
-            }
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kSecond);
-    }
-  }
-}
-
-void print_summary() {
+void print_figure() {
   std::printf("\n=== Figure 13: architecture sensitivity (GFlops) ===\n");
-  for (const Case& c : cases()) {
+  JsonObject json;
+  json.add("bench", "fig13_arch_sensitivity").add("budget", kBudget);
+  const std::vector<Case> all_cases = cases();
+  const std::vector<MachineSpec> all_machines = machines();
+  for (std::size_t i = 0; i < all_cases.size(); ++i) {
+    const Case& c = all_cases[i];
     std::printf("\n--- %s ---\n", c.name.c_str());
     Table t({"machine", "ours (ATE)", "TVM-like", "vendor-like",
              "ours/vendor", "ours/TVM"});
-    for (const MachineSpec& spec : machines()) {
-      const Cell& cell = g_cells[c.name + "|" + spec.name];
-      t.add_row({spec.name, Table::fmt(cell.ours, 0),
-                 Table::fmt(cell.tvm, 0), Table::fmt(cell.vendor, 0),
-                 Table::fmt(cell.ours / cell.vendor, 2),
-                 Table::fmt(cell.ours / cell.tvm, 2)});
+    for (std::size_t j = 0; j < all_machines.size(); ++j) {
+      const MachineSpec& spec = all_machines[j];
+      const double ours = tuned_gflops(spec, c, /*prune=*/true);
+      const double tvm = tuned_gflops(spec, c, /*prune=*/false);
+      const double vendor = vendor_gflops(spec, c);
+      t.add_row({spec.name, Table::fmt(ours, 0), Table::fmt(tvm, 0),
+                 Table::fmt(vendor, 0), Table::fmt(ours / vendor, 2),
+                 Table::fmt(ours / tvm, 2)});
+      json.add(kCellKeys[i][j][0], ours)
+          .add(kCellKeys[i][j][1], tvm)
+          .add(kCellKeys[i][j][2], vendor);
     }
     std::printf("%s", t.to_string().c_str());
   }
   std::printf("\npaper shape to check: ours >= TVM-like >= vendor-like on "
               "every architecture; the ordering is consistent across "
               "machines (portability of the dataflow).\n");
+  write_bench_json("fig13_arch_sensitivity", json);
 }
 
 }  // namespace
 }  // namespace convbound::bench
 
-int main(int argc, char** argv) {
-  convbound::bench::register_all();
-  return convbound::bench::run_all(argc, argv,
-                                   convbound::bench::print_summary);
+int main() {
+  convbound::bench::print_figure();
+  return 0;
 }

@@ -18,6 +18,7 @@
 #include "bench_util.hpp"
 
 #include <future>
+#include <map>
 #include <thread>
 
 #include "convbound/util/timer.hpp"

@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
               layers.size(), static_cast<double>(model_flops(layers)) / 1e9,
               gpu.spec().name.c_str());
 
-  // One long-lived session carries the plan memo, tune cache, and workspace
-  // arena across both strategy runs (and any repeated passes).
+  // One long-lived session carries the plan memo and tune cache across both
+  // strategy runs; each layer's time is the count of its plan.
   InferenceSession session;
   const ModelReport base =
       run_model(gpu, which, layers, ModelStrategy::kBaseline, session);

@@ -2,14 +2,14 @@
 // comparing the paper's tuned dataflows against the cuDNN-like baseline.
 //
 // All per-layer algorithm selection goes through the plan layer: each layer
-// is planned once (Planner memoises per machine + shape + strategy) and
-// executed per pass through a shared Workspace arena, so repeated passes do
-// zero output/scratch allocation and re-use tuned configurations.
+// is planned once (Planner memoises per machine + shape + strategy), and its
+// modelled time and traffic are the closed-form count of that plan
+// (count_plan), the LaunchStats executing it would report. Nothing
+// executes; run_plan remains the oracle the tests hold the count to.
 #pragma once
 
 #include "convbound/machine/sim_gpu.hpp"
 #include "convbound/nets/models.hpp"
-#include "convbound/plan/executor.hpp"
 #include "convbound/plan/planner.hpp"
 
 namespace convbound {
@@ -26,7 +26,7 @@ struct LayerTiming {
   double seconds = 0;
   std::string algorithm;
   std::uint64_t io_bytes = 0;
-  /// The executed plan: algorithm, config, Winograd e, bound ratio.
+  /// The counted plan: algorithm, config, Winograd e, bound ratio.
   ConvPlan plan;
 };
 
@@ -37,32 +37,27 @@ struct ModelReport {
   std::vector<LayerTiming> layers;
 };
 
-/// Long-lived planning + execution state for repeated inference. Holds the
-/// tune cache the planner consults, the memoised plans, and the workspace
-/// arena the executor leases outputs from — keep one session alive across
-/// run_model calls and the steady state allocates nothing per layer.
+/// Long-lived planning state for repeated inference: the tune cache the
+/// planner consults and the memoised plans. Keep one session alive across
+/// run_model calls and each layer is planned (and tuned) once.
 class InferenceSession {
  public:
-  InferenceSession() : planner_(&cache_), executor_(workspace_) {}
+  InferenceSession() : planner_(&cache_) {}
   InferenceSession(const InferenceSession&) = delete;
   InferenceSession& operator=(const InferenceSession&) = delete;
 
   TuneCache& cache() { return cache_; }
   Planner& planner() { return planner_; }
-  Workspace& workspace() { return workspace_; }
-  ConvExecutor& executor() { return executor_; }
 
  private:
   TuneCache cache_;
   Planner planner_;
-  Workspace workspace_;
-  ConvExecutor executor_;
 };
 
-/// Runs every conv layer once with the chosen strategy, planning through
-/// `session`. For kOursTuned, `tune_budget` measurement trials are spent per
-/// layer on a tune-cache miss (tuning time is not part of the reported
-/// inference time, as in the paper).
+/// Plans every conv layer with the chosen strategy through `session` and
+/// counts its plan. For kOursTuned, `tune_budget` measurement trials are
+/// spent per layer on a tune-cache miss (tuning time is not part of the
+/// reported inference time, as in the paper).
 ModelReport run_model(SimGpu& gpu, const std::string& model_name,
                       const std::vector<ConvLayer>& layers,
                       ModelStrategy strategy, InferenceSession& session,

@@ -1,7 +1,5 @@
 #include "convbound/nets/inference.hpp"
 
-#include "convbound/conv/reference.hpp"
-
 namespace convbound {
 
 namespace {
@@ -42,19 +40,16 @@ ModelReport run_model(SimGpu& gpu, const std::string& model_name,
   for (const auto& layer : layers) {
     const ConvShape& s = layer.shape;
     // Plan once per (machine, shape, strategy) — memoised in the session —
-    // then execute through the workspace arena.
+    // then count the plan on NCHW input, as run_plan would execute it.
     const ConvPlan plan = session.planner().plan(gpu, s, opts);
-    const ConvProblem p =
-        make_problem(s, seed ^ std::hash<std::string>{}(layer.name));
-    const ConvExecutor::Execution ex =
-        session.executor().execute(gpu, plan, p.input, p.weights);
+    const LaunchStats stats = count_plan(gpu.spec(), plan, Layout::kNCHW);
 
     LayerTiming t;
     t.name = layer.name;
     t.shape = s;
-    t.seconds = ex.stats.sim_time;
+    t.seconds = stats.sim_time;
     t.algorithm = plan.label();
-    t.io_bytes = ex.stats.bytes_total();
+    t.io_bytes = stats.bytes_total();
     t.plan = plan;
     report.total_seconds += t.seconds;
     report.layers.push_back(std::move(t));

@@ -139,6 +139,9 @@ LatencyHistogram LatencyHistogram::deserialize(const std::string& text) {
     h.counts_[static_cast<std::size_t>(index)] += c;
     total += c;
   }
+  // record() keeps 0 <= min <= max and sum >= 0; quantile() clamps to
+  // [min, max], which needs min <= max.
+  CB_CHECK(h.min_ >= 0 && h.min_ <= h.max_ && h.sum_ >= 0);
   CB_CHECK_MSG(total == h.count_,
                "latency histogram bucket counts sum to "
                    << total << ", header says " << h.count_);

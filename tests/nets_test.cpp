@@ -2,8 +2,10 @@
 
 #include <map>
 
+#include "convbound/conv/reference.hpp"
 #include "convbound/nets/inference.hpp"
 #include "convbound/nets/models.hpp"
+#include "convbound/plan/executor.hpp"
 
 namespace convbound {
 namespace {
@@ -73,9 +75,8 @@ TEST(Models, BatchPropagates) {
   for (const auto& l : alexnet(8)) EXPECT_EQ(l.shape.batch, 8);
 }
 
-TEST(Inference, BaselineRunsTinyModel) {
-  SimGpu gpu(MachineSpec::v100());
-  // Synthetic 3-layer model to keep the test fast.
+// Synthetic 3-layer model to keep the tests fast.
+std::vector<ConvLayer> tiny_stack() {
   std::vector<ConvLayer> layers;
   ConvShape s;
   s.cin = 8;
@@ -88,6 +89,12 @@ TEST(Inference, BaselineRunsTinyModel) {
   layers.push_back({"l2", s});
   s.stride = 2;
   layers.push_back({"l3", s});
+  return layers;
+}
+
+TEST(Inference, BaselineRunsTinyModel) {
+  SimGpu gpu(MachineSpec::v100());
+  const std::vector<ConvLayer> layers = tiny_stack();
 
   const ModelReport base =
       run_model(gpu, "tiny", layers, ModelStrategy::kBaseline);
@@ -116,6 +123,43 @@ TEST(Inference, TunedAtLeastAsGoodAsDefault) {
   const ModelReport tuned =
       run_model(gpu, "m", layers, ModelStrategy::kOursTuned, 24);
   EXPECT_LE(tuned.total_seconds, def.total_seconds * 1.05);
+}
+
+// run_model counts each plan; executing the same plan must report exactly
+// the counted time and traffic, and compute the reference convolution.
+void expect_report_matches_execution(SimGpu& gpu, const ModelReport& r) {
+  for (const LayerTiming& l : r.layers) {
+    const ConvProblem p = make_problem(l.shape, 7);
+    Tensor4<float> out(l.shape.batch, l.shape.cout, l.shape.hout(),
+                       l.shape.wout());
+    const LaunchStats ex = run_plan(gpu, l.plan, p.input, p.weights, out);
+    EXPECT_EQ(ex.sim_time, l.seconds) << r.model << "/" << l.name;
+    EXPECT_EQ(ex.bytes_total(), l.io_bytes) << r.model << "/" << l.name;
+    EXPECT_TRUE(allclose(conv2d_ref(p.input, p.weights, l.shape), out, 1e-3,
+                         1e-3))
+        << r.model << "/" << l.name << " via " << l.plan.to_string();
+  }
+}
+
+TEST(Inference, CountedReportMatchesExecution) {
+  SimGpu gpu(MachineSpec::v100());
+  std::vector<ConvLayer> slice = mobilenet_v1();
+  slice.resize(7);
+  for (const auto& [name, layers] :
+       {std::pair{"tiny", tiny_stack()}, std::pair{"mobilenet-slice", slice}}) {
+    for (ModelStrategy strategy :
+         {ModelStrategy::kBaseline, ModelStrategy::kOursDefault}) {
+      const ModelReport r = run_model(gpu, name, layers, strategy);
+      ASSERT_EQ(r.layers.size(), layers.size());
+      expect_report_matches_execution(gpu, r);
+    }
+  }
+  const std::vector<ConvLayer> one = {tiny_stack()[1]};
+  const ModelReport tuned =
+      run_model(gpu, "tuned", one, ModelStrategy::kOursTuned, 8);
+  ASSERT_EQ(tuned.layers.size(), 1u);
+  EXPECT_TRUE(tuned.layers[0].plan.tuned);
+  expect_report_matches_execution(gpu, tuned);
 }
 
 }  // namespace
