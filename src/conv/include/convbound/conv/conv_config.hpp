@@ -36,7 +36,7 @@ struct ConvConfig {
   bool operator==(const ConvConfig&) const = default;
 
   /// Canonical compact key covering exactly the fields operator== compares,
-  /// in the order the tune-cache file format stores them.
+  /// space-separated in declaration order.
   std::string key() const {
     return std::to_string(x) + ' ' + std::to_string(y) + ' ' +
            std::to_string(z) + ' ' + std::to_string(nxt) + ' ' +

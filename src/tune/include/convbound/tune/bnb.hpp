@@ -47,7 +47,7 @@ double subtree_lower_seconds(const SearchDomain& domain, const DomainBox& box);
 
 class BranchAndBoundTuner : public Tuner {
  public:
-  /// Measurement chunk size per step (surfaced configurations are
+  /// Configurations per proposed batch (surfaced configurations are
   /// re-checked against the incumbent at every pop, so a tighter incumbent
   /// still cuts off configs whose leaf bound it now covers).
   static constexpr int kBatch = 16;
@@ -75,8 +75,6 @@ class BranchAndBoundTuner : public Tuner {
   void on_reset() override;
   void on_observe(const std::vector<ConvConfig>& cfgs,
                   const std::vector<Measurement>& ms) override;
-  void save_extra(std::ostream& os) const override;
-  void load_extra(tunestate::Reader& r) override;
 
  private:
   struct Node {
@@ -119,9 +117,7 @@ class BranchAndBoundTuner : public Tuner {
   // measurement pool (min rank, then min seq) over pending_: propose
   // expands boxes only while the best box's estimate could beat the best
   // already-surfaced config, so measurements mix the top-ranked configs of
-  // *many* leaves instead of draining one leaf at a time. Both heap arrays
-  // are what checkpoints serialize — reloading them verbatim preserves the
-  // exact pop order.
+  // *many* leaves instead of draining one leaf at a time.
   std::vector<Node> nodes_;
   std::uint64_t next_id_ = 0;
   std::vector<Pending> pending_;

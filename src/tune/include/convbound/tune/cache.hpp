@@ -1,11 +1,5 @@
-// Persistent store of tuned configurations, keyed by (machine, algorithm,
-// problem shape) — the moral equivalent of TVM's tophub log so a model can
-// be deployed without re-tuning every layer.
-//
-// File format: one record per line,
-//   key|x y z nxt nyt nzt layout smem|gflops
-// chosen over JSON to keep the library dependency-free and the files
-// mergeable with line-based tools.
+// In-process memo of tuned configurations, keyed by (machine, algorithm,
+// problem shape), so a process tunes each distinct layer once.
 //
 // Thread-safe: one cache may be shared by concurrent planners (the serving
 // session pool tunes through a single process-wide cache). get() returns a
@@ -31,30 +25,16 @@ class TuneCache {
     double gflops = 0;
   };
 
-  TuneCache() = default;
-  TuneCache(const TuneCache& other);
-  TuneCache& operator=(const TuneCache& other);
-
   /// Canonical lookup key for a tuning task.
   static std::string make_key(const MachineSpec& spec, const ConvShape& shape,
                               bool winograd, std::int64_t e);
 
-  /// Inserts or overwrites; keeps the better-GFlops entry on collision
-  /// unless `force`.
-  void put(const std::string& key, const Entry& entry, bool force = false);
+  /// Inserts, or replaces an entry with lower GFlops.
+  void put(const std::string& key, const Entry& entry);
 
   std::optional<Entry> get(const std::string& key) const;
 
   std::size_t size() const;
-
-  /// Round-trippable text form.
-  std::string serialize() const;
-  static TuneCache deserialize(const std::string& text);
-
-  /// File persistence. load() merges (better entries win).
-  void save(const std::string& path) const;
-  static TuneCache load(const std::string& path);
-  void merge(const TuneCache& other);
 
  private:
   mutable Mutex mu_;

@@ -1,7 +1,6 @@
-// One-call auto-tuning entry point (the paper's Section 6.3 loop), now a
-// thin driver over the stepwise Tuner API: pick a strategy from the
-// registry, step it against the counting measurer, and optionally persist a
-// resumable checkpoint after every measured batch.
+// One-call auto-tuning entry point (the paper's Section 6.3 loop), a thin
+// layer over the Tuner API: pick a strategy from the registry and run it
+// against the counting measurer.
 #pragma once
 
 #include <string>
@@ -21,14 +20,6 @@ struct AutotuneOptions {
   /// Strategy id for make_tuner: "ate" (default) | "bnb" | "sa" | "ga" |
   /// "random".
   std::string tuner = "ate";
-  /// When non-empty, the full search state is written here (atomic
-  /// tmp+rename) after every measured batch, so a killed run loses at most
-  /// the in-flight batch.
-  std::string checkpoint;
-  /// Load `checkpoint` and continue its trace up to `budget` total trials
-  /// instead of starting fresh. The file must exist and must match the
-  /// domain (key + exact configuration count).
-  bool resume = false;
   AteTuner::Params ate;
 };
 
@@ -38,8 +29,6 @@ struct AutotuneOutcome {
   double best_gflops = 0;
   /// Strategy-specific counters (bnb pruning stats; empty otherwise).
   std::vector<std::pair<std::string, double>> tuner_stats;
-  /// Trials restored from the checkpoint (0 for a fresh run).
-  int resumed_from_trials = 0;
   /// The strategy proved no better configuration exists (bnb only).
   bool proven_optimal = false;
 };

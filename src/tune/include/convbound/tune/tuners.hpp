@@ -7,19 +7,17 @@
 // (Section 6.2-6.3). All tuners share one measurement oracle; "iterations"
 // counts hardware (simulator) trials, the paper's cost unit.
 //
-// The interface is stepwise (see docs/tuning.md): the driver loop is
+// The interface is stepwise (see docs/tuning.md): run() drives
 //
-//   tuner.reset(domain);                    // or load_state() to resume
-//   while (tuner.step(measurer, budget)) {  // propose -> measure -> observe
-//     checkpoint = tuner.save_state();      // optional, any round boundary
-//   }
+//   tuner.reset(domain);
+//   loop: batch = tuner.propose_batch(remaining budget);
+//         tuner.observe(batch, measurer.measure_batch(batch));
 //
-// Proposals are generated serially from the tuner's RNG and recorded in
-// proposal order, while the Measurer is free to evaluate each batch
-// concurrently. The search trace is therefore a pure function of the seed —
-// bit-identical whether batches run on one worker or many, and bit-identical
-// across a save_state()/load_state() round trip (the checkpoint/resume
-// equivalence property pinned by tune_checkpoint_test).
+// and other callers (the perfbench tune workload) use the same three
+// methods themselves. Proposals are generated serially from the tuner's RNG
+// and recorded in proposal order, while the Measurer is free to evaluate
+// each batch concurrently. The search trace is therefore a pure function of
+// the seed: bit-identical whether batches run on one worker or many.
 #pragma once
 
 #include <memory>
@@ -30,7 +28,6 @@
 
 #include "convbound/ml/gbt.hpp"
 #include "convbound/tune/measure.hpp"
-#include "convbound/tune/search_state.hpp"
 
 namespace convbound {
 
@@ -53,23 +50,21 @@ struct TuneResult {
   int trials_to_converge(double slack = 0.01) const;
 };
 
-/// Stepwise, resumable search strategy. Subclasses implement proposal
-/// generation (propose_batch) and learning (on_observe); the base class owns
-/// the trace, the incumbent, and the serialization framing, so every tuner
-/// checkpoints and resumes through the same two calls.
+/// Stepwise search strategy. Subclasses implement proposal generation
+/// (propose_batch) and learning (on_observe); the base class owns the trace
+/// and the incumbent.
 class Tuner {
  public:
   virtual ~Tuner() = default;
 
   /// Human-facing name (figure legends).
   virtual std::string name() const = 0;
-  /// Registry id ("random" | "sa" | "ga" | "ate" | "bnb"); also the id
-  /// stored in checkpoints so a resumed search rebuilds the right class.
+  /// Registry id ("random" | "sa" | "ga" | "ate" | "bnb").
   virtual std::string id() const = 0;
 
   /// Binds the tuner to a domain and clears all search state. The domain
-  /// must outlive the tuner's stepping. Must be called (or load_state())
-  /// before the first step()/propose_batch().
+  /// must outlive the tuner's stepping. Must be called before the first
+  /// propose_batch().
   void reset(const SearchDomain& domain);
 
   /// Next measurement batch, at most `max_batch` configurations (callers
@@ -87,16 +82,9 @@ class Tuner {
   /// (branch-and-bound: frontier empty). Sampling strategies never exhaust.
   virtual bool exhausted() const { return false; }
 
-  /// One propose -> measure -> observe round, capped at `budget` total
-  /// trials. Returns true when a non-empty batch was measured. Checkpoints
-  /// taken between step() calls (round boundaries) resume exactly.
-  bool step(Measurer& measurer, int budget);
-
-  /// Fresh search: reset() + step() loop. The historical one-call API.
+  /// Fresh search: reset(), then propose -> measure -> observe rounds until
+  /// `budget` trials are measured or the strategy proposes nothing.
   TuneResult run(Measurer& measurer, int budget);
-  /// step() loop *without* reset — continues a loaded or partial search up
-  /// to `budget` total trials (counting the restored history).
-  TuneResult resume(Measurer& measurer, int budget);
 
   const TuneResult& result() const { return res_; }
   int trials() const { return static_cast<int>(res_.history.size()); }
@@ -107,15 +95,6 @@ class Tuner {
     return {};
   }
 
-  /// Serializes the complete search state (trace + strategy internals) to
-  /// the line-based text format described in docs/tuning.md. Only valid at
-  /// a round boundary (between step() calls).
-  std::string save_state() const;
-  /// Restores a save_state() snapshot against `domain` (which must be built
-  /// from the same shape/machine/options — the checkpoint layer verifies
-  /// this, see registry.hpp). Replaces any current state.
-  void load_state(const SearchDomain& domain, const std::string& text);
-
  protected:
   const SearchDomain& domain() const;
 
@@ -123,9 +102,6 @@ class Tuner {
   virtual void on_reset() = 0;
   virtual void on_observe(const std::vector<ConvConfig>& cfgs,
                           const std::vector<Measurement>& ms) = 0;
-  /// Strategy-specific state lines appended after the base trace section.
-  virtual void save_extra(std::ostream& os) const = 0;
-  virtual void load_extra(tunestate::Reader& r) = 0;
 
  private:
   const SearchDomain* domain_ = nullptr;
@@ -149,8 +125,6 @@ class RandomTuner : public Tuner {
   void on_reset() override { rng_ = Rng(seed_); }
   void on_observe(const std::vector<ConvConfig>&,
                   const std::vector<Measurement>&) override {}
-  void save_extra(std::ostream& os) const override;
-  void load_extra(tunestate::Reader& r) override;
 
  private:
   std::uint64_t seed_;
@@ -179,8 +153,6 @@ class SimulatedAnnealingTuner : public Tuner {
   void on_reset() override;
   void on_observe(const std::vector<ConvConfig>& cfgs,
                   const std::vector<Measurement>& ms) override;
-  void save_extra(std::ostream& os) const override;
-  void load_extra(tunestate::Reader& r) override;
 
  private:
   struct Chain {
@@ -218,8 +190,6 @@ class GeneticTuner : public Tuner {
   void on_reset() override;
   void on_observe(const std::vector<ConvConfig>& cfgs,
                   const std::vector<Measurement>& ms) override;
-  void save_extra(std::ostream& os) const override;
-  void load_extra(tunestate::Reader& r) override;
 
  private:
   struct Individual {
@@ -261,8 +231,6 @@ class AteTuner : public Tuner {
   void on_reset() override;
   void on_observe(const std::vector<ConvConfig>& cfgs,
                   const std::vector<Measurement>& ms) override;
-  void save_extra(std::ostream& os) const override;
-  void load_extra(tunestate::Reader& r) override;
 
  private:
   std::uint64_t seed_;
@@ -270,9 +238,8 @@ class AteTuner : public Tuner {
   Params params_;
 
   // Phases of the paper's loop: 0 = template seeds, 1 = random warm-up,
-  // 2 = model-guided walks. The training set (X_/y_/seen_) is a pure
-  // function of the trace, so load_state rebuilds it instead of storing it;
-  // the GBT fit itself is deterministic and refits on the next round.
+  // 2 = model-guided walks. The GBT refits on the training set (X_/y_)
+  // every model-guided round.
   int phase_ = 0;
   std::vector<std::vector<double>> X_;
   std::vector<double> y_;  // log runtime (log compresses the dynamic range)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <unordered_set>
 
 #include "convbound/bounds/conv_bounds.hpp"
@@ -17,7 +16,7 @@ namespace {
 /// estimate (Node::heur), then smallest admissible bound, then ties broken
 /// toward deeper nodes (closer to a measurable leaf), then creation order —
 /// a total order with no RNG or pointer identity, so traversal is
-/// deterministic across platforms and across checkpoint round trips.
+/// deterministic across platforms.
 bool node_worse(const double a_heur, const double a_bound, const int a_depth,
                 const std::uint64_t a_id, const double b_heur,
                 const double b_bound, const int b_depth,
@@ -336,75 +335,6 @@ std::vector<std::pair<std::string, double>> BranchAndBoundTuner::stats()
       {"pool_pending", static_cast<double>(pending_.size())},
       {"proven_optimal", proven_optimal() ? 1.0 : 0.0},
   };
-}
-
-void BranchAndBoundTuner::save_extra(std::ostream& os) const {
-  os << "bnb " << nodes_expanded_ << ' ' << subtrees_pruned_ << ' '
-     << leaves_opened_ << ' ' << configs_pruned_ << ' ' << next_id_ << '\n';
-  // Measurement-pool heap array order, reloaded verbatim (same argument as
-  // the frontier below).
-  os << "pending " << pending_.size() << ' ' << next_seq_ << '\n';
-  for (const Pending& p : pending_) {
-    os << "p ";
-    tunestate::write_config(os, p.cfg);
-    os << ' ' << tunestate::fmt_f64(p.rank) << ' '
-       << tunestate::fmt_f64(p.bound) << ' ' << p.seq << '\n';
-  }
-  // Heap array order, reloaded verbatim: the heap property is a function of
-  // the array, so pop order after resume matches the uninterrupted run.
-  os << "frontier " << nodes_.size() << '\n';
-  for (const Node& n : nodes_) {
-    os << "n " << n.box.x_lo << ' ' << n.box.x_hi << ' ' << n.box.y_lo << ' '
-       << n.box.y_hi << ' ' << n.box.z_lo << ' ' << n.box.z_hi << ' '
-       << n.box.s_lo << ' ' << n.box.s_hi << ' ' << n.depth << ' ' << n.id
-       << ' ' << tunestate::fmt_f64(n.bound) << ' '
-       << tunestate::fmt_f64(n.heur) << '\n';
-  }
-}
-
-void BranchAndBoundTuner::load_extra(tunestate::Reader& r) {
-  {
-    auto is = r.line("bnb");
-    is >> nodes_expanded_ >> subtrees_pruned_ >> leaves_opened_ >>
-        configs_pruned_ >> next_id_;
-    CB_CHECK_MSG(!is.fail(), "truncated bnb state line");
-  }
-  std::size_t npending = 0;
-  {
-    auto is = r.line("pending");
-    is >> npending >> next_seq_;
-    CB_CHECK_MSG(!is.fail(), "truncated bnb pending line");
-  }
-  pending_.clear();
-  pending_.reserve(npending);
-  for (std::size_t i = 0; i < npending; ++i) {
-    auto is = r.line("p");
-    Pending p;
-    p.cfg = tunestate::read_config(is);
-    std::string rank_tok, bound_tok;
-    is >> rank_tok >> bound_tok >> p.seq;
-    CB_CHECK_MSG(!is.fail(), "truncated bnb pending entry");
-    p.rank = tunestate::parse_f64(rank_tok);
-    p.bound = tunestate::parse_f64(bound_tok);
-    pending_.push_back(std::move(p));
-  }
-  std::size_t nnodes = 0;
-  r.line("frontier") >> nnodes;
-  nodes_.clear();
-  nodes_.reserve(nnodes);
-  for (std::size_t i = 0; i < nnodes; ++i) {
-    auto is = r.line("n");
-    Node n;
-    is >> n.box.x_lo >> n.box.x_hi >> n.box.y_lo >> n.box.y_hi >>
-        n.box.z_lo >> n.box.z_hi >> n.box.s_lo >> n.box.s_hi >> n.depth >>
-        n.id;
-    std::string bound_tok, heur_tok;
-    is >> bound_tok >> heur_tok;
-    CB_CHECK_MSG(!is.fail(), "truncated bnb frontier line");
-    n.bound = tunestate::parse_f64(bound_tok);
-    n.heur = tunestate::parse_f64(heur_tok);
-    nodes_.push_back(std::move(n));
-  }
 }
 
 }  // namespace convbound

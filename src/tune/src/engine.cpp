@@ -1,7 +1,6 @@
 #include "convbound/tune/engine.hpp"
 
 #include "convbound/tune/batch_measure.hpp"
-#include "convbound/tune/cache.hpp"
 
 namespace convbound {
 
@@ -12,8 +11,6 @@ AutotuneOutcome autotune_conv(SimGpu& gpu, const ConvShape& shape,
   dopts.winograd = opts.winograd;
   dopts.e = opts.e;
   SearchDomain domain = SearchDomain::build(shape, gpu.spec(), dopts);
-  const std::string key =
-      TuneCache::make_key(gpu.spec(), shape, opts.winograd, opts.e);
 
   // Candidates are counted, not executed: the same measurements as the
   // executing ConvMeasurer, so the same trace for the same seed.
@@ -29,28 +26,9 @@ AutotuneOutcome autotune_conv(SimGpu& gpu, const ConvShape& shape,
                                                       gpu.spec())
                             : default_tiled_config(shape, gpu.spec()));
 
-  std::unique_ptr<Tuner> tuner;
-  int resumed_from = 0;
-  if (opts.resume) {
-    CB_CHECK_MSG(!opts.checkpoint.empty(),
-                 "resume requested without a checkpoint path");
-    tuner = load_checkpoint_file(opts.checkpoint, domain, key, topts);
-    resumed_from = tuner->trials();
-  } else {
-    tuner = make_tuner(opts.tuner, topts);
-    tuner->reset(domain);
-  }
-
-  // Step loop with a checkpoint after every observed batch (a round
-  // boundary, the only point the state format is defined at), so a killed
-  // search loses at most its in-flight batch.
-  while (tuner->step(measurer, opts.budget)) {
-    if (!opts.checkpoint.empty())
-      save_checkpoint_file(opts.checkpoint, *tuner, key, domain.size());
-  }
-
-  AutotuneOutcome out{tuner->result(), std::move(domain), 0.0,
-                      tuner->stats(), resumed_from,
+  const std::unique_ptr<Tuner> tuner = make_tuner(opts.tuner, topts);
+  AutotuneOutcome out{tuner->run(measurer, opts.budget), std::move(domain),
+                      0.0, tuner->stats(),
                       tuner->exhausted() && tuner->trials() > 0};
   if (out.result.best_seconds < 1e30)
     out.best_gflops = measurer.gflops(out.result.best_seconds);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 
 #include "convbound/tune/features.hpp"
 
@@ -48,8 +47,7 @@ void Tuner::reset(const SearchDomain& domain) {
 }
 
 const SearchDomain& Tuner::domain() const {
-  CB_CHECK_MSG(domain_ != nullptr,
-               "Tuner::reset() or load_state() must run before stepping");
+  CB_CHECK_MSG(domain_ != nullptr, "Tuner::reset() must run before stepping");
   return *domain_;
 }
 
@@ -60,87 +58,16 @@ void Tuner::observe(const std::vector<ConvConfig>& cfgs,
   on_observe(cfgs, ms);
 }
 
-bool Tuner::step(Measurer& measurer, int budget) {
-  const int remaining = budget - trials();
-  if (remaining <= 0) return false;
-  const std::vector<ConvConfig> batch = propose_batch(remaining);
-  if (batch.empty()) return false;
-  CB_CHECK_MSG(static_cast<int>(batch.size()) <= remaining,
-               "propose_batch() exceeded the remaining budget");
-  const std::vector<Measurement> ms = measurer.measure_batch(batch);
-  observe(batch, ms);
-  return true;
-}
-
 TuneResult Tuner::run(Measurer& measurer, int budget) {
   reset(measurer.domain());
-  return resume(measurer, budget);
-}
-
-TuneResult Tuner::resume(Measurer& measurer, int budget) {
-  while (step(measurer, budget)) {
+  for (int remaining = budget; remaining > 0; remaining = budget - trials()) {
+    const std::vector<ConvConfig> batch = propose_batch(remaining);
+    if (batch.empty()) break;
+    CB_CHECK_MSG(static_cast<int>(batch.size()) <= remaining,
+                 "propose_batch() exceeded the remaining budget");
+    observe(batch, measurer.measure_batch(batch));
   }
   return res_;
-}
-
-std::string Tuner::save_state() const {
-  std::ostringstream os;
-  os << "convbound-tuner-state v1\n";
-  os << "id " << id() << '\n';
-  os << "trials " << res_.history.size() << '\n';
-  // Only (config, seconds) per trial: trial numbers, validity (seconds is
-  // finite iff the measurement was valid) and the incumbent sequence are
-  // derived state, recomputed on load by replaying record().
-  for (const TuneRecord& rec : res_.history) {
-    os << "t ";
-    tunestate::write_config(os, rec.config);
-    os << ' ' << tunestate::fmt_f64(rec.seconds) << '\n';
-  }
-  save_extra(os);
-  os << "end\n";
-  return os.str();
-}
-
-void Tuner::load_state(const SearchDomain& domain, const std::string& text) {
-  domain_ = &domain;
-  res_ = {};
-  on_reset();
-
-  tunestate::Reader r(text);
-  {
-    auto is = r.line("convbound-tuner-state");
-    std::string version;
-    is >> version;
-    CB_CHECK_MSG(version == "v1", "unknown tuner-state version '" << version
-                                                                  << "'");
-  }
-  {
-    auto is = r.line("id");
-    std::string got;
-    is >> got;
-    CB_CHECK_MSG(got == id(), "checkpoint is for tuner '"
-                                  << got << "', this tuner is '" << id()
-                                  << "'");
-  }
-  std::size_t n = 0;
-  r.line("trials") >> n;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto is = r.line("t");
-    const ConvConfig cfg = tunestate::read_config(is);
-    std::string tok;
-    is >> tok;
-    const double seconds = tunestate::parse_f64(tok);
-    // A measured time is positive, or +inf for an invalid config; ate
-    // trains on its log.
-    CB_CHECK_MSG(seconds > 0, "trial " << i << " has time " << tok
-                                       << ", not > 0");
-    Measurement m;
-    m.seconds = seconds;
-    m.valid = std::isfinite(seconds);
-    record(res_, cfg, m);
-  }
-  load_extra(r);
-  r.line("end");
 }
 
 // ------------------------------------------------------------ RandomTuner --
@@ -151,17 +78,6 @@ std::vector<ConvConfig> RandomTuner::propose_batch(int max_batch) {
   batch.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) batch.push_back(domain().sample(rng_));
   return batch;
-}
-
-void RandomTuner::save_extra(std::ostream& os) const {
-  os << "rng ";
-  tunestate::write_rng(os, rng_);
-  os << '\n';
-}
-
-void RandomTuner::load_extra(tunestate::Reader& r) {
-  auto is = r.line("rng");
-  rng_ = tunestate::read_rng(is);
 }
 
 // ------------------------------------------------ SimulatedAnnealingTuner --
@@ -228,54 +144,6 @@ void SimulatedAnnealingTuner::on_observe(const std::vector<ConvConfig>& cfgs,
     }
   }
   temp_ *= kCooling;
-}
-
-void SimulatedAnnealingTuner::save_extra(std::ostream& os) const {
-  os << "rng ";
-  tunestate::write_rng(os, rng_);
-  os << '\n';
-  os << "sa " << tunestate::fmt_f64(temp_) << ' ' << (round0_done_ ? 1 : 0)
-     << ' ' << state_.size() << '\n';
-  for (const Chain& ch : state_) {
-    os << "chain ";
-    tunestate::write_rng(os, ch.rng);
-    os << ' ';
-    tunestate::write_config(os, ch.cur);
-    os << ' ' << tunestate::fmt_f64(ch.cur_seconds) << ' '
-       << (ch.cur_valid ? 1 : 0) << '\n';
-  }
-}
-
-void SimulatedAnnealingTuner::load_extra(tunestate::Reader& r) {
-  {
-    auto is = r.line("rng");
-    rng_ = tunestate::read_rng(is);
-  }
-  std::size_t nchains = 0;
-  {
-    auto is = r.line("sa");
-    std::string temp_tok;
-    int done = 0;
-    is >> temp_tok >> done >> nchains;
-    CB_CHECK_MSG(!is.fail(), "truncated sa state line");
-    temp_ = tunestate::parse_f64(temp_tok);
-    round0_done_ = done != 0;
-  }
-  state_.clear();
-  state_.reserve(nchains);
-  for (std::size_t c = 0; c < nchains; ++c) {
-    auto is = r.line("chain");
-    Chain ch;
-    ch.rng = tunestate::read_rng(is);
-    ch.cur = tunestate::read_config(is);
-    std::string tok;
-    int valid = 0;
-    is >> tok >> valid;
-    CB_CHECK_MSG(!is.fail(), "truncated sa chain line");
-    ch.cur_seconds = tunestate::parse_f64(tok);
-    ch.cur_valid = valid != 0;
-    state_.push_back(std::move(ch));
-  }
 }
 
 // ----------------------------------------------------------- GeneticTuner --
@@ -348,45 +216,6 @@ void GeneticTuner::on_observe(const std::vector<ConvConfig>& cfgs,
                    });
   if (static_cast<int>(pop_.size()) > kPopulation)
     pop_.resize(static_cast<std::size_t>(kPopulation));
-}
-
-void GeneticTuner::save_extra(std::ostream& os) const {
-  os << "rng ";
-  tunestate::write_rng(os, rng_);
-  os << '\n';
-  os << "ga " << (init_done_ ? 1 : 0) << ' ' << pop_.size() << '\n';
-  for (const Individual& ind : pop_) {
-    os << "ind ";
-    tunestate::write_config(os, ind.cfg);
-    os << ' ' << tunestate::fmt_f64(ind.fitness) << '\n';
-  }
-}
-
-void GeneticTuner::load_extra(tunestate::Reader& r) {
-  {
-    auto is = r.line("rng");
-    rng_ = tunestate::read_rng(is);
-  }
-  std::size_t npop = 0;
-  {
-    auto is = r.line("ga");
-    int done = 0;
-    is >> done >> npop;
-    CB_CHECK_MSG(!is.fail(), "truncated ga state line");
-    init_done_ = done != 0;
-  }
-  pop_.clear();
-  pop_.reserve(npop);
-  for (std::size_t i = 0; i < npop; ++i) {
-    auto is = r.line("ind");
-    Individual ind;
-    ind.cfg = tunestate::read_config(is);
-    std::string tok;
-    is >> tok;
-    CB_CHECK_MSG(!is.fail(), "truncated ga individual line");
-    ind.fitness = tunestate::parse_f64(tok);
-    pop_.push_back(std::move(ind));
-  }
 }
 
 // --------------------------------------------------------------- AteTuner --
@@ -484,36 +313,6 @@ void AteTuner::on_observe(const std::vector<ConvConfig>& cfgs,
     if (ms[i].valid) {
       X_.push_back(config_features(domain(), cfgs[i]));
       y_.push_back(std::log(ms[i].seconds));
-    }
-  }
-}
-
-void AteTuner::save_extra(std::ostream& os) const {
-  os << "rng ";
-  tunestate::write_rng(os, rng_);
-  os << '\n';
-  // X_/y_/seen_ are a pure function of the trace (rebuilt by load_state via
-  // on_observe replay below); only the phase and RNG stream are primary.
-  os << "ate " << phase_ << '\n';
-}
-
-void AteTuner::load_extra(tunestate::Reader& r) {
-  {
-    auto is = r.line("rng");
-    rng_ = tunestate::read_rng(is);
-  }
-  {
-    auto is = r.line("ate");
-    is >> phase_;
-    CB_CHECK_MSG(!is.fail(), "truncated ate state line");
-  }
-  // Rebuild the training set from the restored trace, in trace order —
-  // identical to the online accumulation (valid <=> finite seconds).
-  for (const TuneRecord& rec : result().history) {
-    seen_.insert(rec.config);
-    if (std::isfinite(rec.seconds)) {
-      X_.push_back(config_features(domain(), rec.config));
-      y_.push_back(std::log(rec.seconds));
     }
   }
 }

@@ -28,7 +28,6 @@
 namespace convbound {
 
 class CondVar;
-class MutexPairLock;
 
 // A std::mutex the thread-safety analysis can track.
 class CB_CAPABILITY("mutex") Mutex {
@@ -43,7 +42,6 @@ class CB_CAPABILITY("mutex") Mutex {
 
  private:
   friend class UniqueLock;
-  friend class MutexPairLock;
   std::mutex mu_;
 };
 
@@ -75,27 +73,6 @@ class CB_SCOPED_CAPABILITY UniqueLock {
  private:
   friend class CondVar;
   std::unique_lock<std::mutex> lock_;
-};
-
-// std::scoped_lock(a, b) equivalent: deadlock-free dual acquisition via
-// std::lock (used by TuneCache::operator=, which must hold both its own and
-// the source cache's mutex).
-class CB_SCOPED_CAPABILITY MutexPairLock {
- public:
-  MutexPairLock(Mutex& a, Mutex& b) CB_ACQUIRE(a, b) : a_(a), b_(b) {
-    std::lock(a_.mu_, b_.mu_);
-  }
-  ~MutexPairLock() CB_RELEASE() {
-    a_.mu_.unlock();
-    b_.mu_.unlock();
-  }
-
-  MutexPairLock(const MutexPairLock&) = delete;
-  MutexPairLock& operator=(const MutexPairLock&) = delete;
-
- private:
-  Mutex& a_;
-  Mutex& b_;
 };
 
 // std::condition_variable over UniqueLock. Waits atomically release and

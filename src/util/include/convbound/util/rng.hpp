@@ -5,7 +5,6 @@
 // bit-identically from a single seed.
 #pragma once
 
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -68,13 +67,6 @@ class Rng {
   Rng split() {
     std::uint64_t seed = (*this)();
     return Rng(seed);
-  }
-
-  /// Raw generator state, for checkpoint serialization (a resumed search
-  /// must continue the exact stream, not restart it from the seed).
-  std::array<std::uint64_t, 4> state() const { return {s_[0], s_[1], s_[2], s_[3]}; }
-  void set_state(const std::array<std::uint64_t, 4>& s) {
-    for (int i = 0; i < 4; ++i) s_[i] = s[i];
   }
 
  private:

@@ -28,7 +28,7 @@
 #define CB_CAPABILITY(name) CB_THREAD_ANNOTATION(capability(name))
 
 // An RAII type that acquires a capability in its constructor and releases it
-// in its destructor (MutexLock, UniqueLock, MutexPairLock).
+// in its destructor (MutexLock, UniqueLock).
 #define CB_SCOPED_CAPABILITY CB_THREAD_ANNOTATION(scoped_lockable)
 
 // Data members readable/writable only while holding the named mutex.

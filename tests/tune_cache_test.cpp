@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,69 +39,12 @@ TEST(TuneCache, BetterEntryWins) {
   EXPECT_EQ(cache.get("k")->config.x, 4);
   cache.put("k", entry(8, 200));  // better: replaces
   EXPECT_EQ(cache.get("k")->config.x, 8);
-  cache.put("k", entry(2, 1), /*force=*/true);
-  EXPECT_EQ(cache.get("k")->config.x, 2);
 }
 
-TEST(TuneCache, SerializeDeserializeIdentity) {
-  TuneCache cache;
-  cache.put("machine;direct;conv[b=1]", entry(4, 123.45));
-  cache.put("machine;winograd2;conv[b=2]", entry(6, 678.9));
-  const TuneCache back = TuneCache::deserialize(cache.serialize());
-  EXPECT_EQ(back.size(), 2u);
-  const auto e = back.get("machine;direct;conv[b=1]");
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->config.x, 4);
-  EXPECT_EQ(e->config.layout, Layout::kNHWC);
-  EXPECT_EQ(e->config.smem_budget, 24576);
-  EXPECT_NEAR(e->gflops, 123.45, 1e-9);
-}
-
-TEST(TuneCache, RejectsMalformedInput) {
-  EXPECT_THROW(TuneCache::deserialize("no separators here"), Error);
-  EXPECT_THROW(TuneCache::deserialize("key|1 2 3|x only one sep... |"),
-               Error);
-  // Malformed gflops fields: empty, non-numeric, trailing junk, overflow.
-  for (const char* gflops : {"", "abc", "12abc", "1e999"})
-    EXPECT_THROW(TuneCache::deserialize(
-                     std::string("k|1 2 3 4 5 6 0 1024|") + gflops),
-                 Error)
-        << "gflops '" << gflops << "'";
-  // A config field with more than the 8 ConvConfig fields.
-  EXPECT_THROW(TuneCache::deserialize("k|1 2 3 4 5 6 0 1024 9|12"), Error);
-  TuneCache cache;
-  EXPECT_THROW(cache.put("bad|key", entry(1, 1)), Error);
-}
-
-TEST(TuneCache, FileRoundTrip) {
-  const std::string path = "/tmp/convbound_cache_test.txt";
-  TuneCache cache;
-  cache.put("a", entry(4, 10));
-  cache.put("b", entry(8, 20));
-  cache.save(path);
-  const TuneCache loaded = TuneCache::load(path);
-  EXPECT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded.get("b")->config.x, 8);
-  std::remove(path.c_str());
-}
-
-TEST(TuneCache, MergeKeepsBest) {
-  TuneCache a, b;
-  a.put("k", entry(4, 100));
-  a.put("only_a", entry(2, 1));
-  b.put("k", entry(8, 200));
-  b.put("only_b", entry(6, 3));
-  a.merge(b);
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_EQ(a.get("k")->config.x, 8);
-}
-
-// Property test over randomized (spec, shape, config) tasks: every entry
-// that survives the better-GFlops-wins insert rule must round-trip through
-// serialize/deserialize — including the rfind('|') parsing path, which has
-// to split on the *last* separator because keys are free-form text — and
-// merge() must agree with a reference map applying the same rule.
-TEST(TuneCache, RandomizedSerializeMergeRoundTrip) {
+// Property test over randomized (spec, shape, config) tasks: after the same
+// puts, every get() agrees with a reference map applying the
+// better-GFlops-wins rule.
+TEST(TuneCache, RandomizedPutsKeepTheBest) {
   Rng rng(0xCAFE);
   const std::vector<MachineSpec> specs = {
       MachineSpec::v100(), MachineSpec::titan_x(),
@@ -121,7 +63,7 @@ TEST(TuneCache, RandomizedSerializeMergeRoundTrip) {
     return e;
   };
 
-  TuneCache a, b;
+  TuneCache cache;
   std::map<std::string, TuneCache::Entry> want;  // reference: best wins
   for (int i = 0; i < 300; ++i) {
     ConvShape s;
@@ -137,27 +79,16 @@ TEST(TuneCache, RandomizedSerializeMergeRoundTrip) {
             0, static_cast<std::int64_t>(specs.size()) - 1))],
         s, rng.range(0, 1) == 1, 2 * rng.range(1, 3));
 
-    // Same key can recur with a different config: the best GFlops must win
-    // in whichever of the two caches it lands in, and again at merge time.
+    // Same key can recur with a different config: the best GFlops must win.
     const TuneCache::Entry e = random_entry();
-    (rng.range(0, 1) == 0 ? a : b).put(key, e);
+    cache.put(key, e);
     const auto it = want.find(key);
     if (it == want.end() || e.gflops > it->second.gflops) want[key] = e;
   }
 
-  // Round trip each cache independently (text form is line-based).
-  for (const TuneCache* c : {&a, &b}) {
-    const TuneCache back = TuneCache::deserialize(c->serialize());
-    EXPECT_EQ(back.size(), c->size());
-  }
-
-  // Merge, then round-trip the merged cache and check every surviving
-  // entry against the reference.
-  a.merge(b);
-  const TuneCache back = TuneCache::deserialize(a.serialize());
-  ASSERT_EQ(back.size(), want.size());
+  ASSERT_EQ(cache.size(), want.size());
   for (const auto& [key, e] : want) {
-    const auto got = back.get(key);
+    const auto got = cache.get(key);
     ASSERT_TRUE(got.has_value()) << key;
     EXPECT_EQ(got->config.x, e.config.x) << key;
     EXPECT_EQ(got->config.y, e.config.y) << key;
@@ -167,10 +98,7 @@ TEST(TuneCache, RandomizedSerializeMergeRoundTrip) {
     EXPECT_EQ(got->config.nzt, e.config.nzt) << key;
     EXPECT_EQ(got->config.layout, e.config.layout) << key;
     EXPECT_EQ(got->config.smem_budget, e.config.smem_budget) << key;
-    // gflops crosses the text form at default stream precision; the value
-    // survives to ~6 significant digits, the ordering decisions above were
-    // all made pre-serialization on exact doubles.
-    EXPECT_NEAR(got->gflops, e.gflops, 1e-4 * e.gflops) << key;
+    EXPECT_EQ(got->gflops, e.gflops) << key;
   }
 }
 

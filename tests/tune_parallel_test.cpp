@@ -12,7 +12,7 @@
 #include "convbound/conv/reference.hpp"
 #include "convbound/tune/batch_measure.hpp"
 #include "convbound/tune/engine.hpp"
-#include "convbound/tune/tuners.hpp"
+#include "convbound/tune/registry.hpp"
 
 namespace convbound {
 namespace {
@@ -44,33 +44,27 @@ void expect_identical(const TuneResult& a, const TuneResult& b,
   EXPECT_TRUE(a.best == b.best) << what;
 }
 
-std::unique_ptr<Tuner> make_tuner(const std::string& kind,
-                                  std::uint64_t seed) {
-  if (kind == "random") return std::make_unique<RandomTuner>(seed);
-  if (kind == "sa") return std::make_unique<SimulatedAnnealingTuner>(seed);
-  if (kind == "ga") return std::make_unique<GeneticTuner>(seed);
-  return std::make_unique<AteTuner>(seed);
-}
-
 class CountingTrace : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CountingTrace, HistoryEqualsExecutedHistory) {
   const int kBudget = 32;
-  const std::uint64_t kSeed = 11;
+  TunerOptions opts;
+  opts.seed = 11;
   SimGpu gpu(MachineSpec::v100());
   const auto domain = SearchDomain::build(small_shape(), gpu.spec());
 
-  ConvMeasurer executed(gpu, domain, kSeed);
-  const TuneResult ref = make_tuner(GetParam(), kSeed)->run(executed, kBudget);
+  ConvMeasurer executed(gpu, domain, opts.seed);
+  const TuneResult ref = make_tuner(GetParam(), opts)->run(executed, kBudget);
   ASSERT_EQ(ref.history.size(), static_cast<std::size_t>(kBudget));
 
   BatchMeasurer counted(gpu.spec(), domain);
-  const TuneResult res = make_tuner(GetParam(), kSeed)->run(counted, kBudget);
+  const TuneResult res = make_tuner(GetParam(), opts)->run(counted, kBudget);
   expect_identical(ref, res, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTuners, CountingTrace,
-                         ::testing::Values("random", "sa", "ga", "ate"));
+                         ::testing::Values("random", "sa", "ga", "ate",
+                                           "bnb"));
 
 // Every counted measurement equals its executed ConvMeasurer counterpart,
 // in every LaunchStats field.
@@ -246,7 +240,7 @@ TEST(Engine, AutotuneTraceEqualsExecutedTrace) {
   topts.seeds.push_back(default_tiled_config(small_shape(), gpu.spec()));
   ConvMeasurer executed(gpu, outcome.domain, opts.seed);
   const TuneResult ref =
-      convbound::make_tuner(opts.tuner, topts)->run(executed, opts.budget);
+      make_tuner(opts.tuner, topts)->run(executed, opts.budget);
   expect_identical(ref, outcome.result, "engine");
 }
 

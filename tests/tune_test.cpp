@@ -165,6 +165,17 @@ TEST(Tuners, AllFindValidConfigs) {
   }
 }
 
+TEST(TunerRegistry, CanonicalNamesAndAliases) {
+  for (const char* name : {"bnb", "ate", "sa", "ga", "random"}) {
+    EXPECT_EQ(make_tuner(name)->id(), name);
+  }
+  EXPECT_EQ(make_tuner("simulated-annealing")->id(), "sa");
+  EXPECT_EQ(make_tuner("genetic")->id(), "ga");
+  EXPECT_EQ(make_tuner("ate(ours)")->id(), "ate");
+  EXPECT_EQ(make_tuner("branch-and-bound")->id(), "bnb");
+  EXPECT_THROW(make_tuner("gradient-descent"), Error);
+}
+
 TEST(Tuners, AteBeatsOrMatchesRandomOnSameBudget) {
   SimGpu gpu(MachineSpec::v100());
   ConvShape s;

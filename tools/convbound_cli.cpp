@@ -5,28 +5,24 @@
 //       Print I/O lower bounds and dataflow predictions for a shape.
 //   run    --cin N --in N --cout N [...] [--machine NAME] [--algo NAME]
 //       Execute one convolution on the simulated machine and report stats.
-//   tune   --cin N --in N --cout N [...] [--budget N] [--cache FILE]
-//          [--tuner bnb|ate|sa|ga|random] [--checkpoint FILE] [--resume 1]
+//   tune   --cin N --in N --cout N [...] [--budget N]
+//          [--tuner bnb|ate|sa|ga|random]
 //       Auto-tune the dataflow on the counting measurer, then re-execute
 //       the winner on the simulated machine (exit 1 with `error:` when its
-//       executed stats differ from the count); optionally persist the
-//       result to a cache. --checkpoint writes the resumable
-//       search state after every measured batch; --resume 1 continues a
-//       checkpointed search bit-identically up to --budget total trials
-//       (see docs/tuning.md). The bnb tuner prints its pruning stats and
-//       reports when the result is a certified optimum.
+//       executed stats differ from the count). The bnb tuner prints its
+//       pruning stats and reports when the result is a certified optimum.
 //   models [--machine NAME]
 //       Compare baseline vs our dataflows across the CNN model zoo.
 //   plan   --model NAME [--batch N] | --cin N --in N --cout N [...]
 //          [--mode analytic|measured|tuned] [--set ours|baseline]
-//          [--budget N] [--cache FILE] [--machine NAME]
+//          [--budget N] [--machine NAME]
 //       Bound-guided planning. With --model, print the per-layer plan table
 //       (algorithm, config, predicted I/O vs the I/O lower bound; a shape
 //       flag other than --batch is an error there); with a
 //       single shape, print the full candidate ranking. analytic (default)
 //       scores by the bounds layer, measured by the modelled time of each
-//       candidate's counted launches; --mode tuned also consults/fills the
-//       tune cache. No mode executes a kernel.
+//       candidate's counted launches, tuned autotunes each distinct layer
+//       once per run. No mode executes a kernel.
 //   profile --model NAME [--batch N] [--reps N] [--seed N]
 //           [--mode analytic|measured|tuned] [--set ours|baseline]
 //           [--machine NAME]
@@ -109,7 +105,6 @@
 #include "convbound/convbound.hpp"
 #include "convbound/serve/obs_export.hpp"
 #include "convbound/tune/batch_measure.hpp"
-#include "convbound/tune/cache.hpp"
 #include "convbound/util/timer.hpp"
 
 namespace {
@@ -150,10 +145,6 @@ struct Args {
     return it == kv.end() ? def : it->second;
   }
 };
-
-bool cache_file_exists(const std::string& path) {
-  return !path.empty() && std::ifstream(path).good();
-}
 
 /// `--flag value` pairs. A flag the command does not read, or one without
 /// a value, is an error: a misspelt or removed flag must not run with its
@@ -259,30 +250,8 @@ int cmd_tune(const Args& a) {
   opts.winograd = a.geti("winograd", 0) != 0;
   opts.seed = static_cast<std::uint64_t>(a.geti("seed", 1));
   opts.tuner = a.gets("tuner", "ate");
-  opts.checkpoint = a.gets("checkpoint", "");
-  opts.resume = a.geti("resume", 0) != 0;
-
-  const std::string cache_path = a.gets("cache", "");
-  const std::string key =
-      TuneCache::make_key(gpu.spec(), s, opts.winograd, opts.e);
-  TuneCache cache;
-  // No cache file yet: one is created below. A malformed one is an error,
-  // not an empty cache to overwrite.
-  if (cache_file_exists(cache_path)) {
-    cache = TuneCache::load(cache_path);
-    // A resume continues its checkpoint even when the cache already has
-    // an answer (the search may still improve on the cached one).
-    if (const auto hit = cache.get(key); hit && !opts.resume) {
-      std::printf("cache hit: %s -> %.0f GFlops (%s)\n", key.c_str(),
-                  hit->gflops, hit->config.to_string().c_str());
-      return 0;
-    }
-  }
 
   const AutotuneOutcome outcome = autotune_conv(gpu, s, opts);
-  if (outcome.resumed_from_trials > 0)
-    std::printf("resumed from %s at trial %d\n", opts.checkpoint.c_str(),
-                outcome.resumed_from_trials);
   std::printf("domain: %llu configurations; best after %zu trials (%s):\n",
               static_cast<unsigned long long>(outcome.domain.size()),
               outcome.result.history.size(), opts.tuner.c_str());
@@ -306,11 +275,6 @@ int cmd_tune(const Args& a) {
       throw Error("the best configuration executed to different LaunchStats "
                   "than it was counted at: " +
                   outcome.result.best.to_string());
-  }
-  if (!cache_path.empty()) {
-    cache.put(key, {outcome.result.best, outcome.best_gflops});
-    cache.save(cache_path);
-    std::printf("saved to %s\n", cache_path.c_str());
   }
   return 0;
 }
@@ -391,10 +355,7 @@ int cmd_plan(const Args& a) {
   SimGpu gpu(spec_by_name(a.gets("machine", "v100")));
   const PlannerOptions opts = planner_options_from(a);
 
-  const std::string cache_path = a.gets("cache", "");
-  TuneCache cache;
-  // No cache file yet: tuned planning creates one below.
-  if (cache_file_exists(cache_path)) cache = TuneCache::load(cache_path);
+  TuneCache cache;  // tuned planning searches each distinct layer once
   Planner planner(&cache);
 
   auto mb = [](double elems) { return elems * 4e-6; };
@@ -444,11 +405,6 @@ int cmd_plan(const Args& a) {
                                      : (i == 0 ? "<- plan" : "")});
     }
     std::printf("%s", t.to_string().c_str());
-  }
-
-  if (!cache_path.empty() && opts.mode == PlanMode::kTuned) {
-    cache.save(cache_path);
-    std::printf("tune cache saved to %s\n", cache_path.c_str());
   }
   return 0;
 }
@@ -917,9 +873,8 @@ const std::map<std::string, Command>& commands() {
       {"run", {cmd_run, flag_set({shape, {"machine", "algo", "seed"}})}},
       {"tune",
        {cmd_tune, flag_set({shape,
-                            {"machine", "budget", "winograd", "seed", "tuner",
-                             "checkpoint", "resume", "cache"}})}},
-      {"plan", {cmd_plan, flag_set({shape, planning, {"model", "cache"}})}},
+                            {"machine", "budget", "winograd", "seed", "tuner"}})}},
+      {"plan", {cmd_plan, flag_set({shape, planning, {"model"}})}},
       {"profile",
        {cmd_profile, flag_set({planning, {"model", "batch", "reps"}})}},
       {"models", {cmd_models, flag_set({{"machine", "batch"}})}},
