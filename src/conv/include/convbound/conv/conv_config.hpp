@@ -35,16 +35,6 @@ struct ConvConfig {
 
   bool operator==(const ConvConfig&) const = default;
 
-  /// Canonical compact key covering exactly the fields operator== compares,
-  /// space-separated in declaration order.
-  std::string key() const {
-    return std::to_string(x) + ' ' + std::to_string(y) + ' ' +
-           std::to_string(z) + ' ' + std::to_string(nxt) + ' ' +
-           std::to_string(nyt) + ' ' + std::to_string(nzt) + ' ' +
-           std::to_string(static_cast<int>(layout)) + ' ' +
-           std::to_string(smem_budget);
-  }
-
   /// operator==-consistent hash over the same fields.
   std::size_t hash() const {
     auto mix = [](std::size_t h, std::uint64_t v) {

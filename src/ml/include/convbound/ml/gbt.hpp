@@ -15,6 +15,15 @@
 // a node is skipped; it has no split. Sums run in the same order as a scan
 // of the whole presorted list would visit the node's rows, so the model
 // does not depend on how the rows are partitioned.
+//
+// The inner loops carry no data-dependent branches: per feature, one pass
+// gathers the node's values and prefix sums of its residuals, a second
+// scores every cut with one expression (a loop the compiler vectorises),
+// and a scan takes the first strict maximum among cuts between distinct
+// values; the stable partition writes each row to both children's
+// destinations and advances the one its flag selects. Every sum, gain and
+// tie-break is the one a sequential per-cut scan computes, so the fitted
+// models are bit-identical to it (ml_test's Gbt.FitIsPinned).
 #pragma once
 
 #include <cstdint>
@@ -42,10 +51,6 @@ class Gbt {
   bool trained() const { return !trees_.empty() || base_set_; }
 
   double predict(const std::vector<double>& x) const;
-
-  /// Root-mean-square error over a labelled set.
-  double rmse(const std::vector<std::vector<double>>& X,
-              const std::vector<double>& y) const;
 
  private:
   struct Node {

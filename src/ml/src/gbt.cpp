@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "convbound/util/check.hpp"
@@ -17,43 +16,60 @@ struct Split {
   double gain = 0;
 };
 
+/// Per-node scratch of the split scan, sized for all n rows once per fit.
+struct ScanBuffers {
+  double* vals;    ///< the node's feature values in scan order
+  double* prefix;  ///< prefix[k]: residual sum of the first k scanned rows
+  double* gain;    ///< gain[k] of the cut before row k
+  const double* ks;  ///< ks[k] == k, exactly
+};
+
 /// Best squared-error split of one node on one feature. `order` holds the
 /// node's `count` rows in the feature's presorted order and `col` is the
-/// feature's column. O(count) scan of prefix sums.
+/// feature's column. O(count): one gather pass builds the prefix sums, a
+/// branch-free pass scores every cut, and a scan picks the best valid one.
 Split best_split_on_feature(const double* col,
                             const std::vector<double>& residual,
                             const std::int32_t* order, std::int64_t count,
-                            int feature, int min_leaf) {
+                            int feature, int min_leaf, const ScanBuffers& b) {
   Split best;
   // A constant feature has no two distinct values to split between.
   if (col[order[0]] == col[order[count - 1]]) return best;
-  double total = 0;
-  for (std::int64_t k = 0; k < count; ++k) total += residual[order[k]];
-
-  const double parent_score = total * total / static_cast<double>(count);
-  double left_sum = 0;
-  std::int64_t left_cnt = 0;
-  double prev_val = std::numeric_limits<double>::quiet_NaN();
+  double sum = 0;
+  b.prefix[0] = 0;
   for (std::int64_t k = 0; k < count; ++k) {
     const std::int32_t i = order[k];
-    const double v = col[i];
-    // A split is only valid *between* distinct feature values.
-    if (left_cnt >= min_leaf && count - left_cnt >= min_leaf &&
-        v != prev_val) {
-      const double right_sum = total - left_sum;
-      const double gain =
-          left_sum * left_sum / static_cast<double>(left_cnt) +
-          right_sum * right_sum / static_cast<double>(count - left_cnt) -
-          parent_score;
-      if (gain > best.gain) {
-        best.feature = feature;
-        best.threshold = (v + prev_val) / 2.0;
-        best.gain = gain;
-      }
+    b.vals[k] = col[i];
+    sum += residual[i];
+    b.prefix[k + 1] = sum;
+  }
+  // The running sum ends at the node total, added in the same order.
+  const double total = sum;
+  const double n = b.ks[count];
+  const double parent_score = total * total / n;
+
+  // Cut k puts the first k scanned rows left; both children need min_leaf
+  // rows. Every such cut is scored (a loop the compiler vectorises), then
+  // the first strict maximum among the valid cuts — those *between*
+  // distinct feature values — wins, as in a sequential scan.
+  const std::int64_t lo = std::max<std::int64_t>(1, min_leaf);
+  const std::int64_t hi = std::min(count, count - min_leaf + 1);
+  for (std::int64_t k = lo; k < hi; ++k) {
+    const double left_sum = b.prefix[k];
+    const double right_sum = total - left_sum;
+    b.gain[k] = left_sum * left_sum / b.ks[k] +
+                right_sum * right_sum / (n - b.ks[k]) - parent_score;
+  }
+  std::int64_t best_k = -1;
+  for (std::int64_t k = lo; k < hi; ++k) {
+    if (b.gain[k] > best.gain && b.vals[k] != b.vals[k - 1]) {
+      best.gain = b.gain[k];
+      best_k = k;
     }
-    left_sum += residual[i];
-    ++left_cnt;
-    prev_val = v;
+  }
+  if (best_k >= 0) {
+    best.feature = feature;
+    best.threshold = (b.vals[best_k] + b.vals[best_k - 1]) / 2.0;
   }
   return best;
 }
@@ -73,6 +89,7 @@ struct Gbt::FitWork {
   std::vector<std::int32_t> lists;   ///< the same, partitioned per node
   std::vector<std::int32_t> spill;   ///< right-child scratch of a partition
   std::vector<std::uint8_t> left;    ///< per row: routed to the left child
+  std::vector<double> vals, prefix, gain, ks;  ///< ScanBuffers storage
 };
 
 double Gbt::Tree::eval(const std::vector<double>& x) const {
@@ -118,10 +135,12 @@ Gbt::Tree Gbt::fit_tree(FitWork& fw, const std::vector<double>& residual,
       continue;
 
     Split best;
+    const ScanBuffers scan{fw.vals.data(), fw.prefix.data(), fw.gain.data(),
+                           fw.ks.data()};
     for (std::size_t f = 0; f < d; ++f) {
       const Split s = best_split_on_feature(
           fw.cols.data() + f * n, residual, fw.lists.data() + f * n + w.begin,
-          cnt, static_cast<int>(f), params.min_samples_leaf);
+          cnt, static_cast<int>(f), params.min_samples_leaf, scan);
       if (s.gain > best.gain) best = s;
     }
     if (best.feature < 0 || best.gain <= 1e-12) continue;
@@ -146,14 +165,17 @@ Gbt::Tree Gbt::fit_tree(FitWork& fw, const std::vector<double>& residual,
     const bool leaves = w.depth + 1 >= params.max_depth;
     for (std::size_t f = leaves ? d : 0; f <= d; ++f) {
       std::int32_t* list = fw.lists.data() + f * n;
+      // Stable and branch-free: every row goes to both destinations and
+      // only the one its flag selects advances (l <= k, so the in-place
+      // write never clobbers an unread entry).
       std::size_t l = w.begin, r = 0;
       for (std::size_t k = w.begin; k < w.end; ++k) {
         const std::int32_t i = list[k];
-        if (fw.left[static_cast<std::size_t>(i)]) {
-          list[l++] = i;
-        } else {
-          fw.spill[r++] = i;
-        }
+        const std::size_t go_left = fw.left[static_cast<std::size_t>(i)];
+        list[l] = i;
+        fw.spill[r] = i;
+        l += go_left;
+        r += 1 - go_left;
       }
       std::copy(fw.spill.data(), fw.spill.data() + r, list + l);
     }
@@ -204,6 +226,11 @@ void Gbt::fit(const std::vector<std::vector<double>>& X,
   }
   fw.spill.resize(n);
   fw.left.resize(n);
+  fw.vals.resize(n);
+  fw.prefix.resize(n + 1);
+  fw.gain.resize(n + 1);
+  fw.ks.resize(n + 1);
+  std::iota(fw.ks.begin(), fw.ks.end(), 0.0);
 
   std::vector<double> pred(y.size(), base_);
   std::vector<double> residual(y.size());
@@ -224,17 +251,6 @@ double Gbt::predict(const std::vector<double>& x) const {
   double p = base_;
   for (const auto& t : trees_) p += learning_rate_ * t.eval(x);
   return p;
-}
-
-double Gbt::rmse(const std::vector<std::vector<double>>& X,
-                 const std::vector<double>& y) const {
-  CB_CHECK(X.size() == y.size() && !X.empty());
-  double se = 0;
-  for (std::size_t i = 0; i < X.size(); ++i) {
-    const double d = predict(X[i]) - y[i];
-    se += d * d;
-  }
-  return std::sqrt(se / static_cast<double>(X.size()));
 }
 
 }  // namespace convbound

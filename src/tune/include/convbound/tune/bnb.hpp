@@ -54,7 +54,6 @@ class BranchAndBoundTuner : public Tuner {
 
   explicit BranchAndBoundTuner(const BnbOptions& opts = {}) : opts_(opts) {}
   std::string name() const override { return "branch-and-bound(bounds)"; }
-  std::string id() const override { return "bnb"; }
 
   std::vector<ConvConfig> propose_batch(int max_batch) override;
   /// Frontier and pending-leaf queue both empty: every configuration was
@@ -122,6 +121,8 @@ class BranchAndBoundTuner : public Tuner {
   std::uint64_t next_id_ = 0;
   std::vector<Pending> pending_;
   std::uint64_t next_seq_ = 0;
+  /// Node::heur's per-lattice-point roofline estimates, built at reset.
+  std::vector<double> point_est_;
 
   std::uint64_t nodes_expanded_ = 0;
   std::uint64_t subtrees_pruned_ = 0;

@@ -9,8 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "convbound/conv/conv_config.hpp"
@@ -55,8 +55,7 @@ class SearchDomain {
   const MachineSpec& spec() const { return spec_; }
   const DomainOptions& options() const { return opts_; }
 
-  /// Exact number of valid configurations (counted by enumeration over the
-  /// factor lattice; cheap because thread-split counts are memoised).
+  /// Exact number of valid configurations (count_configs of the full box).
   std::uint64_t size() const { return size_; }
 
   /// True when cfg satisfies every domain constraint.
@@ -85,7 +84,9 @@ class SearchDomain {
   std::vector<DomainBox> partition(const DomainBox& box) const;
 
   /// Exact number of valid configurations inside `box` (same count the
-  /// domain's total size() sums over the full box).
+  /// domain's total size() sums over the full box): a sum over the box's
+  /// (x, y, z) cells of thread splits x S_b indices in the box that fit x
+  /// layouts, read from the feasibility table. O(1) for a lattice point.
   std::uint64_t count_configs(const DomainBox& box) const;
 
   /// Every valid configuration inside `box`, in fixed lattice order
@@ -98,16 +99,38 @@ class SearchDomain {
   const std::vector<std::int64_t>& zs() const { return zs_; }
   const std::vector<std::int64_t>& smem_choices() const { return smems_; }
 
-  /// Memoised thread-split candidates for a tile size of this domain
-  /// (divisors capped at the per-dimension thread limit). Empty for tile
-  /// sizes outside the domain's lattice — such configurations fail
-  /// contains() anyway. Built once; sample()/neighbors() are measured
-  /// hot paths and must not recompute divisor tables per call.
-  const std::vector<std::int64_t>& thread_splits(std::int64_t tile) const;
-
  private:
-  bool tile_ok(std::int64_t x, std::int64_t y, std::int64_t z,
-               std::int64_t smem) const;
+  /// One (x, y, z) cell of the feasibility table. Bit si of smem_mask is
+  /// set when smem_choices()[si] holds the tile's footprint (and, when
+  /// pruning, meets the Section 6.2 limits); splits counts the (nxt, nyt,
+  /// nzt) triples within the block's thread limit (0 when no S_b fits).
+  struct Cell {
+    std::uint32_t splits = 0;
+    std::uint32_t smem_mask = 0;
+  };
+
+  /// Thread-split candidates of list entry `t` of xs_, ys_, zs_ in turn.
+  std::span<const std::int64_t> splits(std::size_t t) const {
+    return {splits_.data() + split_begin_[t],
+            splits_.data() + split_begin_[t + 1]};
+  }
+  std::span<const std::int64_t> x_splits(std::size_t xi) const {
+    return splits(xi);
+  }
+  std::span<const std::int64_t> y_splits(std::size_t yi) const {
+    return splits(xs_.size() + yi);
+  }
+  std::span<const std::int64_t> z_splits(std::size_t zi) const {
+    return splits(xs_.size() + ys_.size() + zi);
+  }
+  const Cell& cell(std::size_t xi, std::size_t yi, std::size_t zi) const {
+    return cells_[(xi * ys_.size() + yi) * zs_.size() + zi];
+  }
+  /// The lattice point (xi, yi, zi, si) holds at least one configuration.
+  bool fits(std::size_t xi, std::size_t yi, std::size_t zi,
+            std::size_t si) const {
+    return (cell(xi, yi, zi).smem_mask >> si) & 1u;
+  }
   std::int64_t footprint_bytes(std::int64_t x, std::int64_t y,
                                std::int64_t z) const;
 
@@ -116,7 +139,15 @@ class SearchDomain {
   DomainOptions opts_;
   std::vector<std::int64_t> xs_, ys_, zs_;  // candidate tile sizes (ascending)
   std::vector<std::int64_t> smems_;         // candidate S_b (bytes, descending)
-  std::map<std::int64_t, std::vector<std::int64_t>> thread_splits_;
+  // Thread-split candidates per tile (divisors capped at the per-dimension
+  // thread limit), flat: entry t's list is splits_[split_begin_[t],
+  // split_begin_[t + 1]). And the feasibility table over xs_ x ys_ x zs_
+  // (row-major). Both are built once: contains(), sample(), neighbors() and
+  // count_configs() run on every tuning trial or bnb node and only read
+  // them.
+  std::vector<std::int64_t> splits_;
+  std::vector<std::uint32_t> split_begin_;
+  std::vector<Cell> cells_;
   std::uint64_t size_ = 0;
 };
 

@@ -27,7 +27,7 @@ struct TunerOptions {
   AteTuner::Params ate;
 };
 
-/// Factory keyed by Tuner::id() (bnb|ate|sa|ga|random); also accepts the
+/// Factory keyed by registry id (bnb|ate|sa|ga|random); also accepts the
 /// legacy display aliases ("simulated-annealing", "genetic", "ate(ours)",
 /// "branch-and-bound"). Throws on unknown names, listing the valid ones.
 std::unique_ptr<Tuner> make_tuner(const std::string& name,

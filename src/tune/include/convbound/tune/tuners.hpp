@@ -22,6 +22,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -59,8 +60,6 @@ class Tuner {
 
   /// Human-facing name (figure legends).
   virtual std::string name() const = 0;
-  /// Registry id ("random" | "sa" | "ga" | "ate" | "bnb").
-  virtual std::string id() const = 0;
 
   /// Binds the tuner to a domain and clears all search state. The domain
   /// must outlive the tuner's stepping. Must be called before the first
@@ -118,7 +117,6 @@ class RandomTuner : public Tuner {
 
   explicit RandomTuner(std::uint64_t seed = 1) : seed_(seed), rng_(seed) {}
   std::string name() const override { return "random"; }
-  std::string id() const override { return "random"; }
   std::vector<ConvConfig> propose_batch(int max_batch) override;
 
  protected:
@@ -146,7 +144,6 @@ class SimulatedAnnealingTuner : public Tuner {
   explicit SimulatedAnnealingTuner(std::uint64_t seed = 1)
       : seed_(seed), rng_(seed) {}
   std::string name() const override { return "simulated-annealing"; }
-  std::string id() const override { return "sa"; }
   std::vector<ConvConfig> propose_batch(int max_batch) override;
 
  protected:
@@ -183,7 +180,6 @@ class GeneticTuner : public Tuner {
 
   explicit GeneticTuner(std::uint64_t seed = 1) : seed_(seed), rng_(seed) {}
   std::string name() const override { return "genetic"; }
-  std::string id() const override { return "ga"; }
   std::vector<ConvConfig> propose_batch(int max_batch) override;
 
  protected:
@@ -224,7 +220,6 @@ class AteTuner : public Tuner {
   AteTuner(std::uint64_t seed, const Params& params)
       : seed_(seed), rng_(seed), params_(params) {}
   std::string name() const override { return "ate(ours)"; }
-  std::string id() const override { return "ate"; }
   std::vector<ConvConfig> propose_batch(int max_batch) override;
 
  protected:
@@ -245,6 +240,7 @@ class AteTuner : public Tuner {
   std::vector<double> y_;  // log runtime (log compresses the dynamic range)
   std::unordered_set<ConvConfig> seen_;
   Gbt model_;
+  std::unordered_map<ConvConfig, double> predicted_;  // model_'s, memoised
 };
 
 }  // namespace convbound

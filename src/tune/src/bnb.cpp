@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_set>
 
 #include "convbound/bounds/conv_bounds.hpp"
@@ -76,6 +77,34 @@ double point_estimate_seconds(const SearchDomain& d, std::int64_t x,
                     static_cast<std::uint64_t>(s.flops()));
 }
 
+/// point_estimate_seconds of every lattice point that holds a
+/// configuration, +inf at the others. Row-major over (x, y, z, S_b)
+/// indices, like the domain's feasibility table with S_b innermost.
+std::vector<double> point_estimates(const SearchDomain& d) {
+  std::vector<double> est;
+  est.reserve(d.xs().size() * d.ys().size() * d.zs().size() *
+              d.smem_choices().size());
+  for (std::size_t xi = 0; xi < d.xs().size(); ++xi) {
+    for (std::size_t yi = 0; yi < d.ys().size(); ++yi) {
+      for (std::size_t zi = 0; zi < d.zs().size(); ++zi) {
+        for (std::size_t si = 0; si < d.smem_choices().size(); ++si) {
+          DomainBox point;
+          point.x_lo = xi, point.x_hi = xi + 1;
+          point.y_lo = yi, point.y_hi = yi + 1;
+          point.z_lo = zi, point.z_hi = zi + 1;
+          point.s_lo = si, point.s_hi = si + 1;
+          est.push_back(d.count_configs(point) == 0
+                            ? std::numeric_limits<double>::infinity()
+                            : point_estimate_seconds(d, d.xs()[xi], d.ys()[yi],
+                                                     d.zs()[zi],
+                                                     d.smem_choices()[si]));
+        }
+      }
+    }
+  }
+  return est;
+}
+
 /// Node::heur for `box`: the smallest point_estimate_seconds over the box's
 /// feasible lattice points — the modelled runtime of its most promising
 /// configuration. Unlike subtree_lower_seconds this sees each launch
@@ -83,24 +112,21 @@ double point_estimate_seconds(const SearchDomain& d, std::int64_t x,
 /// usually sits at *moderate* tiles, not the I/O-minimising corner), so it
 /// separates boxes even when the admissible bound is a flat compute floor.
 /// A pure function of the box (deterministic) that only influences pop
-/// order — never pruning — so it needs no admissibility argument. Cost is
-/// |box lattice| roofline evaluations, paid once per created node.
-double box_heuristic_seconds(const SearchDomain& d, const DomainBox& box) {
+/// order — never pruning — so it needs no admissibility argument. Each
+/// point's estimate is computed once per search (`est`, from
+/// point_estimates), so a node costs |box lattice| table reads.
+double box_heuristic_seconds(const SearchDomain& d,
+                             const std::vector<double>& est,
+                             const DomainBox& box) {
+  const std::size_t ny = d.ys().size(), nz = d.zs().size();
+  const std::size_t ns = d.smem_choices().size();
   double best = std::numeric_limits<double>::infinity();
-  for (std::size_t si = box.s_lo; si < box.s_hi; ++si) {
-    for (std::size_t zi = box.z_lo; zi < box.z_hi; ++zi) {
-      for (std::size_t xi = box.x_lo; xi < box.x_hi; ++xi) {
-        for (std::size_t yi = box.y_lo; yi < box.y_hi; ++yi) {
-          DomainBox point;
-          point.x_lo = xi, point.x_hi = xi + 1;
-          point.y_lo = yi, point.y_hi = yi + 1;
-          point.z_lo = zi, point.z_hi = zi + 1;
-          point.s_lo = si, point.s_hi = si + 1;
-          if (d.count_configs(point) == 0) continue;
-          best = std::min(
-              best, point_estimate_seconds(d, d.xs()[xi], d.ys()[yi],
-                                           d.zs()[zi], d.smem_choices()[si]));
-        }
+  for (std::size_t xi = box.x_lo; xi < box.x_hi; ++xi) {
+    for (std::size_t yi = box.y_lo; yi < box.y_hi; ++yi) {
+      for (std::size_t zi = box.z_lo; zi < box.z_hi; ++zi) {
+        const double* row = &est[((xi * ny + yi) * nz + zi) * ns];
+        for (std::size_t si = box.s_lo; si < box.s_hi; ++si)
+          best = std::min(best, row[si]);
       }
     }
   }
@@ -230,12 +256,14 @@ void BranchAndBoundTuner::on_reset() {
     }
   }
 
+  point_est_.clear();
   const DomainBox root = domain().full_box();
   if (domain().count_configs(root) > 0) {
+    point_est_ = point_estimates(domain());
     Node n;
     n.box = root;
     n.bound = subtree_lower_seconds(domain(), root);
-    n.heur = box_heuristic_seconds(domain(), root);
+    n.heur = box_heuristic_seconds(domain(), point_est_, root);
     n.depth = 0;
     n.id = next_id_++;
     push_node(std::move(n));
@@ -277,7 +305,7 @@ void BranchAndBoundTuner::expand_once(const double incumbent) {
     Node c;
     c.box = child;
     c.bound = bound;
-    c.heur = box_heuristic_seconds(domain(), child);
+    c.heur = box_heuristic_seconds(domain(), point_est_, child);
     c.depth = node.depth + 1;
     c.id = next_id_++;
     push_node(std::move(c));

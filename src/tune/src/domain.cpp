@@ -1,6 +1,7 @@
 #include "convbound/tune/domain.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 
@@ -27,21 +28,26 @@ std::vector<std::int64_t> tile_candidates(std::int64_t extent,
   return out;
 }
 
-std::vector<std::int64_t> thread_candidates(std::int64_t tile) {
-  std::vector<std::int64_t> out;
-  for (std::int64_t d : divisors(tile))
-    if (d <= kMaxThreadsPerDim) out.push_back(d);
-  return out;
+/// Appends the thread-split candidates of `tile`: its divisors up to the
+/// per-dimension thread limit, ascending.
+void append_thread_candidates(std::int64_t tile,
+                              std::vector<std::int64_t>& out) {
+  const std::int64_t top = std::min<std::int64_t>(tile, kMaxThreadsPerDim);
+  for (std::int64_t d = 1; d <= top; ++d)
+    if (tile % d == 0) out.push_back(d);
+}
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+/// Index of `v` in the ascending list, or kNone.
+std::size_t index_of(const std::vector<std::int64_t>& list, std::int64_t v) {
+  const auto it = std::lower_bound(list.begin(), list.end(), v);
+  return it != list.end() && *it == v
+             ? static_cast<std::size_t>(it - list.begin())
+             : kNone;
 }
 
 }  // namespace
-
-const std::vector<std::int64_t>& SearchDomain::thread_splits(
-    std::int64_t tile) const {
-  static const std::vector<std::int64_t> kEmpty;
-  const auto it = thread_splits_.find(tile);
-  return it == thread_splits_.end() ? kEmpty : it->second;
-}
 
 std::int64_t SearchDomain::footprint_bytes(std::int64_t x, std::int64_t y,
                                            std::int64_t z) const {
@@ -51,20 +57,6 @@ std::int64_t SearchDomain::footprint_bytes(std::int64_t x, std::int64_t y,
   cfg.z = z;
   return opts_.winograd ? winograd_fused_smem_bytes(shape_, opts_.e, cfg)
                         : direct_tiled_smem_bytes(shape_, cfg);
-}
-
-bool SearchDomain::tile_ok(std::int64_t x, std::int64_t y, std::int64_t z,
-                           std::int64_t smem) const {
-  if (footprint_bytes(x, y, z) > smem) return false;
-  if (!opts_.prune_with_optimality) return true;
-  // Optimality-condition pruning (Section 6.2): z <= sqrt(S_b/R) and
-  // x*y <= sqrt(S_b*R), with S_b in elements.
-  const double sb =
-      static_cast<double>(smem) / static_cast<double>(sizeof(float));
-  const double R = std::max(1.0, shape_.reuse());
-  if (static_cast<double>(z) > std::sqrt(sb / R) + 1e-9) return false;
-  if (static_cast<double>(x * y) > std::sqrt(sb * R) + 1e-9) return false;
-  return true;
 }
 
 SearchDomain SearchDomain::build(const ConvShape& shape,
@@ -83,17 +75,61 @@ SearchDomain SearchDomain::build(const ConvShape& shape,
   // S_b candidates: halvings of S_sm/2 (two resident blocks minimum).
   for (std::int64_t sb = spec.shared_mem_per_sm / 2; sb >= 2048; sb /= 2)
     d.smems_.push_back(sb);
+  CB_CHECK_MSG(d.smems_.size() < 32, "too many S_b candidates for the mask");
 
-  // Memoise the divisor tables once: sample() and neighbors() are called on
-  // every tuning trial and must not recompute them.
-  for (const auto* dims : {&d.xs_, &d.ys_, &d.zs_}) {
-    for (std::int64_t tile : *dims) {
-      if (!d.thread_splits_.count(tile))
-        d.thread_splits_[tile] = thread_candidates(tile);
+  for (const auto* tiles : {&d.xs_, &d.ys_, &d.zs_}) {
+    for (std::int64_t tile : *tiles) {
+      d.split_begin_.push_back(static_cast<std::uint32_t>(d.splits_.size()));
+      append_thread_candidates(tile, d.splits_);
+    }
+  }
+  d.split_begin_.push_back(static_cast<std::uint32_t>(d.splits_.size()));
+
+  // Optimality-condition limits per S_b (Section 6.2): z <= sqrt(S_b/R) and
+  // x*y <= sqrt(S_b*R), with S_b in elements.
+  const double R = std::max(1.0, shape.reuse());
+  std::vector<double> z_limit, xy_limit;
+  for (std::int64_t smem : d.smems_) {
+    const double sb =
+        static_cast<double>(smem) / static_cast<double>(sizeof(float));
+    z_limit.push_back(std::sqrt(sb / R) + 1e-9);
+    xy_limit.push_back(std::sqrt(sb * R) + 1e-9);
+  }
+
+  // The feasibility table: per (x, y, z), the S_b indices whose budget holds
+  // the footprint (and meets the limits when pruning), and the number of
+  // thread splits within the block limit.
+  d.cells_.resize(d.xs_.size() * d.ys_.size() * d.zs_.size());
+  Cell* cell = d.cells_.data();
+  std::vector<std::int64_t> xy_threads;  // nxt * nyt per split, ascending
+  for (std::size_t xi = 0; xi < d.xs_.size(); ++xi) {
+    for (std::size_t yi = 0; yi < d.ys_.size(); ++yi) {
+      xy_threads.clear();
+      for (std::int64_t a : d.x_splits(xi))
+        for (std::int64_t b : d.y_splits(yi)) xy_threads.push_back(a * b);
+      std::sort(xy_threads.begin(), xy_threads.end());
+      for (std::size_t zi = 0; zi < d.zs_.size(); ++zi, ++cell) {
+        const std::int64_t x = d.xs_[xi], y = d.ys_[yi], z = d.zs_[zi];
+        const std::int64_t fp = d.footprint_bytes(x, y, z);
+        for (std::size_t si = 0; si < d.smems_.size(); ++si) {
+          if (fp > d.smems_[si]) continue;
+          if (opts.prune_with_optimality &&
+              (static_cast<double>(z) > z_limit[si] ||
+               static_cast<double>(x * y) > xy_limit[si]))
+            continue;
+          cell->smem_mask |= 1u << si;
+        }
+        if (cell->smem_mask == 0) continue;
+        // nxt*nyt*nzt <= limit  <=>  nxt*nyt <= limit / nzt.
+        for (std::int64_t c : d.z_splits(zi))
+          cell->splits += static_cast<std::uint32_t>(
+              std::upper_bound(xy_threads.begin(), xy_threads.end(),
+                               spec.max_threads_per_block / c) -
+              xy_threads.begin());
+      }
     }
   }
 
-  // Exact size: sum over the lattice of valid thread-split counts.
   d.size_ = d.count_configs(d.full_box());
   return d;
 }
@@ -132,26 +168,20 @@ std::vector<DomainBox> SearchDomain::partition(const DomainBox& box) const {
 std::uint64_t SearchDomain::count_configs(const DomainBox& box) const {
   CB_CHECK(box.x_hi <= xs_.size() && box.y_hi <= ys_.size() &&
            box.z_hi <= zs_.size() && box.s_hi <= smems_.size());
+  if (box.s_lo >= box.s_hi) return 0;
+  const std::uint32_t box_mask =
+      ((1u << box.s_hi) - 1u) & ~((1u << box.s_lo) - 1u);
   std::uint64_t count = 0;
   for (std::size_t xi = box.x_lo; xi < box.x_hi; ++xi) {
-    const auto& tx = thread_splits(xs_[xi]);
     for (std::size_t yi = box.y_lo; yi < box.y_hi; ++yi) {
-      const auto& ty = thread_splits(ys_[yi]);
-      for (std::size_t zi = box.z_lo; zi < box.z_hi; ++zi) {
-        const auto& tz = thread_splits(zs_[zi]);
-        for (std::size_t si = box.s_lo; si < box.s_hi; ++si) {
-          if (!tile_ok(xs_[xi], ys_[yi], zs_[zi], smems_[si])) continue;
-          std::uint64_t splits = 0;
-          for (std::int64_t a : tx)
-            for (std::int64_t b : ty)
-              for (std::int64_t c : tz)
-                if (a * b * c <= spec_.max_threads_per_block) ++splits;
-          count += splits * kAllLayouts.size();
-        }
-      }
+      const Cell* row = &cell(xi, yi, 0);
+      for (std::size_t zi = box.z_lo; zi < box.z_hi; ++zi)
+        count += std::uint64_t{row[zi].splits} *
+                 static_cast<std::uint64_t>(
+                     std::popcount(row[zi].smem_mask & box_mask));
     }
   }
-  return count;
+  return count * kAllLayouts.size();
 }
 
 std::vector<ConvConfig> SearchDomain::enumerate_configs(
@@ -160,16 +190,13 @@ std::vector<ConvConfig> SearchDomain::enumerate_configs(
            box.z_hi <= zs_.size() && box.s_hi <= smems_.size());
   std::vector<ConvConfig> out;
   for (std::size_t xi = box.x_lo; xi < box.x_hi; ++xi) {
-    const auto& tx = thread_splits(xs_[xi]);
     for (std::size_t yi = box.y_lo; yi < box.y_hi; ++yi) {
-      const auto& ty = thread_splits(ys_[yi]);
       for (std::size_t zi = box.z_lo; zi < box.z_hi; ++zi) {
-        const auto& tz = thread_splits(zs_[zi]);
         for (std::size_t si = box.s_lo; si < box.s_hi; ++si) {
-          if (!tile_ok(xs_[xi], ys_[yi], zs_[zi], smems_[si])) continue;
-          for (std::int64_t a : tx) {
-            for (std::int64_t b : ty) {
-              for (std::int64_t c : tz) {
+          if (!fits(xi, yi, zi, si)) continue;
+          for (std::int64_t a : x_splits(xi)) {
+            for (std::int64_t b : y_splits(yi)) {
+              for (std::int64_t c : z_splits(zi)) {
                 if (a * b * c > spec_.max_threads_per_block) continue;
                 for (Layout l : kAllLayouts) {
                   ConvConfig cfg;
@@ -195,11 +222,13 @@ std::vector<ConvConfig> SearchDomain::enumerate_configs(
 
 bool SearchDomain::contains(const ConvConfig& cfg) const {
   // xs_/ys_/zs_ are ascending, smems_ descending; binary search both ways.
-  if (!std::binary_search(xs_.begin(), xs_.end(), cfg.x)) return false;
-  if (!std::binary_search(ys_.begin(), ys_.end(), cfg.y)) return false;
-  if (!std::binary_search(zs_.begin(), zs_.end(), cfg.z)) return false;
-  if (!std::binary_search(smems_.begin(), smems_.end(), cfg.smem_budget,
-                          std::greater<std::int64_t>()))
+  const std::size_t xi = index_of(xs_, cfg.x);
+  const std::size_t yi = index_of(ys_, cfg.y);
+  const std::size_t zi = index_of(zs_, cfg.z);
+  const auto s_it = std::lower_bound(smems_.begin(), smems_.end(),
+                                     cfg.smem_budget, std::greater<>());
+  if (xi == kNone || yi == kNone || zi == kNone || s_it == smems_.end() ||
+      *s_it != cfg.smem_budget)
     return false;
   if (cfg.x % cfg.nxt != 0 || cfg.y % cfg.nyt != 0 || cfg.z % cfg.nzt != 0)
     return false;
@@ -207,26 +236,29 @@ bool SearchDomain::contains(const ConvConfig& cfg) const {
       cfg.nzt > kMaxThreadsPerDim)
     return false;
   if (cfg.threads() > spec_.max_threads_per_block) return false;
-  return tile_ok(cfg.x, cfg.y, cfg.z, cfg.smem_budget);
+  return fits(xi, yi, zi, static_cast<std::size_t>(s_it - smems_.begin()));
 }
 
 ConvConfig SearchDomain::sample(Rng& rng) const {
   CB_CHECK_MSG(size_ > 0, "empty search domain for " << shape_.to_string());
   for (int attempt = 0; attempt < 10000; ++attempt) {
+    const std::size_t xi = rng.below(xs_.size());
+    const std::size_t yi = rng.below(ys_.size());
+    const std::size_t zi = rng.below(zs_.size());
+    const std::size_t si = rng.below(smems_.size());
+    const auto tx = x_splits(xi);
+    const auto ty = y_splits(yi);
+    const auto tz = z_splits(zi);
     ConvConfig cfg;
-    cfg.x = xs_[rng.below(xs_.size())];
-    cfg.y = ys_[rng.below(ys_.size())];
-    cfg.z = zs_[rng.below(zs_.size())];
-    cfg.smem_budget = smems_[rng.below(smems_.size())];
-    const auto& tx = thread_splits(cfg.x);
-    const auto& ty = thread_splits(cfg.y);
-    const auto& tz = thread_splits(cfg.z);
+    cfg.x = xs_[xi];
+    cfg.y = ys_[yi];
+    cfg.z = zs_[zi];
+    cfg.smem_budget = smems_[si];
     cfg.nxt = static_cast<int>(tx[rng.below(tx.size())]);
     cfg.nyt = static_cast<int>(ty[rng.below(ty.size())]);
     cfg.nzt = static_cast<int>(tz[rng.below(tz.size())]);
     cfg.layout = kAllLayouts[rng.below(kAllLayouts.size())];
-    if (cfg.threads() <= spec_.max_threads_per_block &&
-        tile_ok(cfg.x, cfg.y, cfg.z, cfg.smem_budget))
+    if (cfg.threads() <= spec_.max_threads_per_block && fits(xi, yi, zi, si))
       return cfg;
   }
   CB_CHECK_MSG(false, "could not sample a valid configuration");
@@ -270,8 +302,12 @@ std::vector<ConvConfig> SearchDomain::neighbors(const ConvConfig& cfg) const {
             [](ConvConfig& c, std::int64_t v) { c.smem_budget = v; });
 
   // Thread-split moves.
-  auto thread_moves = [&](int ConvConfig::* field, std::int64_t tile) {
-    const auto& cand = thread_splits(tile);
+  auto thread_moves = [&](int ConvConfig::* field,
+                          const std::vector<std::int64_t>& tiles,
+                          std::size_t first, std::int64_t tile) {
+    const std::size_t ti = index_of(tiles, tile);
+    if (ti == kNone) return;
+    const auto cand = splits(first + ti);
     const auto it = std::find(cand.begin(), cand.end(),
                               static_cast<std::int64_t>(cfg.*field));
     if (it == cand.end()) return;
@@ -286,9 +322,9 @@ std::vector<ConvConfig> SearchDomain::neighbors(const ConvConfig& cfg) const {
       push_if_valid(c);
     }
   };
-  thread_moves(&ConvConfig::nxt, cfg.x);
-  thread_moves(&ConvConfig::nyt, cfg.y);
-  thread_moves(&ConvConfig::nzt, cfg.z);
+  thread_moves(&ConvConfig::nxt, xs_, 0, cfg.x);
+  thread_moves(&ConvConfig::nyt, ys_, xs_.size(), cfg.y);
+  thread_moves(&ConvConfig::nzt, zs_, xs_.size() + ys_.size(), cfg.z);
 
   // Layout moves.
   for (Layout l : kAllLayouts) {

@@ -227,6 +227,7 @@ void AteTuner::on_reset() {
   y_.clear();
   seen_.clear();
   model_ = Gbt();
+  predicted_.clear();
 }
 
 std::vector<ConvConfig> AteTuner::propose_batch(int max_batch) {
@@ -260,10 +261,17 @@ std::vector<ConvConfig> AteTuner::propose_batch(int max_batch) {
     phase_ = 2;
   }
 
-  if (X_.size() >= 4) model_.fit(X_, y_, params_.gbt);
+  if (X_.size() >= 4) {
+    model_.fit(X_, y_, params_.gbt);
+    predicted_.clear();
+  }
+  // Walks revisit configs (and each other's), so every prediction of this
+  // fitted model is computed once.
   auto predict = [&](const ConvConfig& cfg) {
     if (!model_.trained()) return 0.0;
-    return model_.predict(config_features(domain(), cfg));
+    const auto [it, fresh] = predicted_.try_emplace(cfg, 0.0);
+    if (fresh) it->second = model_.predict(config_features(domain(), cfg));
+    return it->second;
   };
 
   // n_s parallel random walks, each converging toward lower predicted cost
@@ -276,14 +284,16 @@ std::vector<ConvConfig> AteTuner::propose_batch(int max_batch) {
                          ? res.best
                          : domain().sample(rng_);
     double cur_cost = predict(cur);
+    // The neighbour list changes only when the walk moves.
+    std::vector<ConvConfig> moves = domain().neighbors(cur);
     for (int step = 0; step < params_.walk_steps; ++step) {
-      const auto moves = domain().neighbors(cur);
       if (moves.empty()) break;
-      const ConvConfig& next = moves[rng_.below(moves.size())];
+      const ConvConfig next = moves[rng_.below(moves.size())];
       const double next_cost = predict(next);
       if (next_cost <= cur_cost || rng_.uniform() < params_.epsilon) {
         cur = next;
         cur_cost = next_cost;
+        if (step + 1 < params_.walk_steps) moves = domain().neighbors(cur);
       }
     }
     candidates.emplace_back(cur_cost, cur);

@@ -6,11 +6,13 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <string>
 
 #include "convbound/bounds/conv_bounds.hpp"
 #include "convbound/conv/algorithms.hpp"
 #include "convbound/conv/reference.hpp"
 #include "convbound/gemm/gemm.hpp"
+#include "convbound/machine/machine_spec.hpp"
 #include "convbound/pebble/game.hpp"
 #include "convbound/pebble/generators.hpp"
 #include "convbound/tune/batch_measure.hpp"
@@ -186,6 +188,153 @@ TEST_P(DomainFuzz, SamplesNeighborsAndPruningInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DomainFuzz, ::testing::Range(0, 10));
+
+/// The domain's feasibility table against the constraint it tabulates,
+/// evaluated point by point: the S_b budget holds the tile's footprint
+/// and, when pruning, z <= sqrt(S_b/R) and x*y <= sqrt(S_b*R) (S_b in
+/// elements, Section 6.2).
+bool tile_fits(const SearchDomain& d, std::int64_t x, std::int64_t y,
+               std::int64_t z, std::int64_t smem) {
+  ConvConfig t;
+  t.x = x;
+  t.y = y;
+  t.z = z;
+  const std::int64_t fp =
+      d.options().winograd
+          ? winograd_fused_smem_bytes(d.shape(), d.options().e, t)
+          : direct_tiled_smem_bytes(d.shape(), t);
+  if (fp > smem) return false;
+  if (!d.options().prune_with_optimality) return true;
+  const double sb =
+      static_cast<double>(smem) / static_cast<double>(sizeof(float));
+  const double R = std::max(1.0, d.shape().reuse());
+  if (static_cast<double>(z) > std::sqrt(sb / R) + 1e-9) return false;
+  if (static_cast<double>(x * y) > std::sqrt(sb * R) + 1e-9) return false;
+  return true;
+}
+
+bool in_list(const std::vector<std::int64_t>& list, std::int64_t v) {
+  return std::find(list.begin(), list.end(), v) != list.end();
+}
+
+/// Brute-force membership: every domain constraint, checked directly.
+bool brute_contains(const SearchDomain& d, const ConvConfig& c) {
+  for (int t : {c.nxt, c.nyt, c.nzt})
+    if (t < 1 || t > 32) return false;
+  return in_list(d.xs(), c.x) && in_list(d.ys(), c.y) &&
+         in_list(d.zs(), c.z) && in_list(d.smem_choices(), c.smem_budget) &&
+         c.x % c.nxt == 0 && c.y % c.nyt == 0 && c.z % c.nzt == 0 &&
+         c.threads() <= d.spec().max_threads_per_block &&
+         tile_fits(d, c.x, c.y, c.z, c.smem_budget);
+}
+
+/// Divisors of `tile` up to the per-dimension thread limit.
+std::vector<std::int64_t> splits(std::int64_t tile) {
+  std::vector<std::int64_t> out;
+  for (std::int64_t t = 1; t <= std::min<std::int64_t>(tile, 32); ++t)
+    if (tile % t == 0) out.push_back(t);
+  return out;
+}
+
+/// Brute-force count: every lattice point of `box`, every thread split.
+std::uint64_t brute_count(const SearchDomain& d, const DomainBox& box) {
+  std::uint64_t count = 0;
+  for (std::size_t xi = box.x_lo; xi < box.x_hi; ++xi)
+    for (std::size_t yi = box.y_lo; yi < box.y_hi; ++yi)
+      for (std::size_t zi = box.z_lo; zi < box.z_hi; ++zi)
+        for (std::size_t si = box.s_lo; si < box.s_hi; ++si) {
+          if (!tile_fits(d, d.xs()[xi], d.ys()[yi], d.zs()[zi],
+                         d.smem_choices()[si]))
+            continue;
+          for (std::int64_t a : splits(d.xs()[xi]))
+            for (std::int64_t b : splits(d.ys()[yi]))
+              for (std::int64_t c : splits(d.zs()[zi]))
+                if (a * b * c <= d.spec().max_threads_per_block)
+                  count += kAllLayouts.size();
+        }
+  return count;
+}
+
+class DomainTableFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(DomainTableFuzz, CountsAndMembershipMatchBruteForce) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 17);
+  for (const char* preset :
+       {"1080ti", "titanx", "v100", "gfx906", "hbm", "dense", "test"}) {
+    const MachineSpec spec = spec_by_name(preset);
+    // Direct: strided, odd-sized, any kernel. Winograd: 3x3 stride 1.
+    for (const std::int64_t e : {std::int64_t{0}, std::int64_t{2},
+                                 std::int64_t{4}}) {
+      ConvShape s;
+      s.batch = rng.range(1, 2);
+      s.cin = rng.range(1, 64);
+      s.cout = rng.range(1, 96);
+      s.kh = s.kw = e == 0 ? rng.range(1, 5) : 3;
+      s.stride = e == 0 ? rng.range(1, 3) : 1;
+      s.pad = rng.range(0, s.kh - 1);
+      s.hin = s.win = std::max<std::int64_t>(s.kh + s.stride, rng.range(5, 40));
+      s.validate();
+      for (const bool prune : {true, false}) {
+        DomainOptions opts;
+        opts.prune_with_optimality = prune;
+        opts.winograd = e != 0;
+        opts.e = e == 0 ? 2 : e;
+        const auto d = SearchDomain::build(s, spec, opts);
+        const std::string what = std::string(preset) + " e=" +
+                                 std::to_string(e) + " prune=" +
+                                 std::to_string(prune) + " " + s.to_string();
+        ASSERT_EQ(d.size(), brute_count(d, d.full_box())) << what;
+        if (d.smem_choices().empty()) continue;
+        auto pick = [&](std::size_t n, std::size_t& lo, std::size_t& hi) {
+          lo = rng.below(n);
+          hi = lo + 1 + rng.below(n - lo);
+        };
+        for (int b = 0; b < 12; ++b) {
+          DomainBox box;
+          pick(d.xs().size(), box.x_lo, box.x_hi);
+          pick(d.ys().size(), box.y_lo, box.y_hi);
+          pick(d.zs().size(), box.z_lo, box.z_hi);
+          pick(d.smem_choices().size(), box.s_lo, box.s_hi);
+          ASSERT_EQ(d.count_configs(box), brute_count(d, box)) << what;
+        }
+        // Configurations on the lattice, mostly with dividing thread
+        // splits, and some just off it.
+        auto any = [&](const std::vector<std::int64_t>& list) {
+          return rng.below(8) == 0 ? rng.range(1, 64)
+                                   : list[rng.below(list.size())];
+        };
+        auto split_of = [&](std::int64_t tile) {
+          const auto t = splits(tile);
+          return static_cast<int>(rng.below(4) == 0 || t.empty()
+                                      ? rng.range(1, 33)
+                                      : t[rng.below(t.size())]);
+        };
+        for (int i = 0; i < 60; ++i) {
+          ConvConfig c;
+          c.x = any(d.xs());
+          c.y = any(d.ys());
+          c.z = any(d.zs());
+          c.smem_budget = rng.below(8) == 0 ? rng.range(1, 65536)
+                                            : any(d.smem_choices());
+          c.nxt = split_of(c.x);
+          c.nyt = split_of(c.y);
+          c.nzt = split_of(c.z);
+          c.layout = kAllLayouts[rng.below(kAllLayouts.size())];
+          ASSERT_EQ(d.contains(c), brute_contains(d, c))
+              << what << " " << c.to_string();
+        }
+        if (d.size() == 0) continue;
+        for (int i = 0; i < 20; ++i) {
+          const ConvConfig c = d.sample(rng);
+          ASSERT_TRUE(brute_contains(d, c)) << what << " " << c.to_string();
+          ASSERT_TRUE(d.contains(c)) << what << " " << c.to_string();
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DomainTableFuzz, ::testing::Range(0, 8));
 
 /// Bound properties under random shapes: positivity, monotone decrease in
 /// S, and validity against an executed kernel.

@@ -10,8 +10,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
-#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "convbound/conv/algorithms.hpp"
@@ -89,10 +88,10 @@ TEST(DomainPartition, EnumerationMatchesCountAndMembership) {
   const auto all = domain.enumerate_configs(domain.full_box());
   ASSERT_EQ(all.size(), domain.size());
 
-  std::set<std::string> keys;
+  std::unordered_set<ConvConfig> keys;
   for (const auto& cfg : all) {
     EXPECT_TRUE(domain.contains(cfg)) << cfg.to_string();
-    keys.insert(cfg.key());
+    keys.insert(cfg);
   }
   EXPECT_EQ(keys.size(), all.size()) << "enumeration emitted a duplicate";
 
@@ -159,8 +158,8 @@ void run_certificate(const MachineSpec& spec, const DomainOptions& dopts,
 
   // Accounting identity: every configuration was measured exactly once or
   // pruned under an admissible bound — nothing fell through the cracks.
-  std::set<std::string> measured;
-  for (const auto& rec : res.history) measured.insert(rec.config.key());
+  std::unordered_set<ConvConfig> measured;
+  for (const auto& rec : res.history) measured.insert(rec.config);
   EXPECT_EQ(measured.size(), res.history.size()) << "config measured twice";
   EXPECT_EQ(res.history.size() + bnb.configs_pruned(), domain.size());
 

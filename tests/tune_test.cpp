@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <numeric>
 #include <string>
@@ -166,13 +167,18 @@ TEST(Tuners, AllFindValidConfigs) {
 }
 
 TEST(TunerRegistry, CanonicalNamesAndAliases) {
-  for (const char* name : {"bnb", "ate", "sa", "ga", "random"}) {
-    EXPECT_EQ(make_tuner(name)->id(), name);
+  // Each registry id and its alias build the same strategy, told apart by
+  // its display name.
+  const std::vector<std::array<const char*, 3>> tuners = {
+      {"bnb", "branch-and-bound", "branch-and-bound(bounds)"},
+      {"ate", "ate(ours)", "ate(ours)"},
+      {"sa", "simulated-annealing", "simulated-annealing"},
+      {"ga", "genetic", "genetic"},
+      {"random", "random", "random"}};
+  for (const auto& [id, alias, name] : tuners) {
+    EXPECT_EQ(make_tuner(id)->name(), name);
+    EXPECT_EQ(make_tuner(alias)->name(), name);
   }
-  EXPECT_EQ(make_tuner("simulated-annealing")->id(), "sa");
-  EXPECT_EQ(make_tuner("genetic")->id(), "ga");
-  EXPECT_EQ(make_tuner("ate(ours)")->id(), "ate");
-  EXPECT_EQ(make_tuner("branch-and-bound")->id(), "bnb");
   EXPECT_THROW(make_tuner("gradient-descent"), Error);
 }
 
@@ -233,20 +239,74 @@ ConvShape conv3x3(std::int64_t cin, std::int64_t in, std::int64_t cout) {
   return s;
 }
 
+/// The fields ConvConfig::operator== compares, space-separated in
+/// declaration order (layout as its enum value).
+std::string config_key(const ConvConfig& c) {
+  return std::to_string(c.x) + ' ' + std::to_string(c.y) + ' ' +
+         std::to_string(c.z) + ' ' + std::to_string(c.nxt) + ' ' +
+         std::to_string(c.nyt) + ' ' + std::to_string(c.nzt) + ' ' +
+         std::to_string(static_cast<int>(c.layout)) + ' ' +
+         std::to_string(c.smem_budget);
+}
+
+std::string fmt(const char* spec, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), spec, v);
+  return buf;
+}
+
+/// One job of the perfbench `tune` list: a shape, its dataflow and the
+/// tuner seed it runs with there.
+struct PinJob {
+  const char* name;
+  ConvShape shape;
+  bool winograd;
+  std::uint64_t seed;
+  std::vector<std::string> expected;  // "x y z nxt nyt nzt layout smem s"
+};
+
+/// Runs `tuner` on `j` as perfbench `tune` does (v100, e = 2, budget 32,
+/// ate warm-up 8, the analytic default config seeded first) and returns
+/// every measured config with its modelled seconds, then, after a "--"
+/// line, the tuner's final stats().
+std::vector<std::string> pinned_trajectory(const char* tuner,
+                                           const PinJob& j) {
+  const MachineSpec spec = MachineSpec::v100();
+  constexpr std::int64_t kE = 2;
+  DomainOptions dopts;
+  dopts.winograd = j.winograd;
+  dopts.e = kE;
+  const auto domain = SearchDomain::build(j.shape, spec, dopts);
+  TunerOptions topts;
+  topts.seed = j.seed;
+  topts.seeds.push_back(j.winograd ? default_winograd_config(j.shape, kE, spec)
+                                   : default_tiled_config(j.shape, spec));
+  topts.ate.warmup = 8;
+  BatchMeasurer m(spec, domain);
+  const std::unique_ptr<Tuner> t = make_tuner(tuner, topts);
+  const TuneResult r = t->run(m, 32);
+  std::vector<std::string> got;
+  for (const TuneRecord& rec : r.history)
+    got.push_back(config_key(rec.config) + ' ' + fmt("%a", rec.seconds));
+  const auto stats = t->stats();
+  if (!stats.empty()) got.emplace_back("--");
+  for (const auto& [k, v] : stats) got.push_back(k + ' ' + fmt("%.17g", v));
+  return got;
+}
+
+std::string printed(const std::vector<std::string>& got) {
+  std::string out;
+  for (const std::string& line : got) out += "\n\"" + line + "\",";
+  return out;
+}
+
 // The ate search is a pure function of its seeds and of the GBT it fits
 // each round: on the three `tune` benchmark shapes (budget 32, warm-up 8,
 // tuner seeds 1/3/5, the analytic default config seeded first) every
 // proposed config and its modelled seconds are pinned, so a change to the
 // cost model's fit that moves any prediction shows here.
 TEST(Tuners, AteTrajectoryIsPinned) {
-  struct Job {
-    const char* name;
-    ConvShape shape;
-    bool winograd;
-    std::uint64_t seed;
-    std::vector<std::string> expected;  // "x y z nxt nyt nzt layout smem s"
-  };
-  const std::vector<Job> jobs = {
+  const std::vector<PinJob> jobs = {
       {"direct_c64_i56", conv3x3(64, 56, 64), false, 1,
        {"15 16 26 8 8 4 0 49152 0x1.77f3dc05682a9p-16",
         "2 1 32 2 1 8 1 49152 0x1.6b2e9acc7497cp-11",
@@ -347,30 +407,145 @@ TEST(Tuners, AteTrajectoryIsPinned) {
         "2 14 8 2 7 8 0 12288 0x1.2c8793ced1a44p-15",
         "14 2 16 14 2 8 0 49152 0x1.e9e2e837f676ap-16"}},
   };
-  const MachineSpec spec = MachineSpec::v100();
-  constexpr std::int64_t kE = 2;
-  for (const Job& j : jobs) {
-    DomainOptions dopts;
-    dopts.winograd = j.winograd;
-    dopts.e = kE;
-    const auto domain = SearchDomain::build(j.shape, spec, dopts);
-    TunerOptions topts;
-    topts.seed = j.seed;
-    topts.seeds.push_back(j.winograd
-                              ? default_winograd_config(j.shape, kE, spec)
-                              : default_tiled_config(j.shape, spec));
-    topts.ate.warmup = 8;
-    BatchMeasurer m(spec, domain);
-    const TuneResult r = make_tuner("ate", topts)->run(m, 32);
-    std::vector<std::string> got;
-    std::string printed;
-    for (const TuneRecord& rec : r.history) {
-      char secs[64];
-      std::snprintf(secs, sizeof(secs), "%a", rec.seconds);
-      got.push_back(rec.config.key() + ' ' + secs);
-      printed += "\n\"" + got.back() + "\",";
-    }
-    EXPECT_EQ(got, j.expected) << j.name << ":" << printed;
+  for (const PinJob& j : jobs) {
+    const std::vector<std::string> got = pinned_trajectory("ate", j);
+    EXPECT_EQ(got, j.expected) << j.name << ":" << printed(got);
+  }
+}
+
+// bnb is deterministic (no RNG): on the same three shapes, with the same
+// seed config and budget, every measured config, its modelled seconds and
+// the final pruning counters are pinned, so a change to the domain's
+// feasibility table, the subtree bound or the pop order shows here.
+TEST(Tuners, BnbTrajectoryIsPinned) {
+  const std::vector<PinJob> jobs = {
+      {"direct_c64_i56", conv3x3(64, 56, 64), false, 2,
+       {"15 16 26 8 8 4 0 49152 0x1.77f3dc05682a9p-16",
+        "2 56 8 1 14 8 0 49152 0x1.8a36acbcc56e6p-16",
+        "2 56 8 1 14 8 1 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 1 14 8 2 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 1 28 4 0 49152 0x1.8a36acbcc56e6p-16",
+        "2 56 8 1 28 4 1 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 1 28 4 2 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 1 28 8 0 49152 0x1.8a36acbcc56e6p-16",
+        "2 56 8 1 28 8 1 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 1 28 8 2 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 7 8 0 49152 0x1.8a36acbcc56e6p-16",
+        "2 56 8 2 7 8 1 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 7 8 2 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 8 8 0 49152 0x1.8a36acbcc56e6p-16",
+        "2 56 8 2 8 8 1 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 8 8 2 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 14 4 0 49152 0x1.8a36acbcc56e6p-16",
+        "2 56 8 2 14 4 1 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 14 4 2 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 14 8 0 49152 0x1.8a36acbcc56e6p-16",
+        "2 56 8 2 14 8 1 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 14 8 2 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 28 2 0 49152 0x1.8a36acbcc56e6p-16",
+        "2 56 8 2 28 2 1 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 28 2 2 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 28 4 0 49152 0x1.8a36acbcc56e6p-16",
+        "2 56 8 2 28 4 1 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 28 4 2 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 28 8 0 49152 0x1.8a36acbcc56e6p-16",
+        "2 56 8 2 28 8 1 49152 0x1.fe1b50f3e4d0cp-14",
+        "2 56 8 2 28 8 2 49152 0x1.fe1b50f3e4d0cp-14",
+        "4 28 8 1 14 8 0 49152 0x1.549cc5072d893p-16",
+        "--",
+        "nodes_expanded 5",
+        "subtrees_pruned 5",
+        "leaves_opened 2",
+        "configs_pruned 432",
+        "frontier_open 24",
+        "pool_pending 353",
+        "proven_optimal 0"}},
+      {"direct_c128_i28", conv3x3(128, 28, 128), false, 4,
+       {"15 16 26 8 8 4 0 49152 0x1.5665ecc3fc4f8p-15",
+        "4 28 8 1 14 8 0 49152 0x1.4297b520312c2p-16",
+        "4 28 8 1 14 8 1 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 1 14 8 2 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 1 28 4 0 49152 0x1.4297b520312c2p-16",
+        "4 28 8 1 28 4 1 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 1 28 4 2 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 1 28 8 0 49152 0x1.4297b520312c2p-16",
+        "4 28 8 1 28 8 1 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 1 28 8 2 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 2 7 8 0 49152 0x1.4297b520312c2p-16",
+        "4 28 8 2 7 8 1 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 2 7 8 2 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 2 14 4 0 49152 0x1.4297b520312c2p-16",
+        "4 28 8 2 14 4 1 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 2 14 4 2 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 2 14 8 0 49152 0x1.4297b520312c2p-16",
+        "4 28 8 2 14 8 1 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 2 14 8 2 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 2 28 2 0 49152 0x1.4297b520312c2p-16",
+        "4 28 8 2 28 2 1 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 2 28 2 2 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 2 28 4 0 49152 0x1.4297b520312c2p-16",
+        "4 28 8 2 28 4 1 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 2 28 4 2 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 2 28 8 0 49152 0x1.4297b520312c2p-16",
+        "4 28 8 2 28 8 1 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 2 28 8 2 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 4 4 8 0 49152 0x1.4297b520312c2p-16",
+        "4 28 8 4 4 8 1 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 4 4 8 2 49152 0x1.7bf5aba88ececp-14",
+        "4 28 8 4 7 4 0 49152 0x1.4297b520312c2p-16",
+        "--",
+        "nodes_expanded 4",
+        "subtrees_pruned 0",
+        "leaves_opened 1",
+        "configs_pruned 0",
+        "frontier_open 19",
+        "pool_pending 185",
+        "proven_optimal 0"}},
+      {"winograd_c256_i14", conv3x3(256, 14, 256), true, 6,
+       {"10 10 13 8 8 4 0 49152 0x1.5881a901c5b3p-16",
+        "14 14 4 7 7 4 0 49152 0x1.aa129b908bbf7p-16",
+        "14 14 4 7 7 4 1 49152 0x1.3b281a0683ab3p-13",
+        "14 14 4 7 7 4 2 49152 0x1.3b281a0683ab3p-13",
+        "14 14 4 7 14 2 0 49152 0x1.aa129b908bbf7p-16",
+        "14 14 4 7 14 2 1 49152 0x1.3b281a0683ab3p-13",
+        "14 14 4 7 14 2 2 49152 0x1.3b281a0683ab3p-13",
+        "14 14 4 7 14 4 0 49152 0x1.aa129b908bbf7p-16",
+        "14 14 4 7 14 4 1 49152 0x1.3b281a0683ab3p-13",
+        "14 14 4 7 14 4 2 49152 0x1.3b281a0683ab3p-13",
+        "14 14 4 14 7 2 0 49152 0x1.aa129b908bbf7p-16",
+        "14 14 4 14 7 2 1 49152 0x1.3b281a0683ab3p-13",
+        "14 14 4 14 7 2 2 49152 0x1.3b281a0683ab3p-13",
+        "14 14 4 14 7 4 0 49152 0x1.aa129b908bbf7p-16",
+        "14 14 4 14 7 4 1 49152 0x1.3b281a0683ab3p-13",
+        "14 14 4 14 7 4 2 49152 0x1.3b281a0683ab3p-13",
+        "14 14 8 2 14 8 0 49152 0x1.f4ec256d2085dp-16",
+        "14 14 8 2 14 8 1 49152 0x1.429cf9dc29dbep-13",
+        "14 14 8 2 14 8 2 49152 0x1.429cf9dc29dbep-13",
+        "14 14 8 7 7 4 0 49152 0x1.f4ec256d2085dp-16",
+        "14 14 8 7 7 4 1 49152 0x1.429cf9dc29dbep-13",
+        "14 14 8 7 7 4 2 49152 0x1.429cf9dc29dbep-13",
+        "14 14 8 7 7 8 0 49152 0x1.f4ec256d2085dp-16",
+        "14 14 8 7 7 8 1 49152 0x1.429cf9dc29dbep-13",
+        "14 14 8 7 7 8 2 49152 0x1.429cf9dc29dbep-13",
+        "14 14 8 7 14 2 0 49152 0x1.f4ec256d2085dp-16",
+        "14 14 8 7 14 2 1 49152 0x1.429cf9dc29dbep-13",
+        "14 14 8 7 14 2 2 49152 0x1.429cf9dc29dbep-13",
+        "14 14 8 7 14 4 0 49152 0x1.f4ec256d2085dp-16",
+        "14 14 8 7 14 4 1 49152 0x1.429cf9dc29dbep-13",
+        "14 14 8 7 14 4 2 49152 0x1.429cf9dc29dbep-13",
+        "14 14 8 7 14 8 0 49152 0x1.f4ec256d2085dp-16",
+        "--",
+        "nodes_expanded 24",
+        "subtrees_pruned 30",
+        "leaves_opened 2",
+        "configs_pruned 4260",
+        "frontier_open 3",
+        "pool_pending 278",
+        "proven_optimal 0"}},
+  };
+  for (const PinJob& j : jobs) {
+    const std::vector<std::string> got = pinned_trajectory("bnb", j);
+    EXPECT_EQ(got, j.expected) << j.name << ":" << printed(got);
   }
 }
 
