@@ -85,12 +85,6 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// The device this policy would pick for `model` at the current load,
-  /// ignoring saturation (deterministic given pending state; at idle this
-  /// is purely the bound-guided preference). Exposed for unit tests and
-  /// reporting.
-  int preferred_device(const std::string& model) const;
-
   /// Blocks until some *alive* device is below its pending cap, places a
   /// group of `model` on the best such device, and returns that device's
   /// placement (its bucket for the model + its index). Each reserve() must
@@ -107,7 +101,6 @@ class Router {
   /// re-admits it and wakes blocked reserve() calls. Pending accounting is
   /// untouched — in-flight reservations still complete() normally.
   void set_alive(int device, bool alive);
-  bool alive(int device) const;
   /// Blocks until `device` holds no reservation (every reserve() on it has
   /// been complete()d).
   void wait_drained(int device) const;
@@ -136,7 +129,6 @@ class Router {
   };
   Snapshot snapshot() const;
 
-  RoutePolicy policy() const { return policy_; }
   /// Device count. devices_ never grows or shrinks after the constructor
   /// (only element fields mutate, under mu_), so reading its size lock-free
   /// is safe; the analysis exemption states that, it does not waive it.

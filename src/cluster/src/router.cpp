@@ -97,13 +97,6 @@ int Router::pick(const std::string& model, bool only_available) const {
   return best;
 }
 
-int Router::preferred_device(const std::string& model) const {
-  MutexLock lock(mu_);
-  const int i = pick(model, /*only_available=*/false);
-  CB_CHECK_MSG(i >= 0, "no device can serve '" << model << "'");
-  return i;
-}
-
 Placement Router::reserve(const std::string& model) {
   UniqueLock lock(mu_);
   // A fully-dead fleet blocks (a revive may restore capacity) unless the
@@ -167,13 +160,6 @@ void Router::set_alive(int device, bool alive) {
   // A revive restores capacity a blocked reserve() may be waiting for; a
   // kill may flip a blocked reserve() into the closed-fleet bailout.
   cv_.notify_all();
-}
-
-bool Router::alive(int device) const {
-  MutexLock lock(mu_);
-  CB_CHECK_MSG(device >= 0 && device < size(),
-               "alive() for unknown device " << device);
-  return devices_[static_cast<std::size_t>(device)].alive;
 }
 
 void Router::wait_drained(int device) const {

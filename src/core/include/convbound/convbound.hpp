@@ -55,9 +55,4 @@ struct ConvResult {
 ConvResult conv2d(SimGpu& gpu, const Tensor4<float>& input,
                   const Tensor4<float>& weights, const ConvShape& s);
 
-/// I/O lower bound (elements) for the better applicable algorithm on a
-/// machine with fast memory S (elements): min over direct (Thm 4.12) and,
-/// when applicable, Winograd with e = 2 (Thm 4.20).
-double conv_lower_bound(const ConvShape& s, double S);
-
 }  // namespace convbound

@@ -1,7 +1,5 @@
 #include "convbound/convbound.hpp"
 
-#include <algorithm>
-
 namespace convbound {
 
 ConvResult conv2d(SimGpu& gpu, const Tensor4<float>& input,
@@ -14,14 +12,6 @@ ConvResult conv2d(SimGpu& gpu, const Tensor4<float>& input,
   ConvResult res{Tensor4<float>(s.batch, s.cout, s.hout(), s.wout()), {}};
   res.stats = run_plan(gpu, plan, input, weights, res.output);
   return res;
-}
-
-double conv_lower_bound(const ConvShape& s, double S) {
-  double q = direct_conv_lower_bound(s, S);
-  if (algorithm_supports(ConvAlgorithm::kWinogradFused, s)) {
-    q = std::min(q, winograd_lower_bound(s, 2, S));
-  }
-  return q;
 }
 
 }  // namespace convbound

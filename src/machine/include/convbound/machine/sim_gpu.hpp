@@ -52,8 +52,6 @@ class SharedMemory {
   }
 
   void reset() { used_ = 0; }
-  std::size_t used() const { return used_; }
-  std::size_t capacity() const { return buf_.size(); }
 
  private:
   std::vector<std::byte> buf_;
@@ -178,7 +176,6 @@ class SimGpu {
         mode_(mode) {}
 
   const MachineSpec& spec() const { return spec_; }
-  ExecMode exec_mode() const { return mode_; }
 
   using Kernel = std::function<void(BlockContext&)>;
 

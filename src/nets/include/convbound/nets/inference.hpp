@@ -46,7 +46,6 @@ class InferenceSession {
   InferenceSession(const InferenceSession&) = delete;
   InferenceSession& operator=(const InferenceSession&) = delete;
 
-  TuneCache& cache() { return cache_; }
   Planner& planner() { return planner_; }
 
  private:

@@ -4,7 +4,7 @@
 //  - `TraceRecorder` — a fixed-size ring of POD `TraceEvent`s. Each thread
 //    records into its own recorder (obtained via `ObsRegistry::recorder()`),
 //    so the record path never contends with other producers; the only
-//    possible contention is with a concurrent `drain()`/`events()`, which
+//    possible contention is with a concurrent `events()`, which
 //    takes the same per-ring mutex (an uncontended lock is two atomic ops on
 //    the futex fast path). When the ring is full the oldest events are
 //    overwritten — a trace always holds the newest window.
@@ -56,7 +56,6 @@ const char* to_string(TraceStage stage);
 enum class TracePhase : std::uint8_t {
   kSpan,     ///< Chrome "X" complete event (ts + dur)
   kInstant,  ///< Chrome "i" instant event
-  kCounter,  ///< Chrome "C" counter event
 };
 
 /// One POD trace event. `ts_us`/`dur_us` are microseconds since the
@@ -74,7 +73,7 @@ struct TraceEvent {
 };
 
 /// Fixed-size ring of trace events. Writers are expected to be a single
-/// thread per recorder; the mutex exists so a concurrent drain observes
+/// thread per recorder; the mutex exists so a concurrent read observes
 /// consistent events (and keeps the type TSan-clean).
 class TraceRecorder {
  public:
@@ -100,10 +99,6 @@ class TraceRecorder {
   friend class ObsRegistry;
   TraceRecorder(std::uint32_t id, std::size_t capacity);
   void clear();
-  /// events() and, under the same lock, clear(): an event recorded between
-  /// a separate read and clear would be lost.
-  std::vector<TraceEvent> take();
-  std::vector<TraceEvent> events_locked() const CB_REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::vector<TraceEvent> ring_ CB_GUARDED_BY(mu_);
@@ -157,9 +152,6 @@ class ObsRegistry {
   /// All retained events across recorders, sorted by timestamp.
   std::vector<TraceEvent> events() const;
 
-  /// As `events()`, but also clears every ring.
-  std::vector<TraceEvent> drain();
-
   /// Clears every ring (recorders stay registered).
   void clear();
 
@@ -167,7 +159,6 @@ class ObsRegistry {
 
   /// Microseconds since this registry's construction (the trace epoch).
   double us_since_epoch(TraceClock::time_point tp) const;
-  TraceClock::time_point epoch() const { return epoch_; }
 
   // ----- metrics registry -------------------------------------------------
   // `labels` is a pre-rendered Prometheus label body without braces, e.g.
@@ -181,19 +172,16 @@ class ObsRegistry {
   void set_histogram(const std::string& name, const std::string& labels,
                      const LatencyHistogram& hist,
                      const std::string& help = "");
-  void clear_metrics();
 
   // ----- export -----------------------------------------------------------
 
   /// Chrome trace-event JSON ({"traceEvents":[...]}) of `events()`.
   void dump_chrome_trace(std::ostream& os) const;
-  std::string chrome_trace_json() const;
 
   /// Prometheus-style text exposition of the metrics registry. Histograms
   /// are emitted as cumulative `_bucket{le=...}` samples (seconds) over the
   /// LatencyHistogram's non-empty rungs, plus `_sum` and `_count`.
   void dump_metrics_text(std::ostream& os) const;
-  std::string metrics_text() const;
 
  private:
   struct MetricFamily {
@@ -205,8 +193,6 @@ class ObsRegistry {
 
   void set_scalar(const std::string& name, const std::string& labels,
                   double value, MetricType type, const std::string& help);
-  /// events() (take = false) or drain() (take = true).
-  std::vector<TraceEvent> collect(bool take) const;
 
   /// Relaxed by design: the flag is an on/off gate with no data published
   /// through it (every recorder has its own mutex), and the disabled fast
@@ -242,8 +228,6 @@ void record_span(TraceStage stage, TraceClock::time_point begin,
 void record_instant(TraceStage stage, TraceClock::time_point at,
                     std::uint64_t request_id, std::uint64_t batch_id,
                     std::int32_t device, double value);
-void record_counter(TraceStage stage, TraceClock::time_point at, double value,
-                    std::int32_t device);
 }  // namespace detail
 
 inline void span(TraceStage stage, TraceClock::time_point begin,
@@ -259,12 +243,6 @@ inline void instant(TraceStage stage, TraceClock::time_point at,
                     std::int32_t device = -1, double value = 0) {
   if (!ObsRegistry::enabled()) return;
   detail::record_instant(stage, at, request_id, batch_id, device, value);
-}
-
-inline void counter(TraceStage stage, TraceClock::time_point at, double value,
-                    std::int32_t device = -1) {
-  if (!ObsRegistry::enabled()) return;
-  detail::record_counter(stage, at, value, device);
 }
 
 }  // namespace obs

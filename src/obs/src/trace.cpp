@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <ostream>
 #include <set>
-#include <sstream>
 
 namespace convbound {
 
@@ -42,19 +41,8 @@ std::uint64_t TraceRecorder::recorded() const {
   return head_;
 }
 
-std::vector<TraceEvent> TraceRecorder::take() {
-  MutexLock lock(mu_);
-  std::vector<TraceEvent> out = events_locked();
-  head_ = 0;
-  return out;
-}
-
 std::vector<TraceEvent> TraceRecorder::events() const {
   MutexLock lock(mu_);
-  return events_locked();
-}
-
-std::vector<TraceEvent> TraceRecorder::events_locked() const {
   const std::size_t cap = ring_.size();
   const std::size_t n = head_ < cap ? static_cast<std::size_t>(head_) : cap;
   std::vector<TraceEvent> out;
@@ -111,16 +99,12 @@ TraceRecorder& ObsRegistry::create_recorder() {
   return *recorders_.back();
 }
 
-std::vector<TraceEvent> ObsRegistry::events() const { return collect(false); }
-
-std::vector<TraceEvent> ObsRegistry::drain() { return collect(true); }
-
-std::vector<TraceEvent> ObsRegistry::collect(bool take) const {
+std::vector<TraceEvent> ObsRegistry::events() const {
   std::vector<TraceEvent> all;
   {
     MutexLock lock(mu_);
     for (const auto& r : recorders_) {
-      std::vector<TraceEvent> part = take ? r->take() : r->events();
+      std::vector<TraceEvent> part = r->events();
       all.insert(all.end(), part.begin(), part.end());
     }
   }
@@ -179,11 +163,6 @@ void ObsRegistry::set_histogram(const std::string& name,
   fam.hists[labels] = hist;
 }
 
-void ObsRegistry::clear_metrics() {
-  MutexLock lock(metrics_mu_);
-  metrics_.clear();
-}
-
 // ----- export ---------------------------------------------------------------
 
 namespace {
@@ -240,7 +219,6 @@ void ObsRegistry::dump_chrome_trace(std::ostream& os) const {
     switch (e.phase) {
       case TracePhase::kSpan: out += 'X'; break;
       case TracePhase::kInstant: out += 'i'; break;
-      case TracePhase::kCounter: out += 'C'; break;
     }
     out += "\",\"ts\":";
     append_number(out, e.ts_us);
@@ -253,28 +231,16 @@ void ObsRegistry::dump_chrome_trace(std::ostream& os) const {
     append_number(out, e.device < 0 ? 0 : e.device + 1);
     out += ",\"tid\":";
     append_number(out, e.tid);
-    out += ",\"args\":{";
-    if (e.phase == TracePhase::kCounter) {
-      out += "\"value\":";
-      append_number(out, e.value);
-    } else {
-      out += "\"request_id\":";
-      append_u64(out, e.request_id);
-      out += ",\"batch_id\":";
-      append_u64(out, e.batch_id);
-      out += ",\"value\":";
-      append_number(out, e.value);
-    }
+    out += ",\"args\":{\"request_id\":";
+    append_u64(out, e.request_id);
+    out += ",\"batch_id\":";
+    append_u64(out, e.batch_id);
+    out += ",\"value\":";
+    append_number(out, e.value);
     out += "}}";
   }
   out += "]}";
   os << out;
-}
-
-std::string ObsRegistry::chrome_trace_json() const {
-  std::ostringstream os;
-  dump_chrome_trace(os);
-  return os.str();
 }
 
 void ObsRegistry::dump_metrics_text(std::ostream& os) const {
@@ -332,12 +298,6 @@ void ObsRegistry::dump_metrics_text(std::ostream& os) const {
   os << out;
 }
 
-std::string ObsRegistry::metrics_text() const {
-  std::ostringstream os;
-  dump_metrics_text(os);
-  return os.str();
-}
-
 // ----- record helpers -------------------------------------------------------
 
 namespace obs {
@@ -369,18 +329,6 @@ void record_instant(TraceStage stage, TraceClock::time_point at,
   e.ts_us = reg.us_since_epoch(at);
   e.request_id = request_id;
   e.batch_id = batch_id;
-  e.device = device;
-  e.value = value;
-  reg.recorder().record(e);
-}
-
-void record_counter(TraceStage stage, TraceClock::time_point at, double value,
-                    std::int32_t device) {
-  ObsRegistry& reg = ObsRegistry::global();
-  TraceEvent e;
-  e.phase = TracePhase::kCounter;
-  e.stage = stage;
-  e.ts_us = reg.us_since_epoch(at);
   e.device = device;
   e.value = value;
   reg.recorder().record(e);

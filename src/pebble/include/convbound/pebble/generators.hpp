@@ -55,8 +55,6 @@ struct WinogradDagShape {
   std::int64_t e = 2, r = 3;  ///< F(e x e, r x r); stride is always 1
 
   std::int64_t alpha() const { return e + r - 1; }  ///< transformed tile edge
-  std::int64_t hout() const { return e * tiles_h; }
-  std::int64_t wout() const { return e * tiles_w; }
   std::int64_t hin() const { return e * tiles_h + r - 1; }
   std::int64_t win() const { return e * tiles_w + r - 1; }
 };

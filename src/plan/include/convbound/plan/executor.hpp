@@ -31,8 +31,6 @@ class ConvExecutor {
                     const Tensor4<float>& input,
                     const Tensor4<float>& weights);
 
-  Workspace& workspace() { return ws_; }
-
  private:
   Workspace& ws_;
 };

@@ -60,10 +60,6 @@ class Workspace {
       CB_CHECK_MSG(slot_ != nullptr, "empty workspace lease");
       return slot_->tensor;
     }
-    const Tensor4<float>& tensor() const {
-      CB_CHECK_MSG(slot_ != nullptr, "empty workspace lease");
-      return slot_->tensor;
-    }
     explicit operator bool() const { return slot_ != nullptr; }
 
    private:

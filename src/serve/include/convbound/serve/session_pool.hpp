@@ -108,7 +108,6 @@ class SessionPool {
   // Aggregate observability (safe while sessions are serving: Workspace
   // counters are internally synchronized). Plan counts live on the shared
   // per-model planners, not here.
-  std::size_t sessions() const;
   std::size_t workspace_buffers() const;
   std::uint64_t workspace_bytes() const;
 

@@ -131,7 +131,6 @@ class ShardedRequestQueue {
 
   /// Lock-free global depth (relaxed read of the reservation counter).
   std::size_t depth() const { return depth_.load(std::memory_order_relaxed); }
-  std::size_t capacity() const { return capacity_; }
   std::size_t num_shards() const { return shards_.size(); }
   /// Lock-free cross-shard total for class `i`.
   std::size_t class_depth(std::size_t i) const;

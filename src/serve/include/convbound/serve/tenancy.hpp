@@ -19,8 +19,9 @@ namespace convbound {
 
 struct TenantClass {
   std::string name;
-  /// Submit-to-start latency budget, seconds. <= 0 means unbounded: the
-  /// request's own deadline (if any) is the only deadline.
+  /// Submit-to-start latency budget, seconds. <= 0, or more than the
+  /// serving clock can represent past now, means unbounded: the request's
+  /// own deadline (if any) is the only deadline. Must be finite.
   double latency_budget_seconds = 0;
   /// Weighted-fair share of queue capacity under overload. Shares are
   /// weight / sum(weights); must be > 0.
@@ -33,7 +34,8 @@ class TenantTable {
  public:
   /// An empty `classes` list yields a single anonymous default class with
   /// no budget and weight 1 (the pre-tenancy behaviour). Validates names
-  /// unique/non-empty (beyond the default) and weights positive.
+  /// unique/non-empty (beyond the default), budgets finite and weights
+  /// positive.
   explicit TenantTable(std::vector<TenantClass> classes = {});
 
   std::size_t size() const { return classes_.size(); }

@@ -128,13 +128,6 @@ void SessionPool::release(ServeSession* session) {
   cv_.notify_all();
 }
 
-std::size_t SessionPool::sessions() const {
-  MutexLock lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [key, reps] : replicas_) n += reps.size();
-  return n;
-}
-
 std::size_t SessionPool::workspace_buffers() const {
   MutexLock lock(mu_);
   std::size_t n = 0;

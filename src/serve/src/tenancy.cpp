@@ -1,6 +1,8 @@
 #include "convbound/serve/tenancy.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "convbound/util/check.hpp"
 
@@ -14,6 +16,9 @@ TenantTable::TenantTable(std::vector<TenantClass> classes)
   }
   for (std::size_t i = 0; i < classes_.size(); ++i) {
     const TenantClass& c = classes_[i];
+    CB_CHECK_MSG(std::isfinite(c.latency_budget_seconds),
+                 "tenant class '" << c.name << "' has non-finite latency "
+                 "budget " << c.latency_budget_seconds);
     CB_CHECK_MSG(c.quota_weight > 0,
                  "tenant class '" << c.name << "' has non-positive quota "
                  "weight " << c.quota_weight);
@@ -40,9 +45,14 @@ ServeTimePoint TenantTable::effective_deadline(
     std::size_t i, ServeTimePoint now, ServeTimePoint request_deadline) const {
   const double budget = classes_[i].latency_budget_seconds;
   if (budget <= 0) return request_deadline;
+  // A budget that reaches past the clock's range is unbounded: casting it
+  // to clock ticks would overflow and wrap the deadline into the past.
+  const ServeClock::duration room = ServeTimePoint::max() - now;
+  if (budget >= std::chrono::duration<double>(room).count())
+    return request_deadline;
   const auto class_deadline =
-      now + std::chrono::duration_cast<ServeClock::duration>(
-                std::chrono::duration<double>(budget));
+      now + std::min(room, std::chrono::duration_cast<ServeClock::duration>(
+                               std::chrono::duration<double>(budget)));
   return request_deadline < class_deadline ? request_deadline : class_deadline;
 }
 

@@ -16,9 +16,6 @@ enum class Layout : std::uint8_t { kNCHW, kNCWH, kNHWC };
 /// Human-readable name ("NCHW", ...).
 std::string to_string(Layout layout);
 
-/// Parses "NCHW"/"NCWH"/"NHWC" (case-insensitive). Throws on unknown names.
-Layout layout_from_string(const std::string& name);
-
 /// All supported layouts, for parameter sweeps.
 inline constexpr std::array<Layout, 3> kAllLayouts = {
     Layout::kNCHW, Layout::kNCWH, Layout::kNHWC};

@@ -1,8 +1,5 @@
 #include "convbound/tensor/layout.hpp"
 
-#include <algorithm>
-#include <cctype>
-
 #include "convbound/util/check.hpp"
 
 namespace convbound {
@@ -14,17 +11,6 @@ std::string to_string(Layout layout) {
     case Layout::kNHWC: return "NHWC";
   }
   return "?";
-}
-
-Layout layout_from_string(const std::string& name) {
-  std::string up = name;
-  std::transform(up.begin(), up.end(), up.begin(),
-                 [](unsigned char ch) { return std::toupper(ch); });
-  if (up == "NCHW" || up == "CHW") return Layout::kNCHW;
-  if (up == "NCWH" || up == "CWH") return Layout::kNCWH;
-  if (up == "NHWC" || up == "HWC") return Layout::kNHWC;
-  CB_CHECK_MSG(false, "unknown layout '" << name << "'");
-  return Layout::kNCHW;  // unreachable
 }
 
 Strides4 make_strides(Layout layout, std::int64_t n, std::int64_t c,

@@ -44,9 +44,6 @@ struct TuneResult {
   double best_seconds = std::numeric_limits<double>::infinity();
   std::vector<TuneRecord> history;
 
-  double best_gflops(const Measurer& m) const {
-    return m.gflops(best_seconds);
-  }
   /// First trial index that reached within `slack` of the final best.
   int trials_to_converge(double slack = 0.01) const;
 };

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace convbound {
@@ -87,15 +86,7 @@ class LatencyHistogram {
   static double bucket_lower(int index);
   static double bucket_upper(int index);
 
-  /// Compact single-line text form: "v1 <count> <sum> <min> <max>" followed
-  /// by sparse "<bucket>:<count>" pairs. Round-trips through deserialize()
-  /// bit-exactly for counters (doubles via max_digits10).
-  std::string serialize() const;
-  /// Throws convbound::Error on malformed input.
-  static LatencyHistogram deserialize(const std::string& text);
-
-  /// Equal counters and count (used by tests; the derived sums are compared
-  /// separately because they round-trip through text).
+  /// Equal bucket counters (used by tests to check merge() exactly).
   bool same_buckets(const LatencyHistogram& other) const {
     return counts_ == other.counts_;
   }

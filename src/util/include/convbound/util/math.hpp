@@ -42,9 +42,4 @@ inline std::int64_t isqrt(std::int64_t n) {
   return r;
 }
 
-/// True if |a-b| <= atol + rtol*|b|.
-inline bool close(double a, double b, double rtol = 1e-5, double atol = 1e-8) {
-  return std::abs(a - b) <= atol + rtol * std::abs(b);
-}
-
 }  // namespace convbound

@@ -1,4 +1,4 @@
-// Console table / CSV emission used by the benchmark harness to print
+// Console table emission used by the benchmark harness to print
 // paper-style result tables.
 #pragma once
 
@@ -7,7 +7,7 @@
 
 namespace convbound {
 
-/// Collects rows of strings and renders an aligned ASCII table or CSV.
+/// Collects rows of strings and renders an aligned ASCII table.
 class Table {
  public:
   explicit Table(std::vector<std::string> header);
@@ -21,7 +21,6 @@ class Table {
 
   /// Render with column alignment and a rule under the header.
   std::string to_string() const;
-  std::string to_csv() const;
 
   std::size_t num_rows() const { return rows_.size(); }
 

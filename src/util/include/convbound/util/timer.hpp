@@ -13,12 +13,10 @@ class WallTimer {
   using Clock = std::chrono::steady_clock;
 
   WallTimer() : start_(Clock::now()) {}
-  void reset() { start_ = Clock::now(); }
-  /// Seconds elapsed since construction/reset.
+  /// Seconds elapsed since construction.
   double seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-  double milliseconds() const { return seconds() * 1e3; }
 
  private:
   Clock::time_point start_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <sstream>
 
 #include "convbound/util/check.hpp"
 
@@ -98,54 +96,6 @@ std::uint64_t LatencyHistogram::bucket_count(int index) const {
   CB_CHECK_MSG(index >= 0 && index < kBuckets,
                "histogram bucket index " << index << " out of range");
   return counts_[static_cast<std::size_t>(index)];
-}
-
-std::string LatencyHistogram::serialize() const {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << "v1 " << count_ << ' ' << sum_ << ' ' << min_value() << ' '
-     << max_value();
-  for (int i = 0; i < kBuckets; ++i) {
-    const std::uint64_t c = counts_[static_cast<std::size_t>(i)];
-    if (c > 0) os << ' ' << i << ':' << c;
-  }
-  return os.str();
-}
-
-LatencyHistogram LatencyHistogram::deserialize(const std::string& text) {
-  std::istringstream is(text);
-  std::string version;
-  LatencyHistogram h;
-  is >> version >> h.count_ >> h.sum_ >> h.min_ >> h.max_;
-  CB_CHECK_MSG(!is.fail() && version == "v1",
-               "malformed latency histogram header");
-  std::uint64_t total = 0;
-  std::string pair;
-  while (is >> pair) {
-    const std::size_t colon = pair.find(':');
-    CB_CHECK_MSG(colon != std::string::npos && colon > 0,
-                 "malformed latency histogram bucket '" << pair << "'");
-    int index = -1;
-    std::uint64_t c = 0;
-    try {
-      index = std::stoi(pair.substr(0, colon));
-      c = std::stoull(pair.substr(colon + 1));
-    } catch (const std::exception&) {
-      CB_CHECK_MSG(false, "malformed latency histogram bucket '" << pair
-                                                                 << "'");
-    }
-    CB_CHECK_MSG(index >= 0 && index < kBuckets,
-                 "latency histogram bucket " << index << " out of range");
-    h.counts_[static_cast<std::size_t>(index)] += c;
-    total += c;
-  }
-  // record() keeps 0 <= min <= max and sum >= 0; quantile() clamps to
-  // [min, max], which needs min <= max.
-  CB_CHECK(h.min_ >= 0 && h.min_ <= h.max_ && h.sum_ >= 0);
-  CB_CHECK_MSG(total == h.count_,
-               "latency histogram bucket counts sum to "
-                   << total << ", header says " << h.count_);
-  return h;
 }
 
 }  // namespace convbound

@@ -112,11 +112,11 @@ TEST(Router, BoundAwarePrefersPredictedFastestPerRequest) {
   // slow idle (0 + 1.5)/1 = 1.5ms; fast idle (0 + 2.4)/4 = 0.6ms.
   Router router(RoutePolicy::kBoundAware,
                 {entry("slow", 1.5e-3, 1, 4), entry("fast", 2.4e-3, 4, 4)});
-  EXPECT_EQ(router.preferred_device("m"), 1);
 
-  // Virtual-clock feedback: the fast device's accumulated predicted work
-  // eventually tips one group to the slow one, then the preference swings
-  // back — list scheduling in the proportions the cost model dictates.
+  // The first group goes to "fast". Virtual-clock feedback: the fast
+  // device's accumulated predicted work eventually tips one group to the
+  // slow one, then the preference swings back — list scheduling in the
+  // proportions the cost model dictates.
   EXPECT_EQ(router.reserve("m").device, 1);  // fast virt 2.4, score 1.2
   EXPECT_EQ(router.reserve("m").device, 1);  // fast virt 4.8, score 1.8
   EXPECT_EQ(router.reserve("m").device, 0);  // slow virt 1.5, score 3.0
@@ -140,10 +140,9 @@ TEST(Router, WorkStealingFallbackWhenPreferredSaturates) {
   Router router(RoutePolicy::kBoundAware,
                 {entry("fast", 1.0e-3, 1, 2), entry("slow", 8.0e-3, 1, 2)});
   // Two reservations saturate "fast" (cap 2); the third must be stolen by
-  // "slow" even though "fast" is still preferred.
+  // "slow" even though "fast" is still preferred (stolen == 1).
   EXPECT_EQ(router.reserve("m").device, 0);
   EXPECT_EQ(router.reserve("m").device, 0);
-  EXPECT_EQ(router.preferred_device("m"), 0);
   EXPECT_EQ(router.reserve("m").device, 1);
   const Router::Snapshot s = router.snapshot();
   EXPECT_EQ(s.stolen, 1u);
@@ -210,7 +209,9 @@ TEST(Router, PlacementCarriesTheDevicesOwnBucket) {
 // bandwidth-optimized device in one fleet, the Eq 20/22 + roofline
 // predictions must route the compute-heavy model to the high-FLOP spec and
 // the bandwidth-bound model to the high-HBM spec — deterministically, from
-// the analytic cost table alone (no measurement, empty fleet).
+// the analytic cost table alone (no measurement). One request at a time
+// saturates no device, so each group lands on its model's preferred device
+// and nothing is stolen.
 TEST(ClusterRouting, ComputeHeavyToDenseBandwidthBoundToHbm) {
   ClusterOptions opts;
   opts.devices = {device_of(MachineSpec::bandwidth_optimized(), 1),
@@ -219,10 +220,19 @@ TEST(ClusterRouting, ComputeHeavyToDenseBandwidthBoundToHbm) {
   ClusterServer cluster({compute_heavy_model(), bandwidth_bound_model()},
                         opts);
   cluster.start();
-  EXPECT_EQ(cluster.router().preferred_device("compute"), 1)
+  const auto serve_one = [&](const ServedModel& model) {
+    return cluster.submit({model.name, make_request_input(model, 1)})
+        .get()
+        .status;
+  };
+  using Placed = std::vector<std::uint64_t>;
+  EXPECT_EQ(serve_one(compute_heavy_model()), ServeStatus::kOk);
+  EXPECT_EQ(cluster.router().snapshot().placements, (Placed{0, 1}))
       << "compute-heavy model must prefer the flop-optimized spec";
-  EXPECT_EQ(cluster.router().preferred_device("wide"), 0)
+  EXPECT_EQ(serve_one(bandwidth_bound_model()), ServeStatus::kOk);
+  EXPECT_EQ(cluster.router().snapshot().placements, (Placed{1, 1}))
       << "bandwidth-bound model must prefer the bandwidth-optimized spec";
+  EXPECT_EQ(cluster.router().snapshot().stolen, 0u);
   cluster.stop();
 }
 
@@ -344,14 +354,16 @@ TEST(Cluster, QueuedBeforeStartServedAfterAndShutdownAfterStop) {
 TEST(Router, DeadDeviceIsExcludedUntilRevived) {
   Router router(RoutePolicy::kBoundAware,
                 {entry("fast", 1.0e-3, 1, 4), entry("slow", 8.0e-3, 1, 4)});
-  ASSERT_EQ(router.preferred_device("m"), 0);
+  ASSERT_EQ(router.reserve("m").device, 0);
+  router.complete(0, "m");
 
   // Killing the preferred device routes everything through the existing
-  // steal path: the survivor is both preference and placement.
+  // steal path: the survivor is both preference and placement, so the
+  // placement is not a steal.
   router.set_alive(0, false);
-  EXPECT_FALSE(router.alive(0));
-  EXPECT_EQ(router.preferred_device("m"), 1);
+  EXPECT_FALSE(router.snapshot().alive[0]);
   EXPECT_EQ(router.reserve("m").device, 1);
+  EXPECT_EQ(router.snapshot().stolen, 0u);
   router.complete(1, "m");
 
   // Hot-join: revive with a refreshed cost row (bigger bucket, faster
@@ -360,11 +372,11 @@ TEST(Router, DeadDeviceIsExcludedUntilRevived) {
   costs.emplace("m", Router::ModelCost{4, 0.5e-3});
   router.update_costs(0, std::move(costs));
   router.set_alive(0, true);
-  EXPECT_TRUE(router.alive(0));
-  EXPECT_EQ(router.preferred_device("m"), 0);
+  EXPECT_TRUE(router.snapshot().alive[0]);
   const Placement p = router.reserve("m");
   EXPECT_EQ(p.device, 0);
   EXPECT_EQ(p.bucket, 4);
+  EXPECT_EQ(router.snapshot().stolen, 0u);
   router.complete(0, "m");
 }
 

@@ -34,32 +34,5 @@ TEST(Api, Conv2dHandlesStridedShapes) {
   EXPECT_TRUE(allclose(expect, r.output, 1e-3, 1e-3));
 }
 
-TEST(Api, LowerBoundPositiveAndMonotone) {
-  ConvShape s;
-  s.cin = 128;
-  s.hin = s.win = 28;
-  s.cout = 128;
-  s.kh = s.kw = 3;
-  s.pad = 1;
-  const double q1 = conv_lower_bound(s, 4096);
-  const double q2 = conv_lower_bound(s, 16384);
-  EXPECT_GT(q1, 0);
-  EXPECT_GT(q1, q2);
-}
-
-TEST(Api, LowerBoundPicksWinogradWhenApplicable) {
-  ConvShape s;
-  s.cin = 128;
-  s.hin = s.win = 28;
-  s.cout = 128;
-  s.kh = s.kw = 3;
-  s.pad = 1;
-  const double both = conv_lower_bound(s, 4096);
-  EXPECT_LE(both, direct_conv_lower_bound(s, 4096));
-  s.stride = 2;  // winograd not applicable
-  EXPECT_DOUBLE_EQ(conv_lower_bound(s, 4096),
-                   direct_conv_lower_bound(s, 4096));
-}
-
 }  // namespace
 }  // namespace convbound

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <string>
 
 #include "convbound/bounds/conv_bounds.hpp"
@@ -18,7 +17,6 @@
 #include "convbound/tune/batch_measure.hpp"
 #include "convbound/tune/bnb.hpp"
 #include "convbound/tune/domain.hpp"
-#include "convbound/util/latency_histogram.hpp"
 
 namespace convbound {
 namespace {
@@ -589,101 +587,6 @@ TEST(BaselineCountFuzz, CountThrowsWhereTheLaunchThrows) {
   EXPECT_THROW(gemm_count(small.spec(), 64, 64, 64), Error);
   EXPECT_THROW(gemm_sim(small, a.data(), b.data(), c.data(), 64, 64, 64),
                Error);
-}
-
-// ------------------------------------------------ malformed text -------
-
-// One seeded mutation of a valid serialisation: a flipped bit, a truncation,
-// a duplicated field, or a field replaced by a huge, negative or NaN number.
-// Fields are the runs between the format's separators (space, ':',
-// newline).
-std::string mutate(Rng& rng, std::string text) {
-  static const char* const kNumbers[] = {
-      "18446744073709551616", "99999999999999999999999999", "-1",
-      "-9223372036854775809", "nan", "-nan", "inf", "1e999", "-0", "0"};
-  const auto is_sep = [](char c) {
-    return c == ' ' || c == ':' || c == '\n';
-  };
-  if (text.empty()) return text;
-  const std::size_t pos = rng.below(text.size());
-  switch (rng.below(4)) {
-    case 0:
-      text[pos] = static_cast<char>(text[pos] ^ (1 << rng.below(8)));
-      return text;
-    case 1:
-      text.resize(pos);
-      return text;
-    default:
-      break;
-  }
-  std::size_t begin = pos;
-  while (begin > 0 && !is_sep(text[begin - 1])) --begin;
-  std::size_t end = pos;
-  while (end < text.size() && !is_sep(text[end])) ++end;
-  if (rng.below(2) == 0) {  // duplicate the field with its separator
-    const std::size_t stop = std::min(end + 1, text.size());
-    text.insert(stop, text.substr(begin, stop - begin));
-  } else {
-    text.replace(begin, end - begin, kNumbers[rng.below(std::size(kNumbers))]);
-  }
-  return text;
-}
-
-// Parsing `text` either throws convbound::Error or yields a histogram whose
-// quantiles stay in [min, max] and whose serialisation parses back to
-// itself; any other exception, or a crash (the sanitizer build runs this),
-// fails.
-void expect_error_or_round_trip(const std::string& text) {
-  std::string once;
-  try {
-    const LatencyHistogram parsed = LatencyHistogram::deserialize(text);
-    EXPECT_LE(parsed.min_value(), parsed.max_value());
-    for (double q : {0.0, 0.5, 0.99, 1.0}) {
-      const double v = parsed.quantile(q);
-      EXPECT_GE(v, parsed.min_value());
-      EXPECT_LE(v, parsed.max_value());
-    }
-    once = parsed.serialize();
-  } catch (const Error&) {
-    return;
-  } catch (const std::exception& e) {
-    ADD_FAILURE() << "non-Error exception '" << e.what() << "' on:\n"
-                  << text;
-    return;
-  }
-  try {
-    EXPECT_EQ(LatencyHistogram::deserialize(once).serialize(), once)
-        << "from:\n" << text;
-  } catch (const std::exception& e) {
-    ADD_FAILURE() << "re-parse threw '" << e.what() << "' on:\n" << once;
-  }
-}
-
-class MalformedTextFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(MalformedTextFuzz, LatencyHistogramIsErrorOrRoundTrip) {
-  Rng rng(8200 + static_cast<std::uint64_t>(GetParam()));
-  LatencyHistogram h;
-  const int n = static_cast<int>(rng.range(1, 40));
-  for (int i = 0; i < n; ++i) h.record(std::exp(rng.uniform(-18, 5)));
-  if (rng.below(4) == 0) h.record(0);
-  const std::string valid = h.serialize();
-  expect_error_or_round_trip(valid);
-  for (int i = 0; i < 300; ++i) expect_error_or_round_trip(mutate(rng, valid));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MalformedTextFuzz, ::testing::Range(0, 8));
-
-// The mutations found a header whose max (-0) is below its min, which
-// deserialize() accepted; quantile() then clamps to an empty range. Pinned
-// here, with negative values, which record() never produces either.
-TEST(MalformedTextFuzz, HistogramHeaderOutOfRangeIsAnError) {
-  EXPECT_THROW(LatencyHistogram::deserialize("v1 1 4e-08 4e-08 -0 1:1"),
-               Error);
-  EXPECT_THROW(LatencyHistogram::deserialize("v1 2 0.5 0.3 0.1 200:2"),
-               Error);
-  EXPECT_THROW(LatencyHistogram::deserialize("v1 1 -1 -1 -1 0:1"), Error);
-  EXPECT_NO_THROW(LatencyHistogram::deserialize("v1 1 0.1 0.1 0.1 200:1"));
 }
 
 }  // namespace

@@ -17,7 +17,8 @@ TEST(SharedMemory, AllocatesWithinCapacity) {
   EXPECT_EQ(a.size(), 128u);
   auto b = smem.alloc<float>(128);  // another 512 B
   EXPECT_EQ(b.size(), 128u);
-  EXPECT_EQ(smem.used(), 1024u);
+  // Both allocations fill the 1024 B exactly: one more float overflows.
+  EXPECT_THROW(smem.alloc<float>(1), Error);
 }
 
 TEST(SharedMemory, OverflowThrows) {

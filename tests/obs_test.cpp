@@ -1,5 +1,5 @@
 // Tests for the obs tracing/metrics registry (src/obs) and its integration
-// with the serving stack: ring semantics, concurrent record/drain, the
+// with the serving stack: ring semantics, concurrent record/read, the
 // Chrome trace and Prometheus text exports, and the per-stage latency
 // accounting identity on a live server.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +31,12 @@ TraceEvent instant_at(double ts_us, std::uint64_t rid) {
   e.phase = TracePhase::kInstant;
   e.stage = TraceStage::kAdmit;
   return e;
+}
+
+std::string metrics_text(const ObsRegistry& reg) {
+  std::ostringstream os;
+  reg.dump_metrics_text(os);
+  return os.str();
 }
 
 // ------------------------------------------------------------- ring ----
@@ -77,14 +84,15 @@ TEST(ObsRegistry, EventsSortedAcrossRecorders) {
   EXPECT_EQ(reg.num_recorders(), 2u);
 }
 
-// Threads record while the main thread repeatedly drains: every event is
-// observed exactly once (no loss below ring capacity, no duplication), and
-// TSan sees no races between the record and drain paths.
-TEST(ObsRegistry, ConcurrentRecordersConsistentDrain) {
+// Threads record while the main thread repeatedly reads every ring: TSan
+// sees no races between the record and read paths, and after the join every
+// event is retained exactly once (no loss below ring capacity, no
+// duplication).
+TEST(ObsRegistry, ConcurrentRecordersConsistentRead) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 2000;
   // Capacity holds every event, so the only way the count can come out
-  // right is if record/drain interleave without losing or double-reading.
+  // right is if record/read interleave without losing or double-writing.
   ObsRegistry reg(/*ring_capacity=*/kThreads * kPerThread);
   std::atomic<bool> go{false};
   std::vector<std::thread> threads;
@@ -101,22 +109,22 @@ TEST(ObsRegistry, ConcurrentRecordersConsistentDrain) {
     });
   }
   go.store(true);
-  std::vector<TraceEvent> seen;
-  // Drain concurrently with the writers, then once more after the join to
-  // sweep the tail.
+  // Read concurrently with the writers; each read is a consistent prefix
+  // of every ring. Then read once more after the join.
   for (int spin = 0; spin < 50; ++spin) {
-    for (const TraceEvent& e : reg.drain()) seen.push_back(e);
+    EXPECT_LE(reg.events().size(),
+              static_cast<std::size_t>(kThreads) * kPerThread);
     std::this_thread::yield();
   }
   for (auto& th : threads) th.join();
-  for (const TraceEvent& e : reg.drain()) seen.push_back(e);
+  const std::vector<TraceEvent> seen = reg.events();
 
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(kThreads) * kPerThread);
   std::vector<bool> hit(kThreads * kPerThread + 1, false);
   for (const TraceEvent& e : seen) {
     ASSERT_GE(e.request_id, 1u);
     ASSERT_LE(e.request_id, static_cast<std::uint64_t>(kThreads) * kPerThread);
-    EXPECT_FALSE(hit[e.request_id]) << "event drained twice";
+    EXPECT_FALSE(hit[e.request_id]) << "event retained twice";
     hit[e.request_id] = true;
   }
 }
@@ -200,7 +208,9 @@ TEST(ObsRegistry, ChromeTraceRoundTrip) {
   r.record(span);
   r.record(instant_at(200.0, 8));
 
-  const std::string json = reg.chrome_trace_json();
+  std::ostringstream json_out;
+  reg.dump_chrome_trace(json_out);
+  const std::string json = json_out.str();
   const std::vector<MiniEvent> events = parse_trace(json);
   // Two real events + process_name metadata for each distinct pid.
   std::map<std::string, int> by_name;
@@ -237,7 +247,7 @@ TEST(ObsRegistry, MetricsTextParses) {
   h.record(0.010);
   reg.set_histogram("convbound_test_seconds", "job=\"t\"", h);
 
-  const std::string text = reg.metrics_text();
+  const std::string text = metrics_text(reg);
   EXPECT_NE(text.find("# TYPE convbound_test_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("# HELP convbound_test_total A test counter."),
@@ -310,7 +320,7 @@ TEST(ObsRegistry, PublishSnapshotExportsServingMetrics) {
   cls.submitted = 4;
   cls.shutdown_rejected = 1;
   publish_snapshot(reg, "job=\"test\"", s);
-  const std::string text = reg.metrics_text();
+  const std::string text = metrics_text(reg);
   EXPECT_NE(text.find("convbound_requests_submitted_total{job=\"test\"} 10"),
             std::string::npos);
   EXPECT_NE(text.find("convbound_requests_shed_total{job=\"test\","
@@ -443,7 +453,7 @@ TEST(ObsRegistry, PublishSnapshotKeepsEverySeries) {
   };
   ObsRegistry reg;
   publish_snapshot(reg, "job=\"g\"", every_field_snapshot());
-  const std::string text = "\n" + reg.metrics_text();
+  const std::string text = "\n" + metrics_text(reg);
   for (const char* series : kSeries) {
     std::string line = "\n";
     line += series;
@@ -536,7 +546,7 @@ TEST(ObsServe, TracedLoadIsCorrelated) {
     EXPECT_EQ(f.get().status, ServeStatus::kOk);
   server.stop();
   ObsRegistry::set_enabled(false);
-  const std::vector<TraceEvent> events = ObsRegistry::global().drain();
+  const std::vector<TraceEvent> events = ObsRegistry::global().events();
 
   std::map<TraceStage, std::vector<const TraceEvent*>> by_stage;
   for (const TraceEvent& e : events) by_stage[e.stage].push_back(&e);
@@ -576,10 +586,12 @@ TEST(ObsServe, TracedLoadIsCorrelated) {
 // start() nor a cold revive (a rebuilt, re-warmed engine) traces a single
 // layer_exec span.
 TEST(ObsServe, WarmupExecutesNoLayer) {
+  // Counts the layer_exec spans recorded since the last call.
   const auto layer_execs = [] {
     std::size_t n = 0;
-    for (const TraceEvent& e : ObsRegistry::global().drain())
+    for (const TraceEvent& e : ObsRegistry::global().events())
       n += e.stage == TraceStage::kLayerExec ? 1 : 0;
+    ObsRegistry::global().clear();
     return n;
   };
   ObsRegistry::global().clear();

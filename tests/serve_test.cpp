@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -624,6 +627,33 @@ TEST(TenantTable, ResolvesNamesAndValidatesConfig) {
   EXPECT_THROW(TenantTable({TenantClass{"a", 0, 1.0},
                             TenantClass{"", 0, 1.0}}),
                Error);
+}
+
+// A budget past the serving clock's range is unbounded. Cast to clock ticks,
+// 1e10 s overflows and wraps the deadline 9.2e9 s into the past, which
+// would expire every request of `--classes paid:1e13`. A non-finite budget
+// is a configuration error.
+TEST(TenantTable, BudgetPastTheClockIsUnboundedAndNanIsRejected) {
+  const TenantTable table({TenantClass{"second", 1.0, 1.0},
+                           TenantClass{"centuries", 1e10, 1.0},
+                           TenantClass{"huge", 1e297, 1.0}});
+  const auto now = ServeClock::now();
+  const auto tight = now + std::chrono::milliseconds(1);
+  EXPECT_EQ(table.effective_deadline(0, now, ServeTimePoint::max()),
+            now + std::chrono::seconds(1));
+  EXPECT_EQ(table.effective_deadline(0, now, tight), tight);
+  for (std::size_t i : {1u, 2u}) {
+    EXPECT_EQ(table.effective_deadline(i, now, ServeTimePoint::max()),
+              ServeTimePoint::max())
+        << table.cls(i).name;
+    EXPECT_EQ(table.effective_deadline(i, now, tight), tight)
+        << table.cls(i).name;
+  }
+  EXPECT_THROW(TenantTable({TenantClass{"nan", std::nan(""), 1.0}}), Error);
+  EXPECT_THROW(
+      TenantTable({TenantClass{
+          "inf", std::numeric_limits<double>::infinity(), 1.0}}),
+      Error);
 }
 
 TEST(Serve, TenantClassesGetPerClassStatsAndQuotaStatus) {

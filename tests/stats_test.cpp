@@ -158,38 +158,6 @@ TEST(LatencyHistogram, MergeIsBucketwiseAddition) {
   EXPECT_TRUE(merged.same_buckets(whole));
 }
 
-// ------------------------------------------------------- serialization ----
-
-TEST(LatencyHistogram, SerializeRoundTrip) {
-  Rng rng(13);
-  LatencyHistogram h;
-  for (int i = 0; i < 500; ++i)
-    h.record(1e-6 * std::pow(10.0, rng.uniform() * 7.0));
-  h.record(0);
-  h.record(500.0);
-  const LatencyHistogram back = LatencyHistogram::deserialize(h.serialize());
-  EXPECT_TRUE(back.same_buckets(h));
-  EXPECT_EQ(back.count(), h.count());
-  EXPECT_DOUBLE_EQ(back.sum(), h.sum());
-  EXPECT_DOUBLE_EQ(back.min_value(), h.min_value());
-  EXPECT_DOUBLE_EQ(back.max_value(), h.max_value());
-  for (double q : {0.5, 0.99})
-    EXPECT_DOUBLE_EQ(back.quantile(q), h.quantile(q));
-
-  const LatencyHistogram none =
-      LatencyHistogram::deserialize(LatencyHistogram().serialize());
-  EXPECT_TRUE(none.empty());
-}
-
-TEST(LatencyHistogram, DeserializeRejectsMalformedInput) {
-  EXPECT_THROW(LatencyHistogram::deserialize(""), Error);
-  EXPECT_THROW(LatencyHistogram::deserialize("v2 0 0 0 0"), Error);
-  EXPECT_THROW(LatencyHistogram::deserialize("v1 1 0 0 0 nonsense"), Error);
-  EXPECT_THROW(LatencyHistogram::deserialize("v1 1 0 0 0 99999:1"), Error);
-  // Header count disagreeing with the bucket sum is corruption, not noise.
-  EXPECT_THROW(LatencyHistogram::deserialize("v1 5 0 0 0 10:1"), Error);
-}
-
 // ------------------------------------- fleet merge regression (the bug) ----
 
 // The headline bugfix test: a heterogeneous two-device fleet where the fast

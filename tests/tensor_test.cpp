@@ -9,9 +9,6 @@ namespace {
 
 TEST(Layout, Names) {
   EXPECT_EQ(to_string(Layout::kNCHW), "NCHW");
-  EXPECT_EQ(layout_from_string("nhwc"), Layout::kNHWC);
-  EXPECT_EQ(layout_from_string("CWH"), Layout::kNCWH);
-  EXPECT_THROW(layout_from_string("bogus"), Error);
 }
 
 TEST(Layout, StridesNCHW) {

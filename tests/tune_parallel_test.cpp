@@ -172,7 +172,6 @@ TEST(BatchMeasurer, EmptyBatchIsNoop) {
 TEST(SimGpuExecMode, SerialAndStripedCountIdentically) {
   SimGpu striped(MachineSpec::test_machine());
   SimGpu serial(MachineSpec::test_machine(), nullptr, ExecMode::kSerial);
-  EXPECT_EQ(serial.exec_mode(), ExecMode::kSerial);
 
   LaunchConfig cfg;
   cfg.num_blocks = 37;

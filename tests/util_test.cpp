@@ -220,12 +220,6 @@ TEST(Table, RejectsWrongArity) {
   EXPECT_THROW(t.add_row({"only-one"}), Error);
 }
 
-TEST(Table, CsvFormat) {
-  Table t({"x", "y"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "x,y\n1,2\n");
-}
-
 TEST(Table, FormatsNumbers) {
   EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Table::fmt_int(42), "42");
