@@ -94,7 +94,6 @@ double winograd_dataflow_reads_min(const ConvShape& s, std::int64_t e,
 /// clamped to the actual output dimensions.
 struct OptimalTile {
   std::int64_t x = 1, y = 1, z = 1;
-  std::int64_t elems() const { return x * y * z; }
 };
 OptimalTile optimal_output_tile(const ConvShape& s, double budget_elems);
 

@@ -64,7 +64,6 @@ class InferenceServer {
   std::int64_t bucket_of(const std::string& name) const {
     return cluster_.device(0).engine().bucket_of(name);
   }
-  TuneCache& tune_cache() { return cluster_.device(0).engine().tune_cache(); }
 
  private:
   ClusterServer cluster_;

@@ -20,10 +20,6 @@ struct GemmConfig {
   std::int64_t tile_n = 64;
   std::int64_t tile_k = 32;
   int threads_per_block = 128;
-
-  std::int64_t smem_floats() const {
-    return tile_m * tile_k + tile_k * tile_n + tile_m * tile_n;
-  }
 };
 
 /// Simulated blocked GEMM: each block stages A/B tiles through shared

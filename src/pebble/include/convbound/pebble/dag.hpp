@@ -59,8 +59,6 @@ class DagBuilder {
   /// Marks a vertex as an algorithm output (must be stored at game end).
   void mark_output(VertexId v);
 
-  std::size_t num_vertices() const { return pred_offsets_.size() - 1; }
-
   /// Finalises the DAG (computes successor CSR and degree stats).
   Dag build();
 

@@ -39,9 +39,6 @@ struct ConvPlan {
   /// executing the plan on a SimGpu reports.
   bool measured = false;
 
-  /// Output elements the executor leases from the workspace per execution.
-  std::int64_t output_elems() const { return shape.output_elems(); }
-
   /// Predicted I/O over the lower bound; >= 1 for a sound bound, and the
   /// paper's figure of merit for how close a dataflow is to optimal.
   double bound_ratio() const {

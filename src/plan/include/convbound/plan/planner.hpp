@@ -113,7 +113,6 @@ class Planner {
                           const std::vector<ConvAlgorithm>& algos,
                           const PlannerOptions& opts);
 
-  TuneCache* cache() const { return cache_; }
   std::size_t plans_memoised() const;
 
  private:

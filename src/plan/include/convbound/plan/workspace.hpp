@@ -92,9 +92,6 @@ class Workspace {
   /// Bytes held by all pooled buffers (leased or idle).
   std::uint64_t bytes_reserved() const;
 
-  /// Frees every pooled buffer. All leases must have been released.
-  void clear();
-
  private:
   mutable Mutex mu_;
   /// The slot *vector* (and the counters) are guarded; each Slot's in_use

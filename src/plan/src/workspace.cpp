@@ -45,12 +45,4 @@ std::uint64_t Workspace::bytes_reserved() const {
   return bytes;
 }
 
-void Workspace::clear() {
-  MutexLock lock(mu_);
-  for (const auto& slot : slots_)
-    CB_CHECK_MSG(!slot->in_use.load(std::memory_order_seq_cst),
-                 "clearing workspace with live leases");
-  slots_.clear();
-}
-
 }  // namespace convbound

@@ -133,8 +133,6 @@ class ServeEngine {
   /// counters.
   void fill_stats(StatsSnapshot& s) const;
 
-  TuneCache& tune_cache() { return cache_; }
-
  private:
   /// Total memoised plans across the per-model planners.
   std::size_t plans_memoised() const;

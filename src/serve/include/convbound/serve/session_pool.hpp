@@ -54,7 +54,6 @@ class ServeSession {
 
   const ServedModel& model() const { return *model_; }
   std::int64_t bucket() const { return bucket_; }
-  Planner& planner() { return *planner_; }
   Workspace& workspace() { return workspace_; }
 
  private:
@@ -87,7 +86,6 @@ class SessionPool {
     Guard& operator=(Guard&&) = delete;
     ~Guard();
 
-    ServeSession& operator*() { return *session_; }
     ServeSession* operator->() { return session_; }
 
    private:

@@ -33,13 +33,4 @@ inline std::vector<std::int64_t> divisors(std::int64_t n) {
   return lo;
 }
 
-/// Integer floor(sqrt(n)).
-inline std::int64_t isqrt(std::int64_t n) {
-  CB_CHECK(n >= 0);
-  auto r = static_cast<std::int64_t>(std::sqrt(static_cast<double>(n)));
-  while (r > 0 && r * r > n) --r;
-  while ((r + 1) * (r + 1) <= n) ++r;
-  return r;
-}
-
 }  // namespace convbound

@@ -55,14 +55,6 @@ class Rng {
                     static_cast<std::uint64_t>(hi - lo + 1)));
   }
 
-  /// Standard normal via Box–Muller (one value per call; simple, adequate).
-  double normal() {
-    double u1 = uniform();
-    double u2 = uniform();
-    while (u1 <= 1e-300) u1 = uniform();
-    return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-  }
-
   /// Derive an independent child stream (for per-thread determinism).
   Rng split() {
     std::uint64_t seed = (*this)();

@@ -209,31 +209,31 @@ TEST(Router, PlacementCarriesTheDevicesOwnBucket) {
 // bandwidth-optimized device in one fleet, the Eq 20/22 + roofline
 // predictions must route the compute-heavy model to the high-FLOP spec and
 // the bandwidth-bound model to the high-HBM spec — deterministically, from
-// the analytic cost table alone (no measurement). One request at a time
-// saturates no device, so each group lands on its model's preferred device
-// and nothing is stolen.
+// the analytic cost table alone (no measurement). Each model's first
+// request is placed on its own new, idle fleet, so the placement is that
+// model's preference and nothing is stolen.
 TEST(ClusterRouting, ComputeHeavyToDenseBandwidthBoundToHbm) {
   ClusterOptions opts;
   opts.devices = {device_of(MachineSpec::bandwidth_optimized(), 1),
                   device_of(MachineSpec::compute_optimized(), 1)};
   opts.batch_policy.max_bucket = 4;
-  ClusterServer cluster({compute_heavy_model(), bandwidth_bound_model()},
-                        opts);
-  cluster.start();
-  const auto serve_one = [&](const ServedModel& model) {
-    return cluster.submit({model.name, make_request_input(model, 1)})
-        .get()
-        .status;
+  const auto placements_on_idle_fleet = [&](const ServedModel& model) {
+    ClusterServer cluster({compute_heavy_model(), bandwidth_bound_model()},
+                          opts);
+    cluster.start();
+    EXPECT_EQ(
+        cluster.submit({model.name, make_request_input(model, 1)}).get().status,
+        ServeStatus::kOk);
+    const Router::Snapshot s = cluster.router().snapshot();
+    EXPECT_EQ(s.stolen, 0u) << model.name;
+    cluster.stop();
+    return s.placements;
   };
   using Placed = std::vector<std::uint64_t>;
-  EXPECT_EQ(serve_one(compute_heavy_model()), ServeStatus::kOk);
-  EXPECT_EQ(cluster.router().snapshot().placements, (Placed{0, 1}))
+  EXPECT_EQ(placements_on_idle_fleet(compute_heavy_model()), (Placed{0, 1}))
       << "compute-heavy model must prefer the flop-optimized spec";
-  EXPECT_EQ(serve_one(bandwidth_bound_model()), ServeStatus::kOk);
-  EXPECT_EQ(cluster.router().snapshot().placements, (Placed{1, 1}))
+  EXPECT_EQ(placements_on_idle_fleet(bandwidth_bound_model()), (Placed{1, 0}))
       << "bandwidth-bound model must prefer the bandwidth-optimized spec";
-  EXPECT_EQ(cluster.router().snapshot().stolen, 0u);
-  cluster.stop();
 }
 
 // --------------------------------------------------- serving pipeline ----

@@ -229,8 +229,6 @@ TEST(Workspace, PoolsByGeometryAndCountsReuse) {
   }
   EXPECT_EQ(ws.acquires(), 4u);
   EXPECT_GT(ws.bytes_reserved(), 0u);
-  ws.clear();
-  EXPECT_EQ(ws.buffers(), 0u);
 }
 
 // A second inference pass over the same model through one session plans

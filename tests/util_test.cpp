@@ -43,13 +43,6 @@ TEST(Math, Divisors) {
   EXPECT_EQ(divisors(13), (std::vector<std::int64_t>{1, 13}));
 }
 
-TEST(Math, Isqrt) {
-  EXPECT_EQ(isqrt(0), 0);
-  EXPECT_EQ(isqrt(15), 3);
-  EXPECT_EQ(isqrt(16), 4);
-  EXPECT_EQ(isqrt(1'000'000'000'000), 1'000'000);
-}
-
 TEST(Rng, Deterministic) {
   Rng a(7), b(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
@@ -81,19 +74,6 @@ TEST(Rng, RangeInclusive) {
     seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 5u);  // all values hit
-}
-
-TEST(Rng, NormalMoments) {
-  Rng rng(5);
-  double sum = 0, sq = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double v = rng.normal();
-    sum += v;
-    sq += v * v;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.05);
-  EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
 TEST(ThreadPool, RunsAllIterations) {
