@@ -17,8 +17,8 @@
 //     compute-bound model (5x5 stride-2, many channels; Winograd-ineligible
 //     so its arithmetic intensity stays high) and a bandwidth-bound model
 //     (1x1, huge image, few channels). The bound-aware Router routes each
-//     model to the device type the Eq 20/22 + roofline predictions favour
-//     and balances the spill; round-robin ignores the cost model. The
+//     model to the device type its counted plan times favour and
+//     balances the spill; round-robin ignores the cost model. The
 //     paper-shape claim: bound-aware > round-robin in fleet modelled rps.
 //
 // The request-input RNG seed is fixed (override: CONVBOUND_BENCH_SEED) and

@@ -12,9 +12,9 @@
 // Every device owns its full serving stack (bound-guided buckets for its
 // own spec, planners, tune cache, warm sessions, worker pool); the Router
 // places each request group on the device with the best predicted
-// per-request completion, using the paper's analytic cost model (Eq 20/22
-// dataflow I/O + roofline per device) instead of measuring — the same
-// machinery that makes plans rank differently across machines in the fig13
+// per-request completion, costed by the counted time of its warm plans on
+// its own spec instead of measuring at routing time — the same machinery
+// that makes plans rank differently across machines in the fig13
 // arch-sensitivity experiment. When the preferred device's pending queue is
 // at its cap, the group is stolen by the next-best device; when all devices
 // are saturated, backlog pools in the fleet queue (bounded, rejecting:
@@ -130,6 +130,11 @@ class ClusterServer {
 
   /// Valid after start() (the Router is built from warm-time predictions).
   const Router& router() const;
+
+  /// Device `i`'s Router cost row once it is warm: per model, its chosen
+  /// bucket and that bucket's counted whole-batch time. start() and
+  /// revive_device() hand it to the Router.
+  std::map<std::string, Router::ModelCost> cost_row(std::size_t i) const;
 
   std::size_t num_devices() const { return devices_.size(); }
   const ClusterDevice& device(std::size_t i) const { return *devices_[i]; }

@@ -9,9 +9,8 @@
 //
 // where batch_seconds(d, m) is the predicted whole-batch time of model m's
 // chosen bucket on device d, read from the plan layer at warm time (the
-// modelled time of counted launches under kMeasured/kTuned planning, pure
-// Eq 20/22 dataflow I/O + roofline under kAnalytic; the bucket itself comes
-// from choose_batch_bucket against each device's spec) and
+// modelled time of the warm plans' counted launches; the bucket itself
+// comes from choose_batch_bucket against each device's spec) and
 // virtual_seconds(d) is d's virtual clock: the predicted busy time of
 // everything ever placed on it. Greedily equalising predicted finish times
 // is classic list scheduling on the modelled makespan — fast devices take
@@ -24,9 +23,9 @@
 // executes every simulated device at the same host speed, so draining
 // would erase exactly the heterogeneity the placement exists to exploit —
 // and placements stay a deterministic function of the request order. No
-// device is ever measured at routing time — the cost model *is* the
-// paper's bounds layer, which is exactly why plans (and placements) rank
-// differently across MachineSpecs (the fig13 effect).
+// device is ever measured at routing time — the cost model is the counted
+// plans on each device's MachineSpec, which is exactly why plans (and
+// placements) rank differently across specs (the fig13 effect).
 //
 // Placement is subject to a per-device pending-group cap: when the
 // preferred device is saturated the group is *stolen* by the next-best

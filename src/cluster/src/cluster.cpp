@@ -47,23 +47,12 @@ void ClusterServer::start() {
   // across the global pool, so fleet startup still scales with cores.
   for (auto& d : devices_) d->start();
 
-  // The Router's cost table comes from the plan layer at warm time: for
-  // every (device, model), the predicted whole-batch time of the bucket
-  // choose_batch_bucket picked against that device's spec — the modelled
-  // time of counted launches under the default kMeasured planning, pure
-  // Eq 20/22 + roofline under kAnalytic. Routing itself never measures
-  // anything; it reads these per-device predictions.
   std::vector<Router::DeviceEntry> entries;
-  for (auto& d : devices_) {
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
     Router::DeviceEntry e;
-    e.name = d->name();
-    e.max_pending_groups = d->config().effective_pending();
-    for (const auto& [name, model] : models_) {
-      Router::ModelCost cost;
-      cost.bucket = d->engine().bucket_of(name);
-      cost.batch_seconds = d->engine().predicted_batch_seconds(name);
-      e.costs.emplace(name, cost);
-    }
+    e.name = devices_[i]->name();
+    e.max_pending_groups = devices_[i]->config().effective_pending();
+    e.costs = cost_row(i);
     entries.push_back(std::move(e));
   }
   router_ = std::make_unique<Router>(opts_.policy, std::move(entries));
@@ -240,6 +229,13 @@ void ClusterServer::revive_device(std::size_t i, ReviveMode mode) {
   // warm-time predictions *before* re-admitting the device, so the first
   // placement after the join already sees the rebuilt buckets. The rest of
   // the fleet keeps placing on its own rows throughout.
+  router_->update_costs(static_cast<int>(i), cost_row(i));
+  router_->set_alive(static_cast<int>(i), true);
+  device_revives_.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::map<std::string, Router::ModelCost> ClusterServer::cost_row(
+    std::size_t i) const {
   std::map<std::string, Router::ModelCost> costs;
   for (const auto& [name, model] : models_) {
     Router::ModelCost cost;
@@ -247,9 +243,7 @@ void ClusterServer::revive_device(std::size_t i, ReviveMode mode) {
     cost.batch_seconds = devices_[i]->engine().predicted_batch_seconds(name);
     costs.emplace(name, cost);
   }
-  router_->update_costs(static_cast<int>(i), std::move(costs));
-  router_->set_alive(static_cast<int>(i), true);
-  device_revives_.fetch_add(1, std::memory_order_relaxed);
+  return costs;
 }
 
 ClusterSnapshot ClusterServer::stats() const {

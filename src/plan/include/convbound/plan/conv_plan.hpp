@@ -27,17 +27,15 @@ struct ConvPlan {
   /// rather than the analytic default.
   bool tuned = false;
 
-  /// Bounds-layer I/O prediction for this algorithm + configuration
-  /// (elements; 0 when no analytic model exists for the algorithm).
+  /// The paper's Eq 20/22 I/O prediction for this algorithm + configuration
+  /// (elements): direct dataflows (tiled, naive) and fused Winograd; 0 for
+  /// im2col and phased Winograd, which have no analytic model.
   double predicted_io_elems = 0;
   /// Best applicable I/O lower bound for the algorithm's family (elements).
   double lower_bound_elems = 0;
-  /// Score used to rank this plan: roofline estimate in analytic planning,
-  /// otherwise the modelled time of its counted launches (count_plan).
+  /// Score used to rank this plan: the modelled time of its counted
+  /// launches (count_plan), exactly what executing it on a SimGpu reports.
   double predicted_seconds = 0;
-  /// True when predicted_seconds is the count_plan sim time: exactly what
-  /// executing the plan on a SimGpu reports.
-  bool measured = false;
 
   /// Predicted I/O over the lower bound; >= 1 for a sound bound, and the
   /// paper's figure of merit for how close a dataflow is to optimal.

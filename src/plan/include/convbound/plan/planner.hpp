@@ -3,12 +3,12 @@
 //
 // The Planner enumerates the algorithms eligible for a shape through the
 // centralized capability query (`algorithm_supports`), scores each candidate
-// with the bounds layer (dataflow I/O predictions against the Thm 4.12/4.20
-// lower bounds) and, when asked, the modelled time of its counted launches
-// (count_plan: the LaunchStats the SimGpu would report, in closed form; no
-// kernel runs), consults the TuneCache for tuned configurations (falling
-// back to the analytic Section 5 defaults), and emits an immutable ConvPlan
-// for the executor. Plans are memoised per (machine, shape, options), so
+// by the modelled time of its counted launches (count_plan: the LaunchStats
+// the SimGpu would report, in closed form; no kernel runs), records the
+// bounds layer's Eq 20/22 I/O prediction and Thm 4.12/4.20 lower bound
+// beside it, consults the TuneCache for tuned configurations (falling back
+// to the analytic Section 5 defaults), and emits an immutable ConvPlan for
+// the executor. Plans are memoised per (machine, shape, options), so
 // callers plan once and execute many times.
 //
 // Concurrency: plan()/enumerate() are safe to call from several threads on
@@ -30,14 +30,11 @@
 
 namespace convbound {
 
-/// How candidates are scored and configured.
+/// How tunable candidates are configured. Every candidate is scored by the
+/// modelled time of its counted launches (count_plan, what a SimGpu run
+/// would report) and the lowest wins.
 enum class PlanMode {
-  /// Bounds-layer predictions only; nothing is executed. Right for "what
-  /// would run" tables (CLI `plan`) and very cheap planning.
-  kAnalytic,
-  /// Score every candidate by the modelled time of its counted launches
-  /// (count_plan, what a SimGpu run would report) and pick the lowest,
-  /// with analytic default configurations.
+  /// Analytic Section 5 default configurations.
   kMeasured,
   /// Like kMeasured, but tunable algorithms take their configuration from
   /// the TuneCache (autotuning on a miss and caching the result).
@@ -104,11 +101,11 @@ class Planner {
   ConvPlan plan(SimGpu& gpu, const ConvShape& s, const PlannerOptions& opts);
 
   /// Plans the given algorithms instead of competing a CandidateSet (the
-  /// per-panel benches, CLI `run`); not memoised. One algorithm is planned
-  /// as asked, unscored by count; it must support `s`. Several are a
-  /// best-of such as kCudnnBaselinePair, as cuDNN's find phase does: the
-  /// ones that support `s` are counted unless opts.mode is kAnalytic, and
-  /// the lowest modelled time wins, the earlier algorithm on ties.
+  /// per-panel benches, CLI `run`); not memoised. One algorithm must
+  /// support `s`. Several are a best-of such as kCudnnBaselinePair, as
+  /// cuDNN's find phase does: the ones that support `s` are counted and the
+  /// lowest modelled time wins, the earlier algorithm on ties. Throws when
+  /// no candidate's launch can run, where run_plan would.
   ConvPlan plan_algorithm(SimGpu& gpu, const ConvShape& s,
                           const std::vector<ConvAlgorithm>& algos,
                           const PlannerOptions& opts);
@@ -118,13 +115,13 @@ class Planner {
  private:
   PlanCandidate make_candidate(SimGpu& gpu, const ConvShape& s,
                                ConvAlgorithm algo, std::int64_t e,
-                               const PlannerOptions& opts, bool measure);
+                               const PlannerOptions& opts);
   /// The one best-of: scores every algorithm of `algos` that supports `s`,
   /// best first (stable, so earlier algorithms win ties); infeasible
   /// candidates sort last.
   std::vector<PlanCandidate> rank(SimGpu& gpu, const ConvShape& s,
                                   const std::vector<ConvAlgorithm>& algos,
-                                  const PlannerOptions& opts, bool measure);
+                                  const PlannerOptions& opts);
 
   TuneCache* cache_;
   mutable Mutex memo_mu_;

@@ -20,18 +20,14 @@ bool is_tunable(ConvAlgorithm algo) {
          algo == ConvAlgorithm::kWinogradFused;
 }
 
-double winograd_tiles(const ConvShape& s, std::int64_t e) {
-  return static_cast<double>(s.batch) *
-         static_cast<double>((s.hout() + e - 1) / e) *
-         static_cast<double>((s.wout() + e - 1) / e);
-}
-
-/// Arithmetic estimate for ranking (FMA = 2 FLOPs): element-wise products
-/// plus the input/output transform sandwiches; kernel transforms are
-/// amortised and ignored.
+/// Arithmetic estimate for choosing e (FMA = 2 FLOPs): element-wise
+/// products plus the input/output transform sandwiches; kernel transforms
+/// are amortised and ignored.
 double winograd_flops_estimate(const ConvShape& s, std::int64_t e) {
   const double a = static_cast<double>(e + s.kh - 1);
-  const double tiles = winograd_tiles(s, e);
+  const double tiles = static_cast<double>(s.batch) *
+                       static_cast<double>((s.hout() + e - 1) / e) *
+                       static_cast<double>((s.wout() + e - 1) / e);
   const double products = 2.0 * tiles * static_cast<double>(s.cin) *
                           static_cast<double>(s.cout) * a * a;
   const double in_transform =
@@ -41,36 +37,22 @@ double winograd_flops_estimate(const ConvShape& s, std::int64_t e) {
   return products + in_transform + out_transform;
 }
 
-/// Bounds-layer I/O prediction (elements, reads + writes) for an algorithm
-/// with its chosen tile. The direct dataflows (tiled and naive) and fused
-/// Winograd have exact Equation (20)/(22) models; the other baselines get
-/// honest structural estimates so the CLI ranking stays meaningful.
+/// The paper's I/O prediction (elements, reads + writes) for an algorithm
+/// with its chosen tile: Equation (20) for the direct dataflows (tiled, and
+/// naive at its fixed 8 x 8 x 1 tile), Equation (22) for fused Winograd, and
+/// 0 (no analytic model) for im2col and phased Winograd.
 double predicted_io_elems(const ConvShape& s, ConvAlgorithm algo,
                           const ConvConfig& cfg, std::int64_t e) {
   const double out = static_cast<double>(s.output_elems());
   switch (algo) {
     case ConvAlgorithm::kDirectTiled:
-    case ConvAlgorithm::kDirectNaive:  // at its fixed 8 x 8 x 1 tile
+    case ConvAlgorithm::kDirectNaive:
       return direct_dataflow_reads(s, cfg.x, cfg.y, cfg.z) + out;
     case ConvAlgorithm::kWinogradFused:
       return winograd_dataflow_reads(s, e, cfg.x, cfg.y, cfg.z) + out;
-    case ConvAlgorithm::kIm2col: {
-      // Column matrix written then re-read by the GEMM.
-      const double col = static_cast<double>(s.batch * s.hout() * s.wout()) *
-                         static_cast<double>(s.cin * s.kh * s.kw);
-      return static_cast<double>(s.input_elems()) + 2.0 * col +
-             static_cast<double>(s.weight_elems()) + out;
-    }
-    case ConvAlgorithm::kWinogradPhased: {
-      // U, V, M materialised in global memory (written + read once each).
-      const double a2 = static_cast<double>((e + s.kh - 1) * (e + s.kh - 1));
-      const double tiles = winograd_tiles(s, e);
-      const double u = static_cast<double>(s.cout * s.cin) * a2;
-      const double v = tiles * static_cast<double>(s.cin) * a2;
-      const double m = tiles * static_cast<double>(s.cout) * a2;
-      return static_cast<double>(s.input_elems()) +
-             static_cast<double>(s.weight_elems()) + 2.0 * (u + v + m) + out;
-    }
+    case ConvAlgorithm::kIm2col:
+    case ConvAlgorithm::kWinogradPhased:
+      return 0;
   }
   return 0;
 }
@@ -167,8 +149,7 @@ std::int64_t winograd_e(const ConvShape& s, const MachineSpec& spec,
 
 PlanCandidate Planner::make_candidate(SimGpu& gpu, const ConvShape& s,
                                       ConvAlgorithm algo, std::int64_t e,
-                                      const PlannerOptions& opts,
-                                      bool measure) {
+                                      const PlannerOptions& opts) {
   const MachineSpec& spec = gpu.spec();
   PlanCandidate c;
   ConvPlan& p = c.plan;
@@ -212,33 +193,25 @@ PlanCandidate Planner::make_candidate(SimGpu& gpu, const ConvShape& s,
   p.predicted_io_elems = predicted_io_elems(s, algo, p.config, e);
   p.lower_bound_elems = family_lower_bound(
       s, algo, e, static_cast<double>(spec.smem_floats()));
-  const double flops = is_winograd(algo)
-                           ? winograd_flops_estimate(s, e)
-                           : static_cast<double>(s.flops());
-  p.predicted_seconds = roofline_seconds(spec, p.predicted_io_elems, flops);
-
-  if (measure) {
-    try {
-      p.predicted_seconds = count_plan(spec, p, Layout::kNCHW).sim_time;
-      p.measured = true;
-    } catch (const Error&) {
-      // Configuration does not physically fit (e.g. shared-memory
-      // overflow); keep the candidate visible but never select it.
-      c.infeasible = true;
-    }
+  try {
+    p.predicted_seconds = count_plan(spec, p, Layout::kNCHW).sim_time;
+  } catch (const Error&) {
+    // Configuration does not physically fit (e.g. shared-memory overflow);
+    // keep the candidate visible but never select it.
+    c.infeasible = true;
   }
   return c;
 }
 
 std::vector<PlanCandidate> Planner::rank(
     SimGpu& gpu, const ConvShape& s, const std::vector<ConvAlgorithm>& algos,
-    const PlannerOptions& opts, bool measure) {
+    const PlannerOptions& opts) {
   std::vector<PlanCandidate> cands;
   for (ConvAlgorithm algo : algos) {
     if (!algorithm_supports(algo, s)) continue;
     const std::int64_t e =
         is_winograd(algo) ? winograd_e(s, gpu.spec(), opts.force_e) : 2;
-    cands.push_back(make_candidate(gpu, s, algo, e, opts, measure));
+    cands.push_back(make_candidate(gpu, s, algo, e, opts));
   }
   std::stable_sort(cands.begin(), cands.end(),
                    [](const PlanCandidate& a, const PlanCandidate& b) {
@@ -252,8 +225,7 @@ std::vector<PlanCandidate> Planner::rank(
 std::vector<PlanCandidate> Planner::enumerate(SimGpu& gpu, const ConvShape& s,
                                               const PlannerOptions& opts) {
   s.validate();
-  return rank(gpu, s, eligible_algorithms(opts.candidates, s), opts,
-              opts.mode != PlanMode::kAnalytic);
+  return rank(gpu, s, eligible_algorithms(opts.candidates, s), opts);
 }
 
 ConvPlan Planner::plan(SimGpu& gpu, const ConvShape& s,
@@ -283,9 +255,7 @@ ConvPlan Planner::plan_algorithm(SimGpu& gpu, const ConvShape& s,
   CB_CHECK_MSG(algos.size() != 1 || algorithm_supports(algos.front(), s),
                to_string(algos.front()) << " does not support "
                                         << s.to_string());
-  return best_plan(s, rank(gpu, s, algos, opts,
-                           algos.size() > 1 &&
-                               opts.mode != PlanMode::kAnalytic));
+  return best_plan(s, rank(gpu, s, algos, opts));
 }
 
 }  // namespace convbound

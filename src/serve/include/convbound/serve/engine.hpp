@@ -4,7 +4,8 @@
 //
 // A ServeEngine owns everything one *device* needs to execute micro-batch
 // groups: the bound-guided bucket choice per model (choose_batch_bucket
-// against this device's MachineSpec), the power-of-two session-ladder, one
+// against this device's MachineSpec, scored with the same per-model Planner
+// and options the sessions run), the power-of-two session-ladder, one
 // thread-safe Planner per model, a TuneCache, and the SessionPool of warm
 // replicas. warm() is the only place planning, tuning, and workspace
 // allocation happen; after it, execute_batch() plans nothing and allocates
@@ -73,8 +74,8 @@ struct ServingOptions {
   /// otherwise a fixed bucket for every model (1 = the unbatched baseline).
   std::int64_t force_bucket = 0;
   BatchPolicyOptions batch_policy;
-  /// Planning mode for the warm sessions (kTuned autotunes through each
-  /// device's thread-safe TuneCache).
+  /// Planning mode for the bucket scores and the warm sessions (kTuned
+  /// autotunes through each device's thread-safe TuneCache).
   PlanMode plan_mode = PlanMode::kMeasured;
   int tune_budget = 16;
   std::uint64_t seed = 42;
@@ -110,7 +111,6 @@ class ServeEngine {
   void execute_batch(std::vector<PendingRequest> group,
                      const std::string& model_name);
 
-  const ServedModel& model(const std::string& name) const;
   /// The scored bucket candidates behind `name`'s chosen bucket.
   const BucketChoice& bucket_choice(const std::string& name) const;
   /// The scheduler's max group size for `name` (the chosen bucket).
@@ -121,12 +121,10 @@ class ServeEngine {
   const std::vector<std::int64_t>& exec_buckets(const std::string& name) const;
 
   /// Predicted whole-batch time of `name`'s chosen bucket on this device:
-  /// the sum of the warm sessions' per-layer plan predictions (the modelled
-  /// time of the counted launches under the default kMeasured/kTuned
-  /// planning, bounds-layer roofline under kAnalytic). Every plan() call here hits
-  /// the warm memo, so this never plans after warm() — the cluster Router
-  /// reads it once at start to build its cost table.
-  double predicted_batch_seconds(const std::string& name);
+  /// its bucket score, the sum of the warm sessions' per-layer counted plan
+  /// times. Plans nothing — the cluster Router reads it to build its cost
+  /// table.
+  double predicted_batch_seconds(const std::string& name) const;
 
   /// Fills the engine-side snapshot fields: plans_memoised,
   /// plan_misses_after_warm (0 until warm() completes), and the workspace
@@ -138,21 +136,14 @@ class ServeEngine {
   std::size_t plans_memoised() const;
 
   const std::map<std::string, ServedModel>* models_;
-  /// Copied at construction; batch_policy.max_delay_seconds is charged with
-  /// the scheduler's max_delay so bucket feasibility sees the formation
-  /// window.
   ServingOptions opts_;
   MachineSpec machine_;
   int replicas_;
   int ordinal_;
   ServerStats* stats_;
-  /// The exact options warm() planned with; predicted_batch_seconds()
-  /// replays them so its plan() calls are memo hits. Written only by
-  /// warm() before any thread serves — unguarded by design, like
-  /// buckets_/exec_buckets_ below (warm() must complete before
-  /// execute_batch()/bucket_of() may be called; the lifecycle guard in
-  /// ClusterDevice::start() enforces that).
-  PlannerOptions plan_opts_;
+  /// Written only by warm() before any thread serves — unguarded by
+  /// design (warm() must complete before execute_batch()/bucket_of() may be
+  /// called; the lifecycle guard in ClusterDevice::start() enforces that).
   std::map<std::string, BucketChoice> buckets_;
   std::map<std::string, std::vector<std::int64_t>> exec_buckets_;
   TuneCache cache_;
@@ -161,10 +152,10 @@ class ServeEngine {
   /// Declared before sessions_: sessions hold pointers into this map.
   /// planners_mu_ guards the map itself (and warm_plans_/warmed_) so a
   /// stats() poll racing warm()'s emplaces is safe; the Planners inside
-  /// are individually thread-safe — which is why warm() and
-  /// predicted_batch_seconds() may legitimately take a Planner* out of
-  /// the map under the lock and keep using it after release (map nodes
-  /// are pointer-stable; only the map structure needs the lock).
+  /// are individually thread-safe — which is why warm() may legitimately
+  /// take a Planner* out of the map under the lock and keep using it after
+  /// release (map nodes are pointer-stable; only the map structure needs
+  /// the lock).
   mutable Mutex planners_mu_;
   std::map<std::string, Planner> planners_ CB_GUARDED_BY(planners_mu_);
   SessionPool sessions_;

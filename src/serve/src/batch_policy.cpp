@@ -1,7 +1,5 @@
 #include "convbound/serve/batch_policy.hpp"
 
-#include "convbound/machine/sim_gpu.hpp"
-#include "convbound/plan/planner.hpp"
 #include "convbound/util/check.hpp"
 
 namespace convbound {
@@ -12,53 +10,42 @@ namespace {
 // per-request time is the knee.
 constexpr double kKneeTolerance = 0.02;
 
-BucketScore score_one(Planner& planner, SimGpu& gpu, const ServedModel& model,
-                      std::int64_t b, const BatchPolicyOptions& opts) {
-  PlannerOptions popts;
-  popts.mode = PlanMode::kAnalytic;  // bounds predictions only, no execution
-  popts.candidates = CandidateSet::kOurs;
-  BucketScore score;
-  score.bucket = b;
-  for (const auto& layer : model.layers) {
-    const ConvPlan p =
-        planner.plan(gpu, shape_at_batch(layer.shape, b), popts);
-    score.predicted_batch_seconds += p.predicted_seconds;
-    score.predicted_io_elems_per_request +=
-        p.predicted_io_elems / static_cast<double>(b);
-  }
-  score.predicted_seconds_per_request =
-      score.predicted_batch_seconds / static_cast<double>(b);
-  // Feasibility is end-to-end: the scheduler may hold the group open for
-  // its whole formation window before the batch starts, so the budget must
-  // cover max_delay + the predicted batch time, not the batch time alone.
-  score.feasible =
-      opts.latency_budget_seconds <= 0 ||
-      opts.max_delay_seconds + score.predicted_batch_seconds <=
-          opts.latency_budget_seconds;
-  return score;
-}
-
 }  // namespace
 
 BucketScore score_batch_bucket(const ServedModel& model,
-                               const MachineSpec& spec, std::int64_t bucket,
+                               const MachineSpec& spec, Planner& planner,
+                               const PlannerOptions& plan_opts,
+                               double max_delay_seconds, std::int64_t bucket,
                                const BatchPolicyOptions& opts) {
   CB_CHECK_MSG(bucket >= 1, "bucket must be >= 1");
-  SimGpu gpu(spec);
-  Planner planner;
-  return score_one(planner, gpu, model, bucket, opts);
+  SimGpu gpu(spec);  // planning reads only the spec
+  BucketScore score;
+  score.bucket = bucket;
+  for (const auto& layer : model.layers)
+    score.predicted_batch_seconds +=
+        planner.plan(gpu, shape_at_batch(layer.shape, bucket), plan_opts)
+            .predicted_seconds;
+  score.predicted_seconds_per_request =
+      score.predicted_batch_seconds / static_cast<double>(bucket);
+  // Feasibility is end-to-end: the scheduler may hold the group open for
+  // its whole formation window before the batch starts, so the budget must
+  // cover max_delay + the predicted batch time, not the batch time alone.
+  score.feasible = opts.latency_budget_seconds <= 0 ||
+                   max_delay_seconds + score.predicted_batch_seconds <=
+                       opts.latency_budget_seconds;
+  return score;
 }
 
 BucketChoice choose_batch_bucket(const ServedModel& model,
-                                 const MachineSpec& spec,
+                                 const MachineSpec& spec, Planner& planner,
+                                 const PlannerOptions& plan_opts,
+                                 double max_delay_seconds,
                                  const BatchPolicyOptions& opts) {
   CB_CHECK_MSG(opts.max_bucket >= 1, "max_bucket must be >= 1");
-  SimGpu gpu(spec);
-  Planner planner;
-
   BucketChoice choice;
   for (std::int64_t b = 1; b <= opts.max_bucket; b *= 2)
-    choice.scores.push_back(score_one(planner, gpu, model, b, opts));
+    choice.scores.push_back(score_batch_bucket(
+        model, spec, planner, plan_opts, max_delay_seconds, b, opts));
 
   double best = 0;
   bool have_best = false;

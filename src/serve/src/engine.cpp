@@ -29,11 +29,6 @@ ServeEngine::ServeEngine(const std::map<std::string, ServedModel>& models,
   CB_CHECK_MSG(!models.empty(), "engine needs at least one model");
   CB_CHECK_MSG(replicas_ >= 1, "replicas must be >= 1");
   CB_CHECK_MSG(stats_ != nullptr, "engine needs a stats sink");
-  // Bucket feasibility must account for the scheduler's group-formation
-  // window, which lives in the serving options, not in the batch policy
-  // the caller set.
-  opts_.batch_policy.max_delay_seconds =
-      std::chrono::duration<double>(opts_.max_delay).count();
 }
 
 void ServeEngine::warm() {
@@ -46,7 +41,9 @@ void ServeEngine::warm() {
   popts.candidates = CandidateSet::kOurs;
   popts.tune_budget = opts_.tune_budget;
   popts.seed = opts_.seed;
-  plan_opts_ = popts;
+  // Bucket feasibility charges the scheduler's group-formation window.
+  const double max_delay_seconds =
+      std::chrono::duration<double>(opts_.max_delay).count();
 
   // Sessions are constructed serially (cheap), then warmed in parallel —
   // planner, tune cache, and per-session workspaces are all safe under
@@ -54,21 +51,32 @@ void ServeEngine::warm() {
   // models x buckets x replicas.
   std::vector<std::unique_ptr<ServeSession>> fresh;
   for (const auto& [name, model] : *models_) {
-    // Bound-guided bucket choice; the full candidate scoring is kept for
-    // reporting even when the bucket is forced.
+    Planner* planner = nullptr;
+    {
+      MutexLock lock(planners_mu_);
+      planner = &planners_
+                     .emplace(std::piecewise_construct,
+                              std::forward_as_tuple(name),
+                              std::forward_as_tuple(&cache_))
+                     .first->second;  // map nodes are stable after unlock
+    }
+    // Bound-guided bucket choice, planned with the sessions' planner and
+    // options, so the sessions below hit its memo; the full candidate
+    // scoring is kept for reporting even when the bucket is forced.
     BucketChoice choice =
-        choose_batch_bucket(model, machine_, opts_.batch_policy);
+        choose_batch_bucket(model, machine_, *planner, popts,
+                            max_delay_seconds, opts_.batch_policy);
     if (opts_.force_bucket > 0) {
       choice.bucket = opts_.force_bucket;
       bool scored = false;
       for (const auto& s : choice.scores)
         scored = scored || s.bucket == choice.bucket;
-      // An off-ladder forced bucket (e.g. 3) gets a real analytic score so
+      // An off-ladder forced bucket (e.g. 3) gets a real score so
       // reporting still shows what was chosen and what it costs.
       if (!scored)
-        choice.scores.push_back(score_batch_bucket(model, machine_,
-                                                   choice.bucket,
-                                                   opts_.batch_policy));
+        choice.scores.push_back(score_batch_bucket(
+            model, machine_, *planner, popts, max_delay_seconds,
+            choice.bucket, opts_.batch_policy));
       for (auto& s : choice.scores) s.chosen = s.bucket == choice.bucket;
     }
     buckets_.emplace(name, std::move(choice));
@@ -82,15 +90,6 @@ void ServeEngine::warm() {
     ladder.push_back(buckets_.at(name).bucket);
     exec_buckets_.emplace(name, ladder);
 
-    Planner* planner = nullptr;
-    {
-      MutexLock lock(planners_mu_);
-      planner = &planners_
-                     .emplace(std::piecewise_construct,
-                              std::forward_as_tuple(name),
-                              std::forward_as_tuple(&cache_))
-                     .first->second;  // map nodes are stable after unlock
-    }
     for (std::int64_t b : ladder)
       for (int r = 0; r < replicas_; ++r)
         fresh.push_back(std::make_unique<ServeSession>(
@@ -244,27 +243,12 @@ void ServeEngine::execute_batch(std::vector<PendingRequest> group,
   }
 }
 
-double ServeEngine::predicted_batch_seconds(const std::string& name) {
-  const ServedModel& m = model(name);
-  const std::int64_t bucket = bucket_of(name);
-  Planner* planner = nullptr;
-  {
-    MutexLock lock(planners_mu_);
-    const auto it = planners_.find(name);
-    CB_CHECK_MSG(it != planners_.end(),
-                 "no planner for '" << name << "' (engine not warmed)");
-    planner = &it->second;
-  }
-  // Every shape below was planned during warm() with the same options, so
-  // each plan() is a memo hit; planning reads only the spec.
-  SimGpu gpu(machine_);
-  double seconds = 0;
-  for (const auto& layer : m.layers)
-    seconds += planner
-                   ->plan(gpu, shape_at_batch(layer.shape, bucket),
-                          plan_opts_)
-                   .predicted_seconds;
-  return seconds;
+double ServeEngine::predicted_batch_seconds(const std::string& name) const {
+  const BucketChoice& choice = bucket_choice(name);
+  for (const BucketScore& s : choice.scores)
+    if (s.chosen) return s.predicted_batch_seconds;
+  CB_CHECK_MSG(false, "no score for the chosen bucket of '" << name << "'");
+  return 0;
 }
 
 std::size_t ServeEngine::plans_memoised() const {
@@ -287,13 +271,6 @@ void ServeEngine::fill_stats(StatsSnapshot& s) const {
     s.plan_misses_after_warm = s.plans_memoised - warm_plans;
   s.workspace_buffers = sessions_.workspace_buffers();
   s.workspace_bytes = sessions_.workspace_bytes();
-}
-
-const ServedModel& ServeEngine::model(const std::string& name) const {
-  const auto it = models_->find(name);
-  CB_CHECK_MSG(it != models_->end(),
-               "unknown served model '" << name << "'");
-  return it->second;
 }
 
 const BucketChoice& ServeEngine::bucket_choice(const std::string& name) const {

@@ -16,9 +16,11 @@ TenantTable::TenantTable(std::vector<TenantClass> classes)
   }
   for (std::size_t i = 0; i < classes_.size(); ++i) {
     const TenantClass& c = classes_[i];
-    CB_CHECK_MSG(std::isfinite(c.latency_budget_seconds),
-                 "tenant class '" << c.name << "' has non-finite latency "
-                 "budget " << c.latency_budget_seconds);
+    CB_CHECK_MSG(std::isfinite(c.latency_budget_seconds) &&
+                     c.latency_budget_seconds >= 0,
+                 "tenant class '" << c.name << "' has latency budget "
+                                  << c.latency_budget_seconds
+                                  << " (must be finite and >= 0)");
     CB_CHECK_MSG(c.quota_weight > 0,
                  "tenant class '" << c.name << "' has non-positive quota "
                  "weight " << c.quota_weight);
@@ -44,7 +46,7 @@ std::size_t TenantTable::resolve(const std::string& tenant) const {
 ServeTimePoint TenantTable::effective_deadline(
     std::size_t i, ServeTimePoint now, ServeTimePoint request_deadline) const {
   const double budget = classes_[i].latency_budget_seconds;
-  if (budget <= 0) return request_deadline;
+  if (budget == 0) return request_deadline;
   // A budget that reaches past the clock's range is unbounded: casting it
   // to clock ticks would overflow and wrap the deadline into the past.
   const ServeClock::duration room = ServeTimePoint::max() - now;

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <future>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -206,12 +208,12 @@ TEST(Router, PlacementCarriesTheDevicesOwnBucket) {
 // -------------------------------------------- bound-aware heterogeneity ----
 
 // The satellite routing test: with a flop-optimized and a
-// bandwidth-optimized device in one fleet, the Eq 20/22 + roofline
-// predictions must route the compute-heavy model to the high-FLOP spec and
-// the bandwidth-bound model to the high-HBM spec — deterministically, from
-// the analytic cost table alone (no measurement). Each model's first
-// request is placed on its own new, idle fleet, so the placement is that
-// model's preference and nothing is stolen.
+// bandwidth-optimized device in one fleet, the counted plan times must
+// route the compute-heavy model to the high-FLOP spec and the
+// bandwidth-bound model to the high-HBM spec — deterministically, from the
+// warm-time cost table alone (no measurement at routing time). Each
+// model's first request is placed on its own new, idle fleet, so the
+// placement is that model's preference and nothing is stolen.
 TEST(ClusterRouting, ComputeHeavyToDenseBandwidthBoundToHbm) {
   ClusterOptions opts;
   opts.devices = {device_of(MachineSpec::bandwidth_optimized(), 1),
@@ -234,6 +236,37 @@ TEST(ClusterRouting, ComputeHeavyToDenseBandwidthBoundToHbm) {
       << "compute-heavy model must prefer the flop-optimized spec";
   EXPECT_EQ(placements_on_idle_fleet(bandwidth_bound_model()), (Placed{1, 0}))
       << "bandwidth-bound model must prefer the bandwidth-optimized spec";
+}
+
+// The Router's cost row is the count of the plans each device serves: per
+// device and model, the chosen bucket's whole-batch time is the sum of
+// count_plan over the model's layers at that bucket.
+TEST(ClusterRouting, CostRowIsTheCountOfTheServedPlans) {
+  const auto models = tiny_models();
+  ClusterServer cluster(models, hetero_options());
+  cluster.start();
+  for (std::size_t i = 0; i < cluster.num_devices(); ++i) {
+    const MachineSpec& spec = cluster.device(i).config().spec;
+    SimGpu gpu(spec);
+    Planner planner;
+    const std::map<std::string, Router::ModelCost> row = cluster.cost_row(i);
+    ASSERT_EQ(row.size(), models.size());
+    for (const ServedModel& m : models) {
+      const Router::ModelCost& cost = row.at(m.name);
+      EXPECT_EQ(cost.bucket, cluster.device(i).engine().bucket_of(m.name));
+      double counted = 0;
+      for (const ConvLayer& layer : m.layers)
+        counted += count_plan(spec,
+                              planner.plan(gpu,
+                                           shape_at_batch(layer.shape,
+                                                          cost.bucket),
+                                           PlannerOptions{}),
+                              Layout::kNCHW)
+                       .sim_time;
+      EXPECT_EQ(cost.batch_seconds, counted) << spec.name << " " << m.name;
+    }
+  }
+  cluster.stop();
 }
 
 // --------------------------------------------------- serving pipeline ----

@@ -226,7 +226,6 @@ TEST(WinogradFused, RejectsTilesAboveEight) {
                Error);
 
   PlannerOptions opts;
-  opts.mode = PlanMode::kAnalytic;
   opts.force_e = 4;
   Planner planner;
   EXPECT_THROW(planner.plan(gpu, s, opts), Error);

@@ -200,9 +200,10 @@ TEST(Planner, MeasuredPlansAreCounted) {
             threw = true;
           }
           EXPECT_EQ(c.infeasible, threw);
-          EXPECT_EQ(c.plan.measured, !threw);
           if (!threw) {
             EXPECT_EQ(c.plan.predicted_seconds, run.sim_time);
+            EXPECT_EQ(c.plan.predicted_seconds,
+                      count_plan(gpu.spec(), c.plan, Layout::kNCHW).sim_time);
           }
         }
       }
@@ -277,7 +278,10 @@ TEST(RunPlan, DispatchesAllAlgorithms) {
         ConvAlgorithm::kWinogradPhased}) {
     const ConvPlan plan = planner.plan_algorithm(gpu, s, {algo}, opts);
     EXPECT_EQ(plan.algorithm, algo);
-    EXPECT_FALSE(plan.measured) << to_string(algo);  // not scored
+    // A single algorithm is scored by its count too.
+    EXPECT_EQ(plan.predicted_seconds,
+              count_plan(gpu.spec(), plan, Layout::kNCHW).sim_time)
+        << to_string(algo);
     Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
     const LaunchStats stats =
         run_plan(gpu, plan, prob.input, prob.weights, out);
@@ -299,9 +303,8 @@ TEST(RunPlan, DispatchesAllAlgorithms) {
 TEST(NaivePlan, CarriesFixedTileAndItsEquation20Prediction) {
   SimGpu gpu(MachineSpec::v100());
   Planner planner;
-  PlannerOptions analytic;
-  analytic.mode = PlanMode::kAnalytic;
-  analytic.candidates = CandidateSet::kBaseline;
+  PlannerOptions baseline;
+  baseline.candidates = CandidateSet::kBaseline;
   for (const ConvShape& s : {shape(4, 10, 4, 3, 1, 1),     // 10x10 output
                              shape(8, 5, 8, 3, 1, 1, 4),   // 5x5, grouped
                              shape(16, 20, 32, 3, 2, 1)}) {  // stride 2
@@ -315,7 +318,7 @@ TEST(NaivePlan, CarriesFixedTileAndItsEquation20Prediction) {
                                     std::min<std::int64_t>(8, s.wout()), 1) +
                   static_cast<double>(s.output_elems()));
     int naive_candidates = 0;
-    for (const PlanCandidate& c : planner.enumerate(gpu, s, analytic)) {
+    for (const PlanCandidate& c : planner.enumerate(gpu, s, baseline)) {
       if (c.plan.algorithm != ConvAlgorithm::kDirectNaive) continue;
       ++naive_candidates;
       EXPECT_EQ(c.plan.config, naive_direct_config(s));
@@ -338,7 +341,8 @@ TEST(BestOf, CudnnBaselinePairPlansTheFasterDirectKernel) {
     const Tensor4<float> expect = conv2d_ref(p.input, p.weights, s);
     const ConvPlan plan =
         planner.plan_algorithm(gpu, s, kCudnnBaselinePair, PlannerOptions{});
-    EXPECT_TRUE(plan.measured);
+    EXPECT_EQ(plan.predicted_seconds,
+              count_plan(gpu.spec(), plan, Layout::kNCHW).sim_time);
 
     ConvAlgorithm want = ConvAlgorithm::kDirectNaive;
     if (s.groups == 1) {

@@ -156,10 +156,12 @@ TEST(RequestQueue, ExpiredEntriesAreAnsweredAndFreeCapacity) {
 
 TEST(BatchPolicy, BoundGuidedBucketSitsAtTheKnee) {
   const auto models = tiny_models();
+  Planner planner;
+  const PlannerOptions popts;
   BatchPolicyOptions opts;
   opts.max_bucket = 8;
-  const BucketChoice c =
-      choose_batch_bucket(models[0], MachineSpec::v100(), opts);
+  const BucketChoice c = choose_batch_bucket(models[0], MachineSpec::v100(),
+                                             planner, popts, 0, opts);
   ASSERT_EQ(c.scores.size(), 4u);  // 1, 2, 4, 8
   // Launch-overhead amortisation: per-request predicted time never gets
   // worse with batching on these tiny layers.
@@ -176,7 +178,9 @@ TEST(BatchPolicy, BoundGuidedBucketSitsAtTheKnee) {
   // A tight latency budget forces small batches.
   BatchPolicyOptions tight = opts;
   tight.latency_budget_seconds = 1e-12;
-  EXPECT_EQ(choose_batch_bucket(models[0], MachineSpec::v100(), tight).bucket,
+  EXPECT_EQ(choose_batch_bucket(models[0], MachineSpec::v100(), planner,
+                                popts, 0, tight)
+                .bucket,
             1);
 }
 
@@ -393,25 +397,38 @@ TEST(Serve, ExpiredSubmitUnderSaturationResolvesAndFreesQueueBudget) {
 TEST(BatchPolicy, FeasibilityChargesTheGroupFormationDelay) {
   // The budget must cover max_delay + predicted batch time: a bucket whose
   // batch alone fits is still infeasible when the scheduler's formation
-  // window eats the headroom.
-  const auto models = tiny_models();
+  // window eats the headroom. The one layer fills the v100 at batch 1, so a
+  // batch of two takes longer (the tiny models' layers underfill the
+  // machine, and their counted batch time is flat across buckets).
+  ConvShape wave;
+  wave.cin = wave.cout = 32;
+  wave.hin = wave.win = 56;
+  wave.kh = wave.kw = 3;
+  wave.pad = 1;
+  wave.validate();
+  const ServedModel model = make_served_model("wave", {{"l0", wave}}, {});
   const MachineSpec spec = MachineSpec::v100();
+  Planner planner;
+  const PlannerOptions popts;
   BatchPolicyOptions free_opts;
   free_opts.max_bucket = 2;
   free_opts.latency_budget_seconds = 0;  // unconstrained probe
   const double b1 =
-      score_batch_bucket(models[0], spec, 1, free_opts).predicted_batch_seconds;
+      score_batch_bucket(model, spec, planner, popts, 0, 1, free_opts)
+          .predicted_batch_seconds;
   const double b2 =
-      score_batch_bucket(models[0], spec, 2, free_opts).predicted_batch_seconds;
+      score_batch_bucket(model, spec, planner, popts, 0, 2, free_opts)
+          .predicted_batch_seconds;
   ASSERT_GT(b2, b1);
 
   // Budget B with b2 <= B (old rule: bucket 2 feasible) but
   // delay + b2 > B >= delay + b1 (new rule: only bucket 1 fits).
   BatchPolicyOptions opts;
   opts.max_bucket = 2;
-  opts.max_delay_seconds = b2;
+  const double delay = b2;
   opts.latency_budget_seconds = b2 + (b1 + b2) / 2;
-  const BucketChoice constrained = choose_batch_bucket(models[0], spec, opts);
+  const BucketChoice constrained =
+      choose_batch_bucket(model, spec, planner, popts, delay, opts);
   EXPECT_EQ(constrained.bucket, 1);
   for (const auto& s : constrained.scores) {
     if (s.bucket == 2) {
@@ -420,15 +437,15 @@ TEST(BatchPolicy, FeasibilityChargesTheGroupFormationDelay) {
   }
 
   // Same budget with no formation delay: bucket 2 is back on the table.
-  BatchPolicyOptions no_delay = opts;
-  no_delay.max_delay_seconds = 0;
-  for (const auto& s : choose_batch_bucket(models[0], spec, no_delay).scores)
+  for (const auto& s :
+       choose_batch_bucket(model, spec, planner, popts, 0, opts).scores)
     EXPECT_TRUE(s.feasible) << "bucket " << s.bucket;
 
   // Boundary: the budget exactly covers delay + batch -> feasible.
   BatchPolicyOptions exact = opts;
-  exact.latency_budget_seconds = exact.max_delay_seconds + b2;
-  const BucketChoice at_edge = choose_batch_bucket(models[0], spec, exact);
+  exact.latency_budget_seconds = delay + b2;
+  const BucketChoice at_edge =
+      choose_batch_bucket(model, spec, planner, popts, delay, exact);
   for (const auto& s : at_edge.scores) {
     if (s.bucket == 2) {
       EXPECT_TRUE(s.feasible);
@@ -454,8 +471,8 @@ TEST(Serve, TunedPlanningSharesTheThreadSafeCache) {
   opts.plan_mode = PlanMode::kTuned;
   opts.tune_budget = 4;
   InferenceServer server(models, opts);
-  // Warmup tunes through the one shared TuneCache; the second replica of
-  // each (model, bucket) hits the entries the first replica autotuned.
+  // Warmup tunes through the one shared TuneCache while it scores the
+  // buckets; every warm session then hits the planner's memo.
   server.start();
 
   const Tensor4<float> input = make_request_input(models[0], 11);
@@ -649,6 +666,7 @@ TEST(TenantTable, BudgetPastTheClockIsUnboundedAndNanIsRejected) {
         << table.cls(i).name;
   }
   EXPECT_THROW(TenantTable({TenantClass{"nan", std::nan(""), 1.0}}), Error);
+  EXPECT_THROW(TenantTable({TenantClass{"negative", -1e-3, 1.0}}), Error);
   EXPECT_THROW(
       TenantTable({TenantClass{
           "inf", std::numeric_limits<double>::infinity(), 1.0}}),

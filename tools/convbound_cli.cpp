@@ -14,17 +14,18 @@
 //   models [--machine NAME]
 //       Compare baseline vs our dataflows across the CNN model zoo.
 //   plan   --model NAME [--batch N] | --cin N --in N --cout N [...]
-//          [--mode analytic|measured|tuned] [--set ours|baseline]
+//          [--mode measured|tuned] [--set ours|baseline]
 //          [--budget N] [--machine NAME]
 //       Bound-guided planning. With --model, print the per-layer plan table
-//       (algorithm, config, predicted I/O vs the I/O lower bound; a shape
-//       flag other than --batch is an error there); with a
-//       single shape, print the full candidate ranking. analytic (default)
-//       scores by the bounds layer, measured by the modelled time of each
-//       candidate's counted launches, tuned autotunes each distinct layer
-//       once per run. No mode executes a kernel.
+//       (algorithm, config, Eq 20/22 predicted I/O vs the I/O lower bound,
+//       `-` where the algorithm has no analytic model; a shape flag other
+//       than --batch is an error there); with a single shape, print the
+//       full candidate ranking. Every candidate is scored by the modelled
+//       time of its counted launches; measured (default) plans analytic
+//       default configs, tuned autotunes each distinct layer once per run.
+//       No mode executes a kernel.
 //   profile --model NAME [--batch N] [--reps N] [--seed N]
-//           [--mode analytic|measured|tuned] [--set ours|baseline]
+//           [--mode measured|tuned] [--set ours|baseline]
 //           [--machine NAME]
 //       Plans every layer as `plan --model` does, executes each on a
 //       striped SimGpu and prints one row per layer: plan and config,
@@ -303,17 +304,10 @@ std::vector<ConvLayer> model_by_name(const std::string& name,
 
 PlannerOptions planner_options_from(const Args& a) {
   PlannerOptions opts;
-  const std::string mode = a.gets("mode", "analytic");
-  if (mode == "analytic") {
-    opts.mode = PlanMode::kAnalytic;
-  } else if (mode == "measured") {
-    opts.mode = PlanMode::kMeasured;
-  } else if (mode == "tuned") {
-    opts.mode = PlanMode::kTuned;
-  } else {
-    CB_CHECK_MSG(false, "unknown mode '" << mode
-                                         << "' (analytic|measured|tuned)");
-  }
+  const std::string mode = a.gets("mode", "measured");
+  if (mode != "measured" && mode != "tuned")
+    throw Error("unknown mode '" + mode + "' (measured|tuned)");
+  opts.mode = mode == "tuned" ? PlanMode::kTuned : PlanMode::kMeasured;
   const std::string set = a.gets("set", "ours");
   CB_CHECK_MSG(set == "ours" || set == "baseline",
                "unknown candidate set '" << set << "' (ours|baseline)");
@@ -341,13 +335,19 @@ std::string config_cell(const ConvPlan& p) {
 const std::vector<std::string> kPlanColumns = {
     "layer", "shape", "algorithm", "config", "pred I/O MB", "bound MB"};
 
+/// A cell derived from the Eq 20/22 prediction: "-" for an algorithm with
+/// no analytic model (predicted_io_elems 0).
+std::string predicted_cell(const ConvPlan& p, double value, int digits) {
+  return p.predicted_io_elems > 0 ? Table::fmt(value, digits) : "-";
+}
+
 std::vector<std::string> plan_cells(const ConvLayer& layer,
                                     const ConvPlan& p) {
   return {layer.name,
           layer.shape.to_string(),
           p.label(),
           config_cell(p),
-          Table::fmt(p.predicted_io_elems * 4e-6, 3),
+          predicted_cell(p, p.predicted_io_elems * 4e-6, 3),
           Table::fmt(p.lower_bound_elems * 4e-6, 3)};
 }
 
@@ -374,33 +374,33 @@ int cmd_plan(const Args& a) {
     for (const auto& layer : layers) {
       const ConvPlan p = planner.plan(gpu, layer.shape, opts);
       std::vector<std::string> row = plan_cells(layer, p);
-      row.push_back(Table::fmt(p.bound_ratio(), 2));
+      row.push_back(predicted_cell(p, p.bound_ratio(), 2));
       t.add_row(std::move(row));
       total_io += p.predicted_io_elems;
       total_pred_s += p.predicted_seconds;
     }
     std::printf("%s on %s (%s planning)\n", model_name.c_str(),
-                gpu.spec().name.c_str(), a.gets("mode", "analytic").c_str());
+                gpu.spec().name.c_str(), a.gets("mode", "measured").c_str());
     std::printf("%s", t.to_string().c_str());
-    std::printf("total predicted I/O: %.2f MB   total %s time: %.3f ms\n",
-                mb(total_io),
-                opts.mode == PlanMode::kAnalytic ? "roofline" : "measured",
-                total_pred_s * 1e3);
+    std::printf(
+        "total predicted I/O: %.2f MB   total measured time: %.3f ms\n",
+        mb(total_io), total_pred_s * 1e3);
   } else {
     const ConvShape s = shape_from(a);
     const auto cands = planner.enumerate(gpu, s, opts);
     std::printf("candidates for %s on %s (best first):\n",
                 s.to_string().c_str(), gpu.spec().name.c_str());
     Table t({"algorithm", "config", "pred I/O MB", "bound MB", "ratio",
-             opts.mode == PlanMode::kAnalytic ? "roofline ms" : "measured ms",
-             "note"});
+             "measured ms", "note"});
     for (std::size_t i = 0; i < cands.size(); ++i) {
       const ConvPlan& c = cands[i].plan;
       t.add_row({c.label(), config_cell(c),
-                 Table::fmt(mb(c.predicted_io_elems), 3),
+                 predicted_cell(c, mb(c.predicted_io_elems), 3),
                  Table::fmt(mb(c.lower_bound_elems), 3),
-                 Table::fmt(c.bound_ratio(), 2),
-                 Table::fmt(c.predicted_seconds * 1e3, 4),
+                 predicted_cell(c, c.bound_ratio(), 2),
+                 cands[i].infeasible
+                     ? "-"
+                     : Table::fmt(c.predicted_seconds * 1e3, 4),
                  cands[i].infeasible ? "infeasible"
                                      : (i == 0 ? "<- plan" : "")});
     }
@@ -468,7 +468,7 @@ int cmd_profile(const Args& a) {
   }
   std::printf("%s on %s (%s planning, striped, wall = min of %lld reps)\n",
               model_name.c_str(), gpu.spec().name.c_str(),
-              a.gets("mode", "analytic").c_str(),
+              a.gets("mode", "measured").c_str(),
               static_cast<long long>(reps));
   std::printf("%s", t.to_string().c_str());
 
