@@ -5,8 +5,8 @@
 // baseline plans over {naive direct, im2col, phased Winograd}, ours over
 // {tiled direct, fused Winograd} with analytically derived configurations
 // (the tuner's starting point — tuning every layer of five models is left
-// to examples/autotune_layer to keep this bench fast). Each model reuses an
-// InferenceSession, so each layer is planned once; its time is the
+// to examples/autotune_layer to keep this bench fast). Each model reuses one
+// Planner, so each layer is planned once; its time is the
 // closed-form count of its plan (run_model). No kernel executes and there
 // is nothing to time: the figure prints its rows directly.
 //
@@ -27,13 +27,13 @@ void print_figure() {
   const auto zoo = model_zoo(1);
   for (const auto& [name, layers] : zoo) {
     SimGpu gpu(MachineSpec::v100());
-    InferenceSession session;
+    Planner planner;
     const double base_ms =
-        run_model(gpu, name, layers, ModelStrategy::kBaseline, session)
+        run_model(gpu, name, layers, ModelStrategy::kBaseline, planner)
             .total_seconds *
         1e3;
     const double ours_ms =
-        run_model(gpu, name, layers, ModelStrategy::kOursDefault, session)
+        run_model(gpu, name, layers, ModelStrategy::kOursDefault, planner)
             .total_seconds *
         1e3;
     t.add_row({name, Table::fmt(base_ms, 2), Table::fmt(ours_ms, 2),

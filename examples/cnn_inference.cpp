@@ -28,13 +28,13 @@ int main(int argc, char** argv) {
               layers.size(), static_cast<double>(model_flops(layers)) / 1e9,
               gpu.spec().name.c_str());
 
-  // One long-lived session carries the plan memo and tune cache across both
-  // strategy runs; each layer's time is the count of its plan.
-  InferenceSession session;
+  // One planner carries the plan memo across both strategy runs; each
+  // layer's time is the count of its plan.
+  Planner planner;
   const ModelReport base =
-      run_model(gpu, which, layers, ModelStrategy::kBaseline, session);
+      run_model(gpu, which, layers, ModelStrategy::kBaseline, planner);
   const ModelReport ours =
-      run_model(gpu, which, layers, ModelStrategy::kOursDefault, session);
+      run_model(gpu, which, layers, ModelStrategy::kOursDefault, planner);
 
   Table t({"layer", "shape", "baseline (us)", "ours (us)", "speedup",
            "winning algo"});

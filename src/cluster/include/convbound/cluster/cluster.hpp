@@ -10,7 +10,7 @@
 //
 // One front door, N simulated accelerators with *different* MachineSpecs.
 // Every device owns its full serving stack (bound-guided buckets for its
-// own spec, planners, tune cache, warm sessions, worker pool); the Router
+// own spec, planner, warm sessions, worker pool); the Router
 // places each request group on the device with the best predicted
 // per-request completion, costed by the counted time of its warm plans on
 // its own spec instead of measuring at routing time — the same machinery

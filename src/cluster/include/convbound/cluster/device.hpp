@@ -1,9 +1,8 @@
 // One simulated accelerator in a heterogeneous fleet.
 //
-// A ClusterDevice pairs a ServeEngine (bound-guided buckets, per-model
-// planners, TuneCache, warm SessionPool — all chosen against *this
-// device's* MachineSpec) with its own executor workers and its own
-// ServerStats. Devices share the fleet's immutable ServedModel weights but
+// A ClusterDevice pairs a ServeEngine (bound-guided buckets, one planner
+// for all models, warm SessionPool — all chosen against *this device's*
+// MachineSpec) with its own executor workers and its own ServerStats. Devices share the fleet's immutable ServedModel weights but
 // nothing mutable: planning on one device never touches another, and the
 // per-device zero-plan-miss / zero-alloc steady-state invariant holds
 // independently for every spec in the fleet.

@@ -23,7 +23,7 @@ struct ConvPlan {
   /// Winograd variant F(e x e, r x r); meaningful for the Winograd
   /// algorithms only.
   std::int64_t e = 2;
-  /// True when `config` came from a TuneCache hit or an autotuning run
+  /// True when `config` is the tuner's certified optimum (PlanMode::kTuned)
   /// rather than the analytic default.
   bool tuned = false;
 

@@ -6,16 +6,16 @@
 // by the modelled time of its counted launches (count_plan: the LaunchStats
 // the SimGpu would report, in closed form; no kernel runs), records the
 // bounds layer's Eq 20/22 I/O prediction and Thm 4.12/4.20 lower bound
-// beside it, consults the TuneCache for tuned configurations (falling back
-// to the analytic Section 5 defaults), and emits an immutable ConvPlan for
-// the executor. Plans are memoised per (machine, shape, options), so
-// callers plan once and execute many times.
+// beside it, configures each tunable candidate (the analytic Section 5
+// default, or under kTuned the branch-and-bound tuner's certified optimum),
+// and emits an immutable ConvPlan for the executor. Plans are memoised per
+// (machine, shape, options), so callers plan once and execute many times.
 //
 // Concurrency: plan()/enumerate() are safe to call from several threads on
-// one Planner (the memo is mutex-guarded and the TuneCache is thread-safe);
-// concurrent cold misses may plan the same shape twice, but the first
-// memoised plan wins and every caller receives it. Planning reads only the
-// SimGpu's MachineSpec, so a shared SimGpu is safe too.
+// one Planner (the memo is mutex-guarded); concurrent cold misses may plan
+// the same shape twice, but both compute the same plan, the first memoised
+// one wins and every caller receives it. Planning reads only the SimGpu's
+// MachineSpec, so a shared SimGpu is safe too.
 #pragma once
 
 #include <map>
@@ -24,7 +24,6 @@
 
 #include "convbound/machine/sim_gpu.hpp"
 #include "convbound/plan/conv_plan.hpp"
-#include "convbound/tune/cache.hpp"
 #include "convbound/util/mutex.hpp"
 #include "convbound/util/thread_annotations.hpp"
 
@@ -36,8 +35,10 @@ namespace convbound {
 enum class PlanMode {
   /// Analytic Section 5 default configurations.
   kMeasured,
-  /// Like kMeasured, but tunable algorithms take their configuration from
-  /// the TuneCache (autotuning on a miss and caching the result).
+  /// Like kMeasured, but tunable algorithms take the optimum of their
+  /// pruned search domain, seeded with the Section 5 default and certified
+  /// by the branch-and-bound tuner: a pure function of (machine, shape,
+  /// algorithm, e).
   kTuned,
 };
 
@@ -57,10 +58,6 @@ inline const std::vector<ConvAlgorithm> kCudnnBaselinePair = {
 struct PlannerOptions {
   PlanMode mode = PlanMode::kMeasured;
   CandidateSet candidates = CandidateSet::kOurs;
-  /// Autotune measurement budget on a TuneCache miss (kTuned only).
-  int tune_budget = 32;
-  /// Seed for autotuning (kTuned cache misses).
-  std::uint64_t seed = 42;
   /// Pin the Winograd variant F(e, r); 0 = bound-guided choice.
   std::int64_t force_e = 0;
 };
@@ -76,9 +73,6 @@ struct PlanCandidate {
 
 class Planner {
  public:
-  /// `cache` (optional, unowned) is consulted and updated by kTuned plans.
-  explicit Planner(TuneCache* cache = nullptr) : cache_(cache) {}
-
   /// Centralized capability query: the algorithms of `set` that can run
   /// `s`, per algorithm_supports. Never empty (direct always applies).
   static std::vector<ConvAlgorithm> eligible_algorithms(CandidateSet set,
@@ -123,7 +117,6 @@ class Planner {
                                   const std::vector<ConvAlgorithm>& algos,
                                   const PlannerOptions& opts);
 
-  TuneCache* cache_;
   mutable Mutex memo_mu_;
   std::map<std::string, ConvPlan> memo_ CB_GUARDED_BY(memo_mu_);
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "convbound/bounds/conv_bounds.hpp"
 #include "convbound/tune/engine.hpp"
@@ -88,7 +89,6 @@ std::string memo_key(const MachineSpec& spec, const ConvShape& s,
   return spec.name + '|' + s.to_string() + '|' +
          std::to_string(static_cast<int>(o.mode)) + '|' +
          std::to_string(static_cast<int>(o.candidates)) + '|' +
-         std::to_string(o.tune_budget) + '|' + std::to_string(o.seed) + '|' +
          std::to_string(o.force_e);
 }
 
@@ -157,35 +157,28 @@ PlanCandidate Planner::make_candidate(SimGpu& gpu, const ConvShape& s,
   p.algorithm = algo;
   p.e = e;
 
-  // Configuration: analytic Section 5 default, overridden by the tune cache
-  // or a fresh autotuning run for the tunable dataflows in kTuned mode. The
-  // naive direct baseline runs the tiled dataflow at its fixed tile.
+  // Configuration: analytic Section 5 default; in kTuned mode the tunable
+  // dataflows search their pruned domain to exhaustion with bnb, seeded
+  // with that default: a certified optimum, and a function of (machine,
+  // shape, algorithm, e) alone. The naive direct baseline runs the tiled
+  // dataflow at its fixed tile.
   const bool wino = algo == ConvAlgorithm::kWinogradFused;
   if (algo == ConvAlgorithm::kDirectNaive) p.config = naive_direct_config(s);
   if (is_tunable(algo)) {
     p.config = wino ? default_winograd_config(s, e, spec)
                     : default_tiled_config(s, spec);
     if (opts.mode == PlanMode::kTuned) {
-      const std::string key = TuneCache::make_key(spec, s, wino, e);
-      if (cache_ != nullptr) {
-        if (const auto hit = cache_->get(key)) {
-          p.config = hit->config;
-          p.tuned = true;
-        }
-      }
-      if (!p.tuned) {
-        AutotuneOptions aopts;
-        aopts.budget = opts.tune_budget;
-        aopts.seed = opts.seed;
-        aopts.winograd = wino;
-        aopts.e = e;
-        const AutotuneOutcome outcome = autotune_conv(gpu, s, aopts);
-        if (outcome.result.best_seconds < 1e30) {
-          p.config = outcome.result.best;
-          p.tuned = true;
-          if (cache_ != nullptr)
-            cache_->put(key, {p.config, outcome.best_gflops});
-        }
+      AutotuneOptions aopts;
+      aopts.budget = std::numeric_limits<int>::max();
+      aopts.tuner = "bnb";
+      aopts.winograd = wino;
+      aopts.e = e;
+      const AutotuneOutcome outcome = autotune_conv(gpu, s, aopts);
+      CB_CHECK_MSG(outcome.proven_optimal,
+                   "bnb left " << s.to_string() << " uncertified");
+      if (outcome.result.best_seconds < 1e30) {
+        p.config = outcome.result.best;
+        p.tuned = true;
       }
     }
   }

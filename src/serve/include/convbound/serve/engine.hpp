@@ -4,11 +4,12 @@
 //
 // A ServeEngine owns everything one *device* needs to execute micro-batch
 // groups: the bound-guided bucket choice per model (choose_batch_bucket
-// against this device's MachineSpec, scored with the same per-model Planner
-// and options the sessions run), the power-of-two session-ladder, one
-// thread-safe Planner per model, a TuneCache, and the SessionPool of warm
-// replicas. warm() is the only place planning, tuning, and workspace
-// allocation happen; after it, execute_batch() plans nothing and allocates
+// against this device's MachineSpec, scored with the same Planner and
+// options the sessions run), the power-of-two session-ladder, one
+// thread-safe Planner for all of its models (its memo plans a layer shape
+// that several models share once), and the SessionPool of warm replicas.
+// warm() is the only place planning, tuning, and workspace allocation
+// happen; after it, execute_batch() plans nothing and allocates
 // nothing (the per-device zero-plan-miss / zero-alloc invariant, asserted
 // by tests/serve_test.cpp and tests/cluster_test.cpp).
 //
@@ -75,10 +76,8 @@ struct ServingOptions {
   std::int64_t force_bucket = 0;
   BatchPolicyOptions batch_policy;
   /// Planning mode for the bucket scores and the warm sessions (kTuned
-  /// autotunes through each device's thread-safe TuneCache).
+  /// searches each distinct layer to its certified optimum at warm-up).
   PlanMode plan_mode = PlanMode::kMeasured;
-  int tune_budget = 16;
-  std::uint64_t seed = 42;
   /// Tenant / priority classes (first = catch-all default). Empty keeps the
   /// single-class behaviour: FIFO-equivalent EDF, no quotas.
   std::vector<TenantClass> classes;
@@ -90,9 +89,9 @@ struct ServingOptions {
 class ServeEngine {
  public:
   /// Reads the execution-side fields of `opts` (bucket forcing, batch
-  /// policy, planning mode, tune budget, seed) and the device's spec and
-  /// replicas; `ordinal` is the fleet index stamped on this engine's trace
-  /// events. `models` and `stats` are unowned and must outlive the engine.
+  /// policy, planning mode) and the device's spec and replicas; `ordinal`
+  /// is the fleet index stamped on this engine's trace events. `models`
+  /// and `stats` are unowned and must outlive the engine.
   ServeEngine(const std::map<std::string, ServedModel>& models,
               const ServingOptions& opts, const DeviceConfig& device,
               int ordinal, ServerStats* stats);
@@ -132,9 +131,6 @@ class ServeEngine {
   void fill_stats(StatsSnapshot& s) const;
 
  private:
-  /// Total memoised plans across the per-model planners.
-  std::size_t plans_memoised() const;
-
   const std::map<std::string, ServedModel>* models_;
   ServingOptions opts_;
   MachineSpec machine_;
@@ -146,21 +142,17 @@ class ServeEngine {
   /// called; the lifecycle guard in ClusterDevice::start() enforces that).
   std::map<std::string, BucketChoice> buckets_;
   std::map<std::string, std::vector<std::int64_t>> exec_buckets_;
-  TuneCache cache_;
-  /// One shared thread-safe Planner per model (its memo keys include the
-  /// batch size, so the whole bucket ladder plans each geometry once).
-  /// Declared before sessions_: sessions hold pointers into this map.
-  /// planners_mu_ guards the map itself (and warm_plans_/warmed_) so a
-  /// stats() poll racing warm()'s emplaces is safe; the Planners inside
-  /// are individually thread-safe — which is why warm() may legitimately
-  /// take a Planner* out of the map under the lock and keep using it after
-  /// release (map nodes are pointer-stable; only the map structure needs
-  /// the lock).
-  mutable Mutex planners_mu_;
-  std::map<std::string, Planner> planners_ CB_GUARDED_BY(planners_mu_);
+  /// The device's thread-safe Planner, shared by every model, bucket and
+  /// session (its memo keys include the batch size, so the whole bucket
+  /// ladder plans each geometry once). Declared before sessions_: sessions
+  /// hold a pointer to it.
+  Planner planner_;
   SessionPool sessions_;
-  std::size_t warm_plans_ CB_GUARDED_BY(planners_mu_) = 0;
-  bool warmed_ CB_GUARDED_BY(planners_mu_) = false;
+  /// warm_mu_ guards the warm-up markers so a stats() poll racing warm()
+  /// is safe.
+  mutable Mutex warm_mu_;
+  std::size_t warm_plans_ CB_GUARDED_BY(warm_mu_) = 0;
+  bool warmed_ CB_GUARDED_BY(warm_mu_) = false;
 };
 
 }  // namespace convbound

@@ -104,8 +104,8 @@ class SessionPool {
   Guard acquire(const std::string& model, std::int64_t bucket);
 
   // Aggregate observability (safe while sessions are serving: Workspace
-  // counters are internally synchronized). Plan counts live on the shared
-  // per-model planners, not here.
+  // counters are internally synchronized). Plan counts live on the
+  // engine's shared planner, not here.
   std::size_t workspace_buffers() const;
   std::uint64_t workspace_bytes() const;
 

@@ -33,38 +33,27 @@ ServeEngine::ServeEngine(const std::map<std::string, ServedModel>& models,
 
 void ServeEngine::warm() {
   {
-    MutexLock lock(planners_mu_);
-    CB_CHECK_MSG(!warmed_ && planners_.empty(), "engine already warmed");
+    MutexLock lock(warm_mu_);
+    CB_CHECK_MSG(!warmed_ && buckets_.empty(), "engine already warmed");
   }
   PlannerOptions popts;
   popts.mode = opts_.plan_mode;
   popts.candidates = CandidateSet::kOurs;
-  popts.tune_budget = opts_.tune_budget;
-  popts.seed = opts_.seed;
   // Bucket feasibility charges the scheduler's group-formation window.
   const double max_delay_seconds =
       std::chrono::duration<double>(opts_.max_delay).count();
 
   // Sessions are constructed serially (cheap), then warmed in parallel —
-  // planner, tune cache, and per-session workspaces are all safe under
-  // concurrent warm(), so startup scales with cores instead of with
-  // models x buckets x replicas.
+  // the planner and the per-session workspaces are safe under concurrent
+  // warm(), so startup scales with cores instead of with models x buckets
+  // x replicas.
   std::vector<std::unique_ptr<ServeSession>> fresh;
   for (const auto& [name, model] : *models_) {
-    Planner* planner = nullptr;
-    {
-      MutexLock lock(planners_mu_);
-      planner = &planners_
-                     .emplace(std::piecewise_construct,
-                              std::forward_as_tuple(name),
-                              std::forward_as_tuple(&cache_))
-                     .first->second;  // map nodes are stable after unlock
-    }
     // Bound-guided bucket choice, planned with the sessions' planner and
     // options, so the sessions below hit its memo; the full candidate
     // scoring is kept for reporting even when the bucket is forced.
     BucketChoice choice =
-        choose_batch_bucket(model, machine_, *planner, popts,
+        choose_batch_bucket(model, machine_, planner_, popts,
                             max_delay_seconds, opts_.batch_policy);
     if (opts_.force_bucket > 0) {
       choice.bucket = opts_.force_bucket;
@@ -75,7 +64,7 @@ void ServeEngine::warm() {
       // reporting still shows what was chosen and what it costs.
       if (!scored)
         choice.scores.push_back(score_batch_bucket(
-            model, machine_, *planner, popts, max_delay_seconds,
+            model, machine_, planner_, popts, max_delay_seconds,
             choice.bucket, opts_.batch_policy));
       for (auto& s : choice.scores) s.chosen = s.bucket == choice.bucket;
     }
@@ -93,17 +82,15 @@ void ServeEngine::warm() {
     for (std::int64_t b : ladder)
       for (int r = 0; r < replicas_; ++r)
         fresh.push_back(std::make_unique<ServeSession>(
-            model, b, machine_, *planner, popts));
+            model, b, machine_, planner_, popts));
   }
   ThreadPool::global().parallel_for(
       0, fresh.size(), [&](std::size_t i) { fresh[i]->warm(); });
   for (auto& session : fresh) sessions_.add(std::move(session));
-  {
-    const std::size_t warm = plans_memoised();
-    MutexLock lock(planners_mu_);
-    warm_plans_ = warm;
-    warmed_ = true;
-  }
+  const std::size_t warm = planner_.plans_memoised();
+  MutexLock lock(warm_mu_);
+  warm_plans_ = warm;
+  warmed_ = true;
 }
 
 void ServeEngine::execute_batch(std::vector<PendingRequest> group,
@@ -251,19 +238,12 @@ double ServeEngine::predicted_batch_seconds(const std::string& name) const {
   return 0;
 }
 
-std::size_t ServeEngine::plans_memoised() const {
-  MutexLock lock(planners_mu_);
-  std::size_t n = 0;
-  for (const auto& [name, planner] : planners_) n += planner.plans_memoised();
-  return n;
-}
-
 void ServeEngine::fill_stats(StatsSnapshot& s) const {
-  s.plans_memoised = plans_memoised();
+  s.plans_memoised = planner_.plans_memoised();
   std::size_t warm_plans = 0;
   bool warmed = false;
   {
-    MutexLock lock(planners_mu_);
+    MutexLock lock(warm_mu_);
     warm_plans = warm_plans_;
     warmed = warmed_;
   }

@@ -33,7 +33,6 @@ struct ConvShape {
     return 2 * batch * cout * hout() * wout() * cin_per_group() * kh * kw;
   }
 
-  std::int64_t input_elems() const { return batch * cin * hin * win; }
   std::int64_t weight_elems() const {
     return cout * cin_per_group() * kh * kw;
   }

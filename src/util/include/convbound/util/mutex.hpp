@@ -38,7 +38,6 @@ class CB_CAPABILITY("mutex") Mutex {
 
   void lock() CB_ACQUIRE() { mu_.lock(); }
   void unlock() CB_RELEASE() { mu_.unlock(); }
-  bool try_lock() CB_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class UniqueLock;
@@ -58,7 +57,7 @@ class CB_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-// std::unique_lock equivalent: releasable mid-scope and usable with CondVar.
+// std::unique_lock equivalent, the lock CondVar waits on.
 class CB_SCOPED_CAPABILITY UniqueLock {
  public:
   explicit UniqueLock(Mutex& mu) CB_ACQUIRE(mu) : lock_(mu.mu_) {}
@@ -66,9 +65,6 @@ class CB_SCOPED_CAPABILITY UniqueLock {
 
   UniqueLock(const UniqueLock&) = delete;
   UniqueLock& operator=(const UniqueLock&) = delete;
-
-  void lock() CB_ACQUIRE() { lock_.lock(); }
-  void unlock() CB_RELEASE() { lock_.unlock(); }
 
  private:
   friend class CondVar;

@@ -42,8 +42,6 @@
 // expect it held on entry.
 #define CB_ACQUIRE(...) CB_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define CB_RELEASE(...) CB_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define CB_TRY_ACQUIRE(...) \
-  CB_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
 // Functions the caller must invoke with the capability already held
 // (the `*_locked` private-helper convention).

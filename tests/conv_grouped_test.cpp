@@ -163,10 +163,11 @@ TEST(GroupedModels, MobilenetEndToEndOursBeatsBaseline) {
   // A 3-block MobileNet slice (full net would slow the suite down).
   auto layers = mobilenet_v1();
   layers.resize(7);
-  const ModelReport base =
-      run_model(gpu, "mobilenet-slice", layers, ModelStrategy::kBaseline);
-  const ModelReport ours =
-      run_model(gpu, "mobilenet-slice", layers, ModelStrategy::kOursDefault);
+  Planner planner;
+  const ModelReport base = run_model(gpu, "mobilenet-slice", layers,
+                                     ModelStrategy::kBaseline, planner);
+  const ModelReport ours = run_model(gpu, "mobilenet-slice", layers,
+                                     ModelStrategy::kOursDefault, planner);
   EXPECT_LT(ours.total_seconds, base.total_seconds);
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "convbound/bounds/conv_bounds.hpp"
@@ -14,6 +15,7 @@
 #include "convbound/machine/machine_spec.hpp"
 #include "convbound/pebble/game.hpp"
 #include "convbound/pebble/generators.hpp"
+#include "convbound/plan/planner.hpp"
 #include "convbound/tune/batch_measure.hpp"
 #include "convbound/tune/bnb.hpp"
 #include "convbound/tune/domain.hpp"
@@ -495,6 +497,70 @@ TEST_P(CountFuzz, CountEqualsExecutionInEveryField) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, CountFuzz, ::testing::Range(0, 10));
+
+/// kTuned plans take the certified optimum: on sampled layers and four
+/// machine presets, every tunable candidate's predicted time is the exact
+/// minimum of count_plan over its whole pruned domain plus the Section 5
+/// seed, found here by enumerating and counting every configuration.
+class TunedOptimumFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(TunedOptimumFuzz, TunedPlanIsTheExhaustiveOptimum) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 40503u + 29);
+  ConvShape s;
+  s.cin = rng.range(4, 24);
+  s.cout = rng.range(4, 24);
+  s.hin = s.win = rng.range(7, 20);
+  s.kh = s.kw = GetParam() % 3 == 2 ? 1 : 3;  // 3x3 lets Winograd compete
+  s.stride = GetParam() % 4 == 3 ? 2 : 1;
+  s.pad = s.kh / 2;
+  s.validate();
+
+  PlannerOptions opts;
+  opts.mode = PlanMode::kTuned;
+  for (const MachineSpec& spec :
+       {MachineSpec::v100(), MachineSpec::gtx1080ti(),
+        MachineSpec::bandwidth_optimized(), MachineSpec::compute_optimized()}) {
+    SimGpu gpu(spec);
+    Planner planner;
+    for (const PlanCandidate& c : planner.enumerate(gpu, s, opts)) {
+      const bool wino = c.plan.algorithm == ConvAlgorithm::kWinogradFused;
+      if (!wino && c.plan.algorithm != ConvAlgorithm::kDirectTiled) continue;
+      SCOPED_TRACE(spec.name + " " + s.to_string() + " " +
+                   c.plan.to_string());
+      DomainOptions dopts;
+      dopts.winograd = wino;
+      dopts.e = c.plan.e;
+      const SearchDomain domain = SearchDomain::build(s, spec, dopts);
+      std::vector<ConvConfig> cfgs =
+          domain.enumerate_configs(domain.full_box());
+      // The seed as the tuner measures it: a footprint-derived S_b snaps to
+      // the domain's first choice.
+      ConvConfig seed = wino ? default_winograd_config(s, c.plan.e, spec)
+                             : default_tiled_config(s, spec);
+      if (seed.smem_budget == 0 && !domain.smem_choices().empty())
+        seed.smem_budget = domain.smem_choices().front();
+      cfgs.push_back(seed);
+
+      double best = std::numeric_limits<double>::infinity();
+      ConvPlan p = c.plan;
+      for (const ConvConfig& cfg : cfgs) {
+        p.config = cfg;
+        try {
+          best = std::min(best,
+                          count_plan(spec, p, Layout::kNCHW).sim_time);
+        } catch (const Error&) {
+          // does not fit the machine; not a candidate
+        }
+      }
+      ASSERT_TRUE(std::isfinite(best));
+      EXPECT_TRUE(c.plan.tuned);
+      EXPECT_FALSE(c.infeasible);
+      EXPECT_EQ(c.plan.predicted_seconds, best);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, TunedOptimumFuzz, ::testing::Range(0, 12));
 
 /// The baseline kernels' counts against execution: gemm_count, im2col_count
 /// and winograd_phased_count return every LaunchStats field their launches

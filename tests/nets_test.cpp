@@ -95,71 +95,85 @@ std::vector<ConvLayer> tiny_stack() {
 TEST(Inference, BaselineRunsTinyModel) {
   SimGpu gpu(MachineSpec::v100());
   const std::vector<ConvLayer> layers = tiny_stack();
+  Planner planner;
 
   const ModelReport base =
-      run_model(gpu, "tiny", layers, ModelStrategy::kBaseline);
+      run_model(gpu, "tiny", layers, ModelStrategy::kBaseline, planner);
   EXPECT_EQ(base.layers.size(), 3u);
   EXPECT_GT(base.total_seconds, 0);
 
   const ModelReport ours =
-      run_model(gpu, "tiny", layers, ModelStrategy::kOursDefault);
+      run_model(gpu, "tiny", layers, ModelStrategy::kOursDefault, planner);
   EXPECT_GT(ours.total_seconds, 0);
   // Our dataflows must not lose end-to-end on this conv stack.
   EXPECT_LT(ours.total_seconds, base.total_seconds * 1.2);
 }
 
-TEST(Inference, TunedAtLeastAsGoodAsDefault) {
-  SimGpu gpu(MachineSpec::v100());
-  std::vector<ConvLayer> layers;
-  ConvShape s;
-  s.cin = 16;
-  s.hin = s.win = 14;
-  s.cout = 32;
-  s.kh = s.kw = 3;
-  s.pad = 1;
-  layers.push_back({"only", s});
-  const ModelReport def =
-      run_model(gpu, "m", layers, ModelStrategy::kOursDefault);
-  const ModelReport tuned =
-      run_model(gpu, "m", layers, ModelStrategy::kOursTuned, 24);
-  EXPECT_LE(tuned.total_seconds, def.total_seconds * 1.05);
+std::vector<ConvLayer> mobilenet_slice() {
+  std::vector<ConvLayer> slice = mobilenet_v1();
+  slice.resize(7);
+  return slice;
 }
 
-// run_model counts each plan; executing the same plan must report exactly
-// the counted time and traffic, and compute the reference convolution.
-void expect_report_matches_execution(SimGpu& gpu, const ModelReport& r) {
-  for (const LayerTiming& l : r.layers) {
-    const ConvProblem p = make_problem(l.shape, 7);
-    Tensor4<float> out(l.shape.batch, l.shape.cout, l.shape.hout(),
-                       l.shape.wout());
-    const LaunchStats ex = run_plan(gpu, l.plan, p.input, p.weights, out);
-    EXPECT_EQ(ex.sim_time, l.seconds) << r.model << "/" << l.name;
-    EXPECT_EQ(ex.bytes_total(), l.io_bytes) << r.model << "/" << l.name;
-    EXPECT_TRUE(allclose(conv2d_ref(p.input, p.weights, l.shape), out, 1e-3,
-                         1e-3))
-        << r.model << "/" << l.name << " via " << l.plan.to_string();
+// The tuned search is seeded with the default configuration and runs to a
+// certified optimum, so no tuned layer is slower than its default plan.
+TEST(Inference, TunedAtLeastAsGoodAsDefault) {
+  PlannerOptions def_opts;
+  PlannerOptions tuned_opts;
+  tuned_opts.mode = PlanMode::kTuned;
+  for (const MachineSpec& spec :
+       {MachineSpec::v100(), MachineSpec::bandwidth_optimized()}) {
+    SimGpu gpu(spec);
+    Planner planner;
+    for (const auto& layers : {tiny_stack(), mobilenet_slice()}) {
+      for (const ConvLayer& l : layers) {
+        const ConvPlan def = planner.plan(gpu, l.shape, def_opts);
+        const ConvPlan tuned = planner.plan(gpu, l.shape, tuned_opts);
+        EXPECT_LE(tuned.predicted_seconds, def.predicted_seconds)
+            << spec.name << " " << l.name << ": " << tuned.to_string()
+            << " vs " << def.to_string();
+      }
+    }
   }
+}
+
+// Executing a counted plan must report exactly its counted time and
+// traffic, and compute the reference convolution.
+void expect_plan_matches_execution(SimGpu& gpu, const ConvPlan& plan,
+                                   double seconds, std::uint64_t io_bytes,
+                                   const std::string& where) {
+  const ConvShape& s = plan.shape;
+  const ConvProblem p = make_problem(s, 7);
+  Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
+  const LaunchStats ex = run_plan(gpu, plan, p.input, p.weights, out);
+  EXPECT_EQ(ex.sim_time, seconds) << where;
+  EXPECT_EQ(ex.bytes_total(), io_bytes) << where;
+  EXPECT_TRUE(allclose(conv2d_ref(p.input, p.weights, s), out, 1e-3, 1e-3))
+      << where << " via " << plan.to_string();
 }
 
 TEST(Inference, CountedReportMatchesExecution) {
   SimGpu gpu(MachineSpec::v100());
-  std::vector<ConvLayer> slice = mobilenet_v1();
-  slice.resize(7);
+  Planner planner;
   for (const auto& [name, layers] :
-       {std::pair{"tiny", tiny_stack()}, std::pair{"mobilenet-slice", slice}}) {
+       {std::pair{"tiny", tiny_stack()},
+        std::pair{"mobilenet-slice", mobilenet_slice()}}) {
     for (ModelStrategy strategy :
          {ModelStrategy::kBaseline, ModelStrategy::kOursDefault}) {
-      const ModelReport r = run_model(gpu, name, layers, strategy);
+      const ModelReport r = run_model(gpu, name, layers, strategy, planner);
       ASSERT_EQ(r.layers.size(), layers.size());
-      expect_report_matches_execution(gpu, r);
+      for (const LayerTiming& l : r.layers)
+        expect_plan_matches_execution(gpu, l.plan, l.seconds, l.io_bytes,
+                                      r.model + "/" + l.name);
     }
   }
-  const std::vector<ConvLayer> one = {tiny_stack()[1]};
-  const ModelReport tuned =
-      run_model(gpu, "tuned", one, ModelStrategy::kOursTuned, 8);
-  ASSERT_EQ(tuned.layers.size(), 1u);
-  EXPECT_TRUE(tuned.layers[0].plan.tuned);
-  expect_report_matches_execution(gpu, tuned);
+  PlannerOptions opts;
+  opts.mode = PlanMode::kTuned;
+  const ConvPlan tuned = planner.plan(gpu, tiny_stack()[1].shape, opts);
+  EXPECT_TRUE(tuned.tuned);
+  expect_plan_matches_execution(
+      gpu, tuned, tuned.predicted_seconds,
+      count_plan(gpu.spec(), tuned, Layout::kNCHW).bytes_total(), "tuned");
 }
 
 }  // namespace

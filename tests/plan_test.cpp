@@ -127,40 +127,6 @@ TEST(Planner, FuzzPlansExecuteAndMatchReference) {
   }
 }
 
-// ----------------------------------------------------- tune-cache path ---
-
-TEST(Planner, WarmTuneCacheChangesPlanConfig) {
-  SimGpu gpu(MachineSpec::v100());
-  // Strided shape: only the tiled direct dataflow competes, so the plan's
-  // config is exactly the tuned config.
-  const ConvShape s = shape(8, 14, 16, 3, 2, 1);
-
-  PlannerOptions opts;
-  opts.mode = PlanMode::kTuned;
-  opts.tune_budget = 8;
-  opts.seed = 5;
-
-  TuneCache cache;
-  Planner cold_planner(&cache);
-  const ConvPlan cold = cold_planner.plan(gpu, s, opts);
-  EXPECT_TRUE(cold.tuned);
-  // The autotuned result landed in the cache.
-  const std::string key = TuneCache::make_key(gpu.spec(), s, false, 2);
-  ASSERT_TRUE(cache.get(key).has_value());
-  EXPECT_EQ(cache.get(key)->config, cold.config);
-
-  // Warm the cache with a different (valid) configuration; a fresh planner
-  // must emit it instead of re-tuning.
-  ConvConfig custom;
-  custom.x = custom.y = custom.z = 1;
-  ASSERT_NE(custom, cold.config);
-  cache.put(key, {custom, /*gflops=*/1e9});  // beats any real search
-  Planner warm_planner(&cache);
-  const ConvPlan warm = warm_planner.plan(gpu, s, opts);
-  EXPECT_TRUE(warm.tuned);
-  EXPECT_EQ(warm.config, custom);
-}
-
 TEST(Planner, MemoisesPlans) {
   SimGpu gpu(MachineSpec::v100());
   Planner planner;
@@ -232,32 +198,29 @@ TEST(Workspace, PoolsByGeometryAndCountsReuse) {
   EXPECT_GT(ws.bytes_reserved(), 0u);
 }
 
-// A second inference pass over the same model through one session plans
-// nothing: every plan is memoised, none is re-planned or re-tuned, and the
-// counted totals are equal.
-TEST(InferenceSession, SecondPassPlansNothing) {
+// A second inference pass over the same model through one planner plans
+// nothing: every plan is memoised, none is re-planned, and the counted
+// totals are equal.
+TEST(RunModel, SecondPassPlansNothing) {
   SimGpu gpu(MachineSpec::v100());
   std::vector<ConvLayer> layers;
   layers.push_back({"l1", shape(4, 12, 8, 3, 1, 1)});
   layers.push_back({"l2", shape(8, 12, 8, 3, 2, 1)});
 
-  InferenceSession session;
-  const ModelReport first = run_model(gpu, "tiny", layers,
-                                      ModelStrategy::kOursTuned, session,
-                                      /*tune_budget=*/8);
-  const std::size_t warm_plans = session.planner().plans_memoised();
+  Planner planner;
+  const ModelReport first =
+      run_model(gpu, "tiny", layers, ModelStrategy::kOursDefault, planner);
+  const std::size_t warm_plans = planner.plans_memoised();
   EXPECT_EQ(warm_plans, layers.size());
 
-  const ModelReport second = run_model(gpu, "tiny", layers,
-                                       ModelStrategy::kOursTuned, session,
-                                       /*tune_budget=*/8);
-  EXPECT_EQ(session.planner().plans_memoised(), warm_plans);  // plan-once
+  const ModelReport second =
+      run_model(gpu, "tiny", layers, ModelStrategy::kOursDefault, planner);
+  EXPECT_EQ(planner.plans_memoised(), warm_plans);  // plan-once
   EXPECT_DOUBLE_EQ(first.total_seconds, second.total_seconds);
 
   // The chosen plan is recorded per layer.
   for (const auto& l : second.layers) {
     EXPECT_EQ(l.plan.shape, l.shape);
-    EXPECT_TRUE(l.plan.tuned);
     EXPECT_FALSE(l.algorithm.empty());
   }
 }

@@ -463,16 +463,16 @@ TEST(Serve, RejectsMalformedRequests) {
   EXPECT_THROW(server.submit({models[0].name, wrong}), Error);
 }
 
-// ------------------------------------------------ shared tune cache ------
+// ------------------------------------------------ tuned warm-up ---------
 
-TEST(Serve, TunedPlanningSharesTheThreadSafeCache) {
+TEST(Serve, TunedPlanningSharesTheDevicePlanner) {
   auto models = tiny_models();
   ServerOptions opts = tiny_options();
   opts.plan_mode = PlanMode::kTuned;
-  opts.tune_budget = 4;
   InferenceServer server(models, opts);
-  // Warmup tunes through the one shared TuneCache while it scores the
-  // buckets; every warm session then hits the planner's memo.
+  // Warmup searches each distinct layer to its certified optimum through
+  // the device's one planner while it scores the buckets; every warm
+  // session then hits the planner's memo.
   server.start();
 
   const Tensor4<float> input = make_request_input(models[0], 11);

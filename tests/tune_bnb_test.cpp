@@ -2,7 +2,9 @@
 //  - partition() tiles the lattice exactly (disjoint, complete,
 //    deterministic) and enumerate_configs() matches count_configs(),
 //  - subtree_lower_seconds() is admissible (never exceeds the measured
-//    runtime of any configuration in its box),
+//    runtime of any configuration in its box) and never below the
+//    compulsory-traffic time (every weight, every output and every input
+//    element some output reads, moved once),
 //  - a run to exhaustion returns the exhaustively-verified optimum and the
 //    accounting identity measured + pruned == domain size holds, i.e. every
 //    configuration was either tried or provably cut.
@@ -16,6 +18,7 @@
 #include "convbound/conv/algorithms.hpp"
 #include "convbound/tune/batch_measure.hpp"
 #include "convbound/tune/bnb.hpp"
+#include "convbound/util/rng.hpp"
 
 namespace convbound {
 namespace {
@@ -129,6 +132,116 @@ TEST(BnbBound, AdmissibleOnEveryFirstAndSecondLevelBox) {
         EXPECT_LE(subtree_lower_seconds(domain, grand),
                   exhaustive_best(m, domain, grand))
             << "slow_memory=" << slow_memory;
+      }
+    }
+  }
+}
+
+/// Input rows (or columns) some output reads along one axis: the union of
+/// the receptive fields [o*stride - pad, o*stride - pad + k) inside [0, in).
+std::int64_t rows_read(std::int64_t out, std::int64_t stride,
+                       std::int64_t k, std::int64_t pad, std::int64_t in) {
+  std::vector<bool> read(static_cast<std::size_t>(in), false);
+  for (std::int64_t o = 0; o < out; ++o)
+    for (std::int64_t t = 0; t < k; ++t) {
+      const std::int64_t i = o * stride - pad + t;
+      if (i >= 0 && i < in) read[static_cast<std::size_t>(i)] = true;
+    }
+  return std::count(read.begin(), read.end(), true);
+}
+
+/// The cold-miss floor of a layer in seconds: every weight, every output
+/// and every input element some output reads crosses global memory once,
+/// at the ideal bandwidth, plus the launch. Without `halo`, an output
+/// window counts only its first min(stride, k) rows and columns.
+double compulsory_seconds(const ConvShape& s, const MachineSpec& spec,
+                          bool halo) {
+  const std::int64_t kh = halo ? s.kh : std::min(s.kh, s.stride);
+  const std::int64_t kw = halo ? s.kw : std::min(s.kw, s.stride);
+  const std::int64_t inputs =
+      s.batch * s.cin * rows_read(s.hout(), s.stride, kh, s.pad, s.hin) *
+      rows_read(s.wout(), s.stride, kw, s.pad, s.win);
+  const double elems = static_cast<double>(s.weight_elems() +
+                                           s.output_elems() + inputs);
+  return spec.launch_overhead +
+         static_cast<double>(sizeof(float)) * elems / spec.global_bw;
+}
+
+// bnb's box bound dominates the compulsory traffic: on the full box, two
+// levels of its partition and random singleton boxes, for direct and
+// Winograd domains on four machine presets. Eq 20/22's input term counts
+// the input at the outputs' positions, not the k - 1 halo rows and columns
+// around them. On a padded layer the halo is padding; an unpadded layer
+// reads it, so there the bound dominates only the floor without the halo
+// and falls short of the full one (v100 16x14x14 -> 16, 3x3, Winograd
+// e = 2: 4.0307 vs 4.0344 us).
+TEST(BnbBound, NeverBelowCompulsoryTraffic) {
+  struct Case {
+    ConvShape shape;
+    bool winograd;
+    std::int64_t e;
+    bool halo = true;  ///< compare against the floor with the halo
+  };
+  const auto make = [](std::int64_t batch, std::int64_t cin, std::int64_t in,
+                       std::int64_t cout, std::int64_t k, std::int64_t stride,
+                       std::int64_t pad) {
+    ConvShape s;
+    s.batch = batch;
+    s.cin = cin;
+    s.hin = s.win = in;
+    s.cout = cout;
+    s.kh = s.kw = k;
+    s.stride = stride;
+    s.pad = pad;
+    s.validate();
+    return s;
+  };
+  const ConvShape unpadded = make(1, 16, 14, 16, 3, 1, 0);
+  const std::vector<Case> cases = {
+      {tiny_shape(), false, 2},
+      {make(2, 16, 14, 24, 3, 1, 1), false, 2},
+      {make(1, 32, 28, 16, 3, 2, 1), false, 2},
+      {make(1, 64, 56, 128, 1, 2, 0), false, 2},  // reads a quarter
+      {make(1, 12, 15, 20, 5, 1, 2), false, 2},
+      {unpadded, false, 2, false},
+      {tiny_shape(), true, 2},
+      {make(2, 16, 14, 24, 3, 1, 1), true, 2},
+      {make(1, 24, 20, 16, 3, 1, 1), true, 4},
+      {unpadded, true, 2, false},
+  };
+  for (const MachineSpec& spec :
+       {MachineSpec::v100(), MachineSpec::gtx1080ti(),
+        MachineSpec::bandwidth_optimized(), MachineSpec::compute_optimized()}) {
+    for (const Case& c : cases) {
+      DomainOptions dopts;
+      dopts.winograd = c.winograd;
+      dopts.e = c.e;
+      const auto domain = SearchDomain::build(c.shape, spec, dopts);
+      const double floor_s = compulsory_seconds(c.shape, spec, c.halo);
+      std::vector<DomainBox> boxes{domain.full_box()};
+      for (const auto& child : domain.partition(domain.full_box())) {
+        boxes.push_back(child);
+        for (const auto& grand : domain.partition(child))
+          boxes.push_back(grand);
+      }
+      Rng rng(7);
+      for (int i = 0; i < 16; ++i) {
+        DomainBox b;
+        b.x_lo = rng.below(domain.xs().size());
+        b.y_lo = rng.below(domain.ys().size());
+        b.z_lo = rng.below(domain.zs().size());
+        b.s_lo = rng.below(domain.smem_choices().size());
+        b.x_hi = b.x_lo + 1;
+        b.y_hi = b.y_lo + 1;
+        b.z_hi = b.z_lo + 1;
+        b.s_hi = b.s_lo + 1;
+        boxes.push_back(b);
+      }
+      for (const DomainBox& b : boxes) {
+        if (domain.count_configs(b) == 0) continue;
+        EXPECT_GE(subtree_lower_seconds(domain, b), floor_s)
+            << spec.name << " " << c.shape.to_string()
+            << (c.winograd ? " winograd e=" + std::to_string(c.e) : " direct");
       }
     }
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -74,6 +75,20 @@ TEST(Rng, RangeInclusive) {
     seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 5u);  // all values hit
+}
+
+// Rng is a UniformRandomBitGenerator, so standard distributions accept it.
+TEST(Rng, DrivesStandardDistributions) {
+  static_assert(std::uniform_random_bit_generator<Rng>);
+  EXPECT_EQ(Rng::min(), 0u);
+  EXPECT_EQ(Rng::max(), ~std::uint64_t{0});
+  Rng rng(5);
+  std::uniform_int_distribution<int> die(1, 6);
+  for (int i = 0; i < 100; ++i) {
+    const int v = die(rng);
+    EXPECT_GE(v, 1);
+    EXPECT_LE(v, 6);
+  }
 }
 
 TEST(ThreadPool, RunsAllIterations) {

@@ -14,16 +14,16 @@
 //   models [--machine NAME]
 //       Compare baseline vs our dataflows across the CNN model zoo.
 //   plan   --model NAME [--batch N] | --cin N --in N --cout N [...]
-//          [--mode measured|tuned] [--set ours|baseline]
-//          [--budget N] [--machine NAME]
+//          [--mode measured|tuned] [--set ours|baseline] [--machine NAME]
 //       Bound-guided planning. With --model, print the per-layer plan table
 //       (algorithm, config, Eq 20/22 predicted I/O vs the I/O lower bound,
 //       `-` where the algorithm has no analytic model; a shape flag other
 //       than --batch is an error there); with a single shape, print the
 //       full candidate ranking. Every candidate is scored by the modelled
 //       time of its counted launches; measured (default) plans analytic
-//       default configs, tuned autotunes each distinct layer once per run.
-//       No mode executes a kernel.
+//       default configs, tuned gives each tunable candidate the certified
+//       optimum of its pruned domain (bnb run to exhaustion, once per
+//       distinct layer). No mode executes a kernel.
 //   profile --model NAME [--batch N] [--reps N] [--seed N]
 //           [--mode measured|tuned] [--set ours|baseline]
 //           [--machine NAME]
@@ -31,10 +31,11 @@
 //       striped SimGpu and prints one row per layer: plan and config,
 //       predicted I/O, lower bound and counted traffic, counted flops,
 //       modelled ms, host wall ms (min over --reps, default 3) and host
-//       GFLOP/s; then totals by algorithm. Exits 1 with `error:` when a
-//       layer's counted traffic is below its Thm 4.12/4.20 bound, its
-//       output differs from conv2d_ref, or its executed LaunchStats differ
-//       from the closed-form count (count_plan), for every algorithm.
+//       GFLOP/s; then totals by algorithm. --seed (default 42) draws the
+//       input tensors. Exits 1 with `error:` when a layer's counted traffic
+//       is below its Thm 4.12/4.20 bound, its output differs from
+//       conv2d_ref, or its executed LaunchStats differ from the closed-form
+//       count (count_plan), for every algorithm.
 //   serve  [--machine NAME] [--serve-workers N] [--replicas N] [--queue N]
 //          [shared load flags]
 //   cluster [--devices CSV] [--policy bound|rr|least] [--dev-workers N]
@@ -57,7 +58,7 @@
 //          [--models CSV] [--clients N] [--producers N] [--requests N]
 //          [--layers N] [--chan-cap N] [--spatial-cap N] [--shards N]
 //          [--delay-us N] [--bucket N] [--max-bucket N]
-//          [--mode measured|tuned] [--budget N] [--classes CSV]
+//          [--mode measured|tuned] [--classes CSV]
 //          [--congestion PCT] [--kill N] [--kill-after-ms N]
 //          [--revive warm|cold] [--trace-out FILE] [--metrics-out FILE]
 //       --bucket 0 (default) = bound-guided bucket; 1 = unbatched baseline.
@@ -313,8 +314,6 @@ PlannerOptions planner_options_from(const Args& a) {
                "unknown candidate set '" << set << "' (ours|baseline)");
   opts.candidates =
       set == "ours" ? CandidateSet::kOurs : CandidateSet::kBaseline;
-  opts.tune_budget = static_cast<int>(a.geti("budget", 32));
-  opts.seed = static_cast<std::uint64_t>(a.geti("seed", 42));
   return opts;
 }
 
@@ -355,8 +354,7 @@ int cmd_plan(const Args& a) {
   SimGpu gpu(spec_by_name(a.gets("machine", "v100")));
   const PlannerOptions opts = planner_options_from(a);
 
-  TuneCache cache;  // tuned planning searches each distinct layer once
-  Planner planner(&cache);
+  Planner planner;  // tuned planning searches each distinct layer once
 
   auto mb = [](double elems) { return elems * 4e-6; };
   const std::string model_name = a.gets("model", "");
@@ -416,6 +414,8 @@ int cmd_profile(const Args& a) {
   CB_CHECK_MSG(!model_name.empty(), "profile needs --model NAME");
   const std::int64_t reps = a.geti("reps", 3);
   CB_CHECK_MSG(reps >= 1, "--reps must be >= 1, got " << reps);
+  // Layer i's inputs are drawn from seed + i.
+  const auto seed = static_cast<std::uint64_t>(a.geti("seed", 42));
   const auto layers = model_by_name(model_name, a.geti("batch", 1));
 
   struct Totals {
@@ -433,7 +433,7 @@ int cmd_profile(const Args& a) {
     const ConvLayer& layer = layers[i];
     const ConvShape& s = layer.shape;
     const ConvPlan p = planner.plan(gpu, s, opts);
-    const ConvProblem prob = make_problem(s, opts.seed + i);
+    const ConvProblem prob = make_problem(s, seed + i);
     Tensor4<float> out(s.batch, s.cout, s.hout(), s.wout());
     LaunchStats st;
     double wall_s = 0;
@@ -605,7 +605,6 @@ int cmd_load(const Args& a, bool fleet) {
   CB_CHECK_MSG(mode == "measured" || mode == "tuned",
                "planning mode must be measured|tuned");
   opts.plan_mode = mode == "tuned" ? PlanMode::kTuned : PlanMode::kMeasured;
-  opts.tune_budget = static_cast<int>(a.geti("budget", 16));
   opts.classes = classes_from(a.gets("classes", ""));
   opts.admission_congestion =
       static_cast<double>(a.geti("congestion", 50)) / 100.0;
@@ -829,11 +828,12 @@ int cmd_models(const Args& a) {
   Table t({"model", "conv GFLOP", "baseline (ms)", "ours (ms)", "speedup"});
   auto zoo = model_zoo(a.geti("batch", 1));
   zoo.emplace_back("MobileNet-v1", mobilenet_v1(a.geti("batch", 1)));
+  Planner planner;
   for (const auto& [name, layers] : zoo) {
     const ModelReport base =
-        run_model(gpu, name, layers, ModelStrategy::kBaseline);
+        run_model(gpu, name, layers, ModelStrategy::kBaseline, planner);
     const ModelReport ours =
-        run_model(gpu, name, layers, ModelStrategy::kOursDefault);
+        run_model(gpu, name, layers, ModelStrategy::kOursDefault, planner);
     t.add_row({name,
                Table::fmt(static_cast<double>(model_flops(layers)) / 1e9, 2),
                Table::fmt(base.total_seconds * 1e3, 2),
@@ -860,14 +860,12 @@ std::set<std::string> flag_set(
 const std::map<std::string, Command>& commands() {
   const std::vector<std::string> shape = {"batch", "cin",    "in",  "cout",
                                           "ker",   "stride", "pad", "groups"};
-  const std::vector<std::string> planning = {"machine", "mode", "set",
-                                             "budget", "seed"};
+  const std::vector<std::string> planning = {"machine", "mode", "set"};
   const std::vector<std::string> load = {
       "models",  "layers",    "chan-cap",   "spatial-cap", "queue",
       "shards",  "delay-us",  "bucket",     "max-bucket",  "mode",
-      "budget",  "classes",   "congestion", "kill",        "kill-after-ms",
-      "revive",  "clients",   "producers",  "requests",    "trace-out",
-      "metrics-out"};
+      "classes", "congestion", "kill",      "kill-after-ms", "revive",
+      "clients", "producers", "requests",   "trace-out",   "metrics-out"};
   static const std::map<std::string, Command> table = {
       {"bound", {cmd_bound, flag_set({shape, {"smem"}})}},
       {"run", {cmd_run, flag_set({shape, {"machine", "algo", "seed"}})}},
@@ -876,7 +874,8 @@ const std::map<std::string, Command>& commands() {
                             {"machine", "budget", "winograd", "seed", "tuner"}})}},
       {"plan", {cmd_plan, flag_set({shape, planning, {"model"}})}},
       {"profile",
-       {cmd_profile, flag_set({planning, {"model", "batch", "reps"}})}},
+       {cmd_profile,
+        flag_set({planning, {"model", "batch", "reps", "seed"}})}},
       {"models", {cmd_models, flag_set({{"machine", "batch"}})}},
       {"serve",
        {[](const Args& a) { return cmd_load(a, false); },
